@@ -134,13 +134,9 @@ def _c2(backend: str, cfg: HarnessConfig, rng: np.random.Generator) -> AxiomResu
         f = core.identity(backend, s, out_label="B")
         g = core.identity(backend, System("B2", d), out_label="A2")
         loop = core.plug(f, g, [("B", "B2"), ("A", "A2")]).scalar_value()
-        if backend == REL:
-            ok = bool(dim) and bool(loop)
-            worst = max(worst, 0.0 if ok else 1.0)
-        else:
-            worst = max(worst, abs(complex(loop) - complex(dim)))
-            inv = 1.0 / complex(dim)
-            worst = max(worst, abs(inv * complex(dim) - 1.0))
+        worst = max(worst, abs(complex(loop) - complex(dim)))
+        inv = 1.0 / complex(dim)
+        worst = max(worst, abs(inv * complex(dim) - 1.0))
         details.append(f"d={d}: loop={loop}")
     return AxiomResult("C2", backend, worst <= cfg.tol, float(worst), "; ".join(details))
 
@@ -228,10 +224,7 @@ def _channel_states(backend: str, dA: int, dB: int) -> list[Process]:
     correlated pair through each member of the spanning channel family."""
     A, A0, B = System("A", dA), System("A0", dA), System("B", dB)
     cup = core.cup(backend, dA, "A", "A0")
-    if backend == MATR:
-        cup = Process(MATR, cup.out_wires, (), cup.data / dA)
-    elif backend == CPM:
-        cup = Process(CPM, cup.out_wires, (), cup.data / dA)
+    cup = Process(backend, cup.out_wires, (), cup.data / dA)
     states = []
     for chan in backends.causal_channel_family(backend, (B,), (A0,)):
         states.append(core.plug(cup, chan, [("A0", "A0")]))

@@ -19,28 +19,23 @@ Each backend fixes what "discard" and "causal" mean concretely:
     to at least one joint output), and the dimension scalar is ``True``.
     All checks are exact; tolerances are ignored.
 
-Numerical verdicts are reported as :class:`CheckReport` objects carrying the
-worst absolute residual, scaled against ``max(1, |process|_max)``.
+Verdicts are reported as :class:`CheckReport` objects carrying the worst
+absolute residual.  One rule decides them all (:func:`_verdict`): a ``rel``
+residual passes iff it is 0, any other passes iff it is at most
+``tol * max(1, |process|_max)``, and a non-finite residual or scale fails.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import core
-from .core import (
-    CPM,
-    DEFAULT_TOL,
-    MATR,
-    REL,
-    Process,
-    System,
-    maxabs,
-)
+from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System, maxabs
 from .errors import NotOneWay, UnsupportedBackend
 from .events import Event, check_partition
 
@@ -49,10 +44,10 @@ from .events import Event, check_partition
 class CheckReport:
     """Outcome of a verification: verdict plus the residual that produced it.
 
-    ``residual`` is an absolute deviation; the verdict compares it against
+    ``residual`` is an absolute deviation.  For ``rel`` it is 0.0 or 1.0 and
+    the verdict is exact; otherwise the verdict compares it against
     ``tol * max(1, scale)`` where ``scale`` is the largest entry of the
-    process being checked.  For the exact ``rel`` backend the residual is
-    0.0 or 1.0.
+    process being checked.  A non-finite residual or scale fails.
     """
 
     passed: bool
@@ -70,11 +65,37 @@ class CheckReport:
 
 
 def _scale(p: Process) -> float:
-    return max(1.0, maxabs(p))
+    """``max(1, |p|_max)``, or NaN when ``p`` has a NaN entry."""
+    m = maxabs(p)
+    return m if math.isnan(m) or m > 1.0 else 1.0
 
 
-def _report(passed_residual: float, tol: float, scale: float, detail: str = "") -> CheckReport:
-    return CheckReport(passed_residual <= tol * scale, float(passed_residual), tol, detail)
+def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, str]]) -> CheckReport:
+    """The one verdict rule, for residuals measured against ``p``.
+
+    Each condition is ``(residual, detail if it fails)``.  A ``rel`` residual
+    passes iff it is 0, whatever ``tol`` is; any other passes iff it is at
+    most ``tol * _scale(p)``.  A non-finite residual or scale fails.
+    """
+    if core._spec(p.backend).exact:
+        bound = 0.0
+    else:
+        scale = _scale(p)
+        bound = tol * scale if math.isfinite(scale) else math.nan  # nothing passes a NaN bound
+    return _conjunction([(math.isfinite(r) and r <= bound, r, detail) for r, detail in conditions], tol)
+
+
+def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> CheckReport:
+    """Conjoin decided conditions ``(passed, residual, detail)``: the worst
+    residual, NaN included, and the detail of the first failure."""
+    ok, worst, bad = True, 0.0, ""
+    for passed, residual, detail in conditions:
+        residual = float(residual)
+        if not (math.isnan(worst) or residual <= worst):
+            worst = residual
+        if not passed and ok:
+            ok, bad = False, detail
+    return CheckReport(ok, worst, tol, bad)
 
 
 # -- canonical effects and states ----------------------------------------------
@@ -84,15 +105,10 @@ def discard(backend: str, systems: Sequence[System]) -> Process:
     """The discarding effect on ``systems`` (sum / trace / existential)."""
     systems = tuple(systems)
     dims = tuple(s.dim for s in systems)
-    total = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    if backend == MATR:
-        data = np.ones(dims)
-    elif backend == REL:
-        data = np.ones(dims, dtype=bool)
-    elif backend == CPM:
-        data = np.eye(total, dtype=complex).reshape(dims + dims)
+    if backend == CPM:
+        data = np.eye(int(np.prod(dims, dtype=np.int64)), dtype=complex).reshape(dims + dims)
     else:
-        raise UnsupportedBackend(f"unknown backend {backend!r}")
+        data = np.ones(dims, dtype=core._spec(backend).dtype)
     return Process(backend, (), systems, data)
 
 
@@ -101,28 +117,20 @@ def uniform_state(backend: str, systems: Sequence[System]) -> Process:
     state, or the full relation, on the given systems."""
     systems = tuple(systems)
     dims = tuple(s.dim for s in systems)
-    total = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    if backend == MATR:
-        data = np.full(dims, 1.0 / total)
-    elif backend == REL:
-        data = np.ones(dims, dtype=bool)
-    elif backend == CPM:
+    total = int(np.prod(dims, dtype=np.int64))
+    if backend == CPM:
         data = (np.eye(total, dtype=complex) / total).reshape(dims + dims)
     else:
-        raise UnsupportedBackend(f"unknown backend {backend!r}")
+        data = np.full(dims, 1.0 / total)  # for rel, every weight is nonzero: True
     return Process(backend, systems, (), data)
 
 
 def dimension(backend: str, system: System):
     """The scalar obtained by discarding the uniform-weight point: ``d`` for
     matr+, ``d**2`` for cpm, ``True`` for rel."""
-    if backend == MATR:
-        return float(system.dim)
-    if backend == CPM:
-        return float(system.dim**2)
     if backend == REL:
         return True
-    raise UnsupportedBackend(f"unknown backend {backend!r}")
+    return float(system.dim ** core._spec(backend).axes_per_wire)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -142,37 +150,23 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
         if not ok:
             bad = np.argwhere(~np.atleast_1d(cols))[0]
             detail = f"no output related to input index {tuple(int(i) for i in bad)}"
-        return CheckReport(ok, 0.0 if ok else 1.0, tol, detail)
+        return _verdict(p, tol, [(0.0 if ok else 1.0, detail)])
 
     marg = core.discard_outputs(p, [w.label for w in p.out_wires])
     want = discard(p.backend, p.in_wires)
-    residual = core.distance(marg, want)
-    return _report(residual, tol, _scale(p), "" if residual <= tol * _scale(p) else "not normalized")
+    return _verdict(p, tol, [(core.distance(marg, want), "not normalized")])
 
 
 def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Entrywise non-negativity (matr+), or Hermitian positive semidefiniteness
-    of the Choi matrix (cpm).  Relations are always positive."""
-    if p.backend == REL:
-        return CheckReport(True, 0.0, tol)
-    if p.backend == MATR:
-        worst = float(max(0.0, -np.min(p.data))) if p.data.size else 0.0
-        return _report(worst, tol, _scale(p), "" if worst == 0.0 else "negative entry")
+    """Entrywise non-negativity (matr+, and trivially rel), or Hermitian
+    positive semidefiniteness of the Choi matrix (cpm)."""
+    if p.backend != CPM:
+        return _verdict(p, tol, [(max(0.0, -float(np.min(p.data))), "negative entry")])
     J = core.choi_matrix(p)
-    herm = _maxabs(J - J.conj().T)
-    eigs = np.linalg.eigvalsh((J + J.conj().T) / 2.0)
-    neg = float(max(0.0, -eigs.min())) if eigs.size else 0.0
-    worst = max(herm, neg)
-    detail = ""
-    if herm > tol * _scale(p):
-        detail = "not Hermitian"
-    elif neg > tol * _scale(p):
-        detail = f"negative eigenvalue {-neg:.3g}"
-    return _report(worst, tol, _scale(p), detail)
-
-
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    neg = max(0.0, -float(np.linalg.eigvalsh((J + J.conj().T) / 2.0).min()))
+    return _verdict(
+        p, tol, [(core._maxabs(J - J.conj().T), "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")]
+    )
 
 
 # -- state families ------------------------------------------------------------
@@ -182,34 +176,12 @@ def causal_basis(backend: str, system: System) -> list[Process]:
     """Causal states of a single system that are jointly informationally
     complete: point masses, a tomographically complete set of pure states,
     or the singleton relations."""
-    d = system.dim
-    out = []
-    if backend == MATR:
-        for i in range(d):
-            v = np.zeros(d)
-            v[i] = 1.0
-            out.append(Process(MATR, (system,), (), v))
-    elif backend == REL:
-        for i in range(d):
-            v = np.zeros(d, dtype=bool)
-            v[i] = True
-            out.append(Process(REL, (system,), (), v))
-    elif backend == CPM:
-        vecs = []
-        for i in range(d):
-            e = np.zeros(d, dtype=complex)
-            e[i] = 1.0
-            vecs.append(e)
-        kets = list(vecs)
-        for i in range(d):
-            for j in range(i + 1, d):
-                kets.append((vecs[i] + vecs[j]) / np.sqrt(2))
-                kets.append((vecs[i] + 1j * vecs[j]) / np.sqrt(2))
-        for k in kets:
-            out.append(Process(CPM, (system,), (), np.outer(k, k.conj())))
-    else:
-        raise UnsupportedBackend(f"unknown backend {backend!r}")
-    return out
+    eye = np.eye(system.dim, dtype=core._spec(backend).dtype)
+    if backend != CPM:
+        return [Process(backend, (system,), (), e) for e in eye]
+    pairs = itertools.combinations(range(system.dim), 2)
+    kets = list(eye) + [(eye[i] + phase * eye[j]) / np.sqrt(2) for i, j in pairs for phase in (1, 1j)]
+    return [Process(CPM, (system,), (), np.outer(k, k.conj())) for k in kets]
 
 
 def random_causal(
@@ -273,11 +245,10 @@ def channel_family_size(backend: str, out_systems: Sequence[System], in_systems:
     in_dims = [s.dim for s in in_systems]
     dout = int(np.prod(out_dims, dtype=np.int64)) if out_dims else 1
     din = int(np.prod(in_dims, dtype=np.int64)) if in_dims else 1
-    if backend in (MATR, REL):
-        return dout**din
     if backend == CPM:
         return 1 + (dout**2 - 1) * din**2
-    raise UnsupportedBackend(f"unknown backend {backend!r}")
+    core._spec(backend)  # an unknown backend raises
+    return dout**din
 
 
 def _hermitian_basis(d: int) -> list[np.ndarray]:
@@ -330,27 +301,23 @@ def causal_channel_family(
     shape = out_dims + in_dims
     members: list[Process] = []
 
-    if backend in (MATR, REL):
-        dtype = bool if backend == REL else float
+    if backend != CPM:
+        dtype = core._spec(backend).dtype
         for g in itertools.product(range(dout), repeat=din):
             m = np.zeros((dout, din), dtype=dtype)
-            for a, b in enumerate(g):
-                m[b, a] = True if backend == REL else 1.0
+            m[g, range(din)] = 1
             members.append(Process(backend, out_systems, in_systems, m.reshape(shape)))
         return members
 
-    if backend == CPM:
-        j0 = np.kron(np.eye(dout, dtype=complex) / dout, np.eye(din, dtype=complex))
-        eps = 1.0 / (2.0 * dout)
-        cpm_shape = shape + shape
-        members.append(Process(CPM, out_systems, in_systems, j0.reshape(cpm_shape)))
-        for g in _traceless_hermitian_basis(dout):
-            for f in _hermitian_basis(din):
-                j = j0 + eps * np.kron(g, f)
-                members.append(Process(CPM, out_systems, in_systems, j.reshape(cpm_shape)))
-        return members
-
-    raise UnsupportedBackend(f"unknown backend {backend!r}")
+    j0 = np.kron(np.eye(dout, dtype=complex) / dout, np.eye(din, dtype=complex))
+    eps = 1.0 / (2.0 * dout)
+    cpm_shape = shape + shape
+    members.append(Process(CPM, out_systems, in_systems, j0.reshape(cpm_shape)))
+    for g in _traceless_hermitian_basis(dout):
+        for f in _hermitian_basis(din):
+            j = j0 + eps * np.kron(g, f)
+            members.append(Process(CPM, out_systems, in_systems, j.reshape(cpm_shape)))
+    return members
 
 
 # -- one-way factorization -----------------------------------------------------
@@ -376,9 +343,10 @@ def factorize_one_way(
                               = delta(l, 0)                           otherwise
 
     and ``Phi1`` plugged into ``Phi2`` along the memory wire reconstructs the
-    original process exactly.  For ``rel`` the division is replaced by a case
-    split; for ``cpm`` no comparable canonical construction is performed here
-    and :class:`UnsupportedBackend` is raised.
+    original process exactly.  For ``rel`` the same arrays are read in the
+    boolean semiring: the marginal is a join and the division a case split.
+    For ``cpm`` no comparable canonical construction is performed here and
+    :class:`UnsupportedBackend` is raised.
     """
     if p.backend == CPM:
         raise UnsupportedBackend(
@@ -399,41 +367,23 @@ def factorize_one_way(
     J = int(np.prod(jdims, dtype=np.int64)) if jdims else 1
     m = data.reshape(K, L, I, J)
 
-    if p.backend == REL:
-        marg = m.any(axis=1)
-        if not all(np.array_equal(marg[:, :, j], marg[:, :, 0]) for j in range(J)):
-            raise NotOneWay(
-                f"marginal on {first.name!r} depends on the input of {second.name!r}"
-            )
-        phi1 = np.zeros((K, I * K, I), dtype=bool)
-        phi2 = np.zeros((L, I * K, J), dtype=bool)
-        for i in range(I):
-            for k in range(K):
-                phi1[k, i * K + k, i] = marg[k, i, 0]
-                if marg[k, i, 0]:
-                    phi2[:, i * K + k, :] = m[k, :, i, :]
-                else:
-                    phi2[0, i * K + k, :] = True
-    else:
-        marg = m.sum(axis=1)
-        dev = max(
-            (_maxabs(marg[:, :, j] - marg[:, :, 0]) for j in range(J)), default=0.0
+    marg = m.sum(axis=1, dtype=m.dtype)  # for rel: the join over l
+    dev = core._maxdiff(marg, marg[:, :, :1])
+    if not _verdict(p, tol, [(dev, "")]):
+        raise NotOneWay(
+            f"marginal on {first.name!r} depends on the input of {second.name!r} "
+            f"(deviation {dev:.3g}, tol {tol:.3g})"
         )
-        if dev > tol * _scale(p):
-            raise NotOneWay(
-                f"marginal on {first.name!r} depends on the input of {second.name!r} "
-                f"(deviation {dev:.3g}, tol {tol:.3g})"
-            )
-        phi_prime = marg.mean(axis=2)
-        phi1 = np.zeros((K, I * K, I))
-        phi2 = np.zeros((L, I * K, J))
-        for i in range(I):
-            for k in range(K):
-                phi1[k, i * K + k, i] = phi_prime[k, i]
-                if phi_prime[k, i] > 0.0:
-                    phi2[:, i * K + k, :] = m[k, :, i, :] / phi_prime[k, i]
-                else:
-                    phi2[0, i * K + k, :] = 1.0
+    phi_prime = marg.mean(axis=2)  # for rel: 1.0 or 0.0, equal for every j
+    phi1 = np.zeros((K, I * K, I))
+    phi2 = np.zeros((L, I * K, J))
+    for i in range(I):
+        for k in range(K):
+            phi1[k, i * K + k, i] = phi_prime[k, i]
+            if phi_prime[k, i] > 0.0:
+                phi2[:, i * K + k, :] = m[k, :, i, :] / phi_prime[k, i]
+            else:
+                phi2[0, i * K + k, :] = 1.0
 
     taken = {w.label for w in p.wires}
     mem = mem_label if mem_label is not None else "M"

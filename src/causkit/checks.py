@@ -30,7 +30,7 @@ import itertools
 from typing import Sequence
 
 from . import backends, core
-from .backends import CheckReport, _scale
+from .backends import CheckReport, _conjunction, _verdict
 from .core import DEFAULT_TOL, Process
 from .errors import (
     CombinatorialBlowup,
@@ -84,6 +84,11 @@ def _independence_residual(p: Process, in_labels: Sequence[str]) -> tuple[float,
     return core.distance(recon, p), extracted
 
 
+def _causal_condition(causal: CheckReport) -> tuple[float, str]:
+    """``is_causal(p)`` as a condition on ``p``; the same rule decides it again."""
+    return causal.residual, causal.detail or "not causal"
+
+
 # -- pairwise and multipartite signalling ----------------------------------------
 
 
@@ -97,12 +102,10 @@ def check_one_way(p: Process, first: Event, second: Event, tol: float = DEFAULT_
     causal = backends.is_causal(p, tol)
     marg = core.discard_outputs(p, second.outs)
     residual, _ = _independence_residual(marg, second.ins)
-    worst = max(causal.residual, residual)
-    ok = causal.passed and residual <= tol * _scale(p)
-    detail = "" if ok else (
-        causal.detail or f"input of {second.name!r} influences the marginal of {first.name!r}"
-    )
-    return CheckReport(ok, worst, tol, detail)
+    return _verdict(p, tol, [
+        _causal_condition(causal),
+        (residual, f"input of {second.name!r} influences the marginal of {first.name!r}"),
+    ])
 
 
 def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
@@ -113,16 +116,12 @@ def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAUL
     inputs can be switched one event at a time.
     """
     check_partition(events, p)
-    causal = backends.is_causal(p, tol)
-    worst = causal.residual
-    bad = "" if causal.passed else (causal.detail or "not causal")
+    conditions = [_causal_condition(backends.is_causal(p, tol))]
     for e in events:
         marg = core.discard_outputs(p, e.outs)
         residual, _ = _independence_residual(marg, e.ins)
-        worst = max(worst, residual)
-        if residual > tol * _scale(p) and not bad:
-            bad = f"event {e.name!r} signals to the rest"
-    return CheckReport(not bad, worst, tol, bad)
+        conditions.append((residual, f"event {e.name!r} signals to the rest"))
+    return _verdict(p, tol, conditions)
 
 
 def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
@@ -133,19 +132,16 @@ def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) ->
     in) must recursively be a comb on the remaining events.
     """
     check_partition(events, p)
-    causal = backends.is_causal(p, tol)
-    worst = causal.residual
-    bad = "" if causal.passed else (causal.detail or "not causal")
-    scale = _scale(p)
+    conditions = [_causal_condition(backends.is_causal(p, tol))]
     q = p
     for k in range(len(events) - 1, 0, -1):
         last = events[k]
         marg = core.discard_outputs(q, last.outs)
         residual, q = _independence_residual(marg, last.ins)
-        worst = max(worst, residual)
-        if residual > tol * scale and not bad:
-            bad = f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}"
-    return CheckReport(not bad, worst, tol, bad)
+        conditions.append(
+            (residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}")
+        )
+    return _verdict(p, tol, conditions)
 
 
 # -- arbitrary acyclic orders -----------------------------------------------------
@@ -165,10 +161,7 @@ def check_order_consistency(
             f"{len(poset)} events would need up to 2**{len(poset)} marginal checks"
         )
     check_partition(poset.events, p)
-    causal = backends.is_causal(p, tol)
-    worst = causal.residual
-    bad = "" if causal.passed else (causal.detail or "not causal")
-    scale = _scale(p)
+    conditions = [_causal_condition(backends.is_causal(p, tol))]
     all_names = set(poset.names)
     for sub in poset.down_closed_subsets():
         comp = all_names - sub
@@ -178,10 +171,10 @@ def check_order_consistency(
         ins = [l for n in comp for l in poset.event(n).ins]
         marg = core.discard_outputs(p, outs)
         residual, _ = _independence_residual(marg, ins)
-        worst = max(worst, residual)
-        if residual > tol * scale and not bad:
-            bad = f"events {sorted(comp)} signal into the down-closed set {sorted(sub)}"
-    return CheckReport(not bad, worst, tol, bad)
+        conditions.append(
+            (residual, f"events {sorted(comp)} signal into the down-closed set {sorted(sub)}")
+        )
+    return _verdict(p, tol, conditions)
 
 
 def check_via_totalisations(
@@ -196,14 +189,11 @@ def check_via_totalisations(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
     check_partition(poset.events, p)
-    worst = 0.0
-    bad = ""
+    conditions = []
     for ext in poset.linear_extensions():
         rep = check_comb(p, [poset.event(n) for n in ext], tol)
-        worst = max(worst, rep.residual)
-        if not rep.passed and not bad:
-            bad = f"not a comb for the extension {ext}: {rep.detail}"
-    return CheckReport(not bad, worst, tol, bad)
+        conditions.append((rep.passed, rep.residual, f"not a comb for the extension {ext}: {rep.detail}"))
+    return _conjunction(conditions, tol)
 
 
 # -- second-order causal processes ------------------------------------------------
@@ -236,18 +226,17 @@ def check_soc(
             )
         families.append(backends.causal_channel_family(p.backend, outs, ins))
 
-    worst = 0.0
-    bad = ""
-    for combo in itertools.product(*families):
-        q = p
-        for e, chan in zip(parties, combo):
-            pairs = [(l, l) for l in e.outs] + [(l, l) for l in e.ins]
-            q = core.plug(q, chan, pairs)
-        rep = backends.is_causal(q, tol)
-        worst = max(worst, rep.residual)
-        if not rep.passed and not bad:
-            bad = "a tuple of causal party channels leaves a non-causal remainder"
-    return CheckReport(not bad, worst, tol, bad)
+    def remainders():
+        for combo in itertools.product(*families):
+            q = p
+            for e, chan in zip(parties, combo):
+                pairs = [(l, l) for l in e.outs] + [(l, l) for l in e.ins]
+                q = core.plug(q, chan, pairs)
+            rep = backends.is_causal(q, tol)
+            yield rep.passed, rep.residual, "a tuple of causal party channels leaves a non-causal remainder"
+
+    # each remainder is judged against its own scale, so the reports are conjoined
+    return _conjunction(remainders(), tol)
 
 
 # -- membership in a causal type ---------------------------------------------------
@@ -393,19 +382,13 @@ def check_membership(
     if isinstance(t, Cap):
         fo_embedding(t)  # branches must share one ambient shape
         reports = [check_membership(p, part, tol, budget) for part in t.parts]
-        worst = max(r.residual for r in reports)
-        bad = next((r.detail for r in reports if not r.passed), "")
-        return CheckReport(all(r.passed for r in reports), worst, tol, bad)
+        return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
 
     n = normalize(t)
     _check_wires(p, n)
 
     if isinstance(n, Unit):
-        residual = abs(complex(p.scalar_value()) - 1.0) if p.backend != core.REL else (
-            0.0 if bool(p.scalar_value()) else 1.0
-        )
-        return CheckReport(residual <= tol, float(residual), tol,
-                           "" if residual <= tol else "scalar is not 1")
+        return _verdict(p, tol, [(abs(complex(p.scalar_value()) - 1.0), "scalar is not 1")])
 
     if is_first_order(n):
         return backends.is_causal(p, tol)

@@ -31,8 +31,9 @@ compact-closed cup/cap semantics in all three backends.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,13 +57,35 @@ BACKENDS = (MATR, CPM, REL)
 #: Default numerical tolerance for every check in the package.
 DEFAULT_TOL = 1e-9
 
-_DTYPES = {MATR: np.float64, CPM: np.complex128, REL: np.bool_}
+
+@dataclass(frozen=True)
+class _Backend:
+    """What the wire bookkeeping and the verdict rule read about a backend."""
+
+    dtype: type  # of the stored array
+    scalar: type  # Python value of a process with no wires
+    axes_per_wire: int  # cpm: a ket axis and a bra axis
+    exact: bool  # verdicts pass only on a zero residual, whatever the tolerance
 
 
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise UnsupportedBackend(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-    return backend
+_BACKEND = {
+    MATR: _Backend(np.float64, float, 1, False),
+    CPM: _Backend(np.complex128, complex, 2, False),
+    REL: _Backend(np.bool_, bool, 1, True),
+}
+
+
+def _spec(backend: str) -> _Backend:
+    try:
+        return _BACKEND[backend]
+    except (KeyError, TypeError):
+        raise UnsupportedBackend(f"unknown backend {backend!r}, expected one of {BACKENDS}") from None
+
+
+def _wire_axes(n: int, positions: Sequence[int], per_wire: int) -> list[int]:
+    """Array axes of the wires at ``positions`` in a tensor of ``n`` wires:
+    the first axis of each, then (cpm) the second axis of each."""
+    return [k * n + i for k in range(per_wire) for i in positions]
 
 
 @dataclass(frozen=True, order=True)
@@ -92,17 +115,21 @@ class Process:
     out_wires: tuple[System, ...]
     in_wires: tuple[System, ...]
     data: np.ndarray
+    _pos: dict[str, int] = field(init=False, repr=False)  # label -> canonical position
 
     def __post_init__(self):
-        _check_backend(self.backend)
+        spec = _spec(self.backend)
         object.__setattr__(self, "out_wires", tuple(self.out_wires))
         object.__setattr__(self, "in_wires", tuple(self.in_wires))
-        labels = [w.label for w in self.out_wires + self.in_wires]
-        if len(set(labels)) != len(labels):
+        wires = self.out_wires + self.in_wires
+        pos = {w.label: i for i, w in enumerate(wires)}
+        if len(pos) != len(wires):
+            labels = [w.label for w in wires]
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise DuplicateLabel(f"wire labels must be unique within a process: {dupes}")
-        data = np.asarray(self.data, dtype=_DTYPES[self.backend])
-        expected = self.expected_shape(self.backend, self.out_wires, self.in_wires)
+        object.__setattr__(self, "_pos", pos)
+        data = np.asarray(self.data, dtype=spec.dtype)
+        expected = tuple(w.dim for w in wires) * spec.axes_per_wire
         if data.shape != expected:
             raise ShapeMismatch(f"data shape {data.shape} does not match wires, expected {expected}")
         object.__setattr__(self, "data", data)
@@ -112,7 +139,7 @@ class Process:
     @staticmethod
     def expected_shape(backend: str, out_wires: Sequence[System], in_wires: Sequence[System]) -> tuple[int, ...]:
         dims = tuple(w.dim for w in out_wires) + tuple(w.dim for w in in_wires)
-        return dims + dims if backend == CPM else dims
+        return dims * _spec(backend).axes_per_wire
 
     @property
     def wires(self) -> tuple[System, ...]:
@@ -129,10 +156,10 @@ class Process:
 
     def wire_pos(self, label: str) -> int:
         """Position of the wire in the canonical wire order."""
-        for i, w in enumerate(self.wires):
-            if w.label == label:
-                return i
-        raise NoSuchWire(f"process has no wire {label!r} (wires: {[w.label for w in self.wires]})")
+        try:
+            return self._pos[label]
+        except KeyError:
+            raise NoSuchWire(f"process has no wire {label!r} (wires: {list(self._pos)})") from None
 
     def wire(self, label: str) -> System:
         return self.wires[self.wire_pos(label)]
@@ -142,20 +169,12 @@ class Process:
 
     def axes(self, label: str) -> tuple[int, ...]:
         """Array axes belonging to one wire: ``(axis,)`` or ``(ket, bra)``."""
-        i = self.wire_pos(label)
-        if self.backend == CPM:
-            return (i, self.n_wires + i)
-        return (i,)
+        return tuple(_wire_axes(self.n_wires, [self.wire_pos(label)], _spec(self.backend).axes_per_wire))
 
     def scalar_value(self):
         if not self.is_scalar:
             raise ShapeMismatch("process still has open wires, not a scalar")
-        v = self.data[()]
-        if self.backend == REL:
-            return bool(v)
-        if self.backend == MATR:
-            return float(v)
-        return complex(v)
+        return _spec(self.backend).scalar(self.data[()])
 
     def __repr__(self):
         outs = ", ".join(f"{w.label}[{w.dim}]" for w in self.out_wires) or "I"
@@ -163,19 +182,21 @@ class Process:
         return f"<Process {self.backend}: {ins} -> {outs}>"
 
 
+def _maxabs(a: np.ndarray) -> float:
+    """Largest absolute entry of an array (booleans count as 0 and 1)."""
+    return float(np.max(np.abs(a)))
+
+
 def maxabs(p: Process) -> float:
     """Largest absolute entry; the natural scale for residual normalization."""
-    if p.data.size == 0:
-        return 0.0
-    return float(np.max(np.abs(p.data.astype(np.complex128 if p.backend == CPM else np.float64))))
+    return _maxabs(p.data)
 
 
 def distance(f: Process, g: Process) -> float:
-    """Max-abs difference between two processes with identical wire layout."""
+    """Max-abs difference between two processes with identical wire layout
+    (0.0 or 1.0 for rel)."""
     _require_same_shape(f, g)
-    if f.backend == REL:
-        return 0.0 if np.array_equal(f.data, g.data) else 1.0
-    return float(np.max(np.abs(f.data - g.data))) if f.data.size else 0.0
+    return _maxdiff(f.data, g.data)
 
 
 def _require_same_shape(f: Process, g: Process) -> None:
@@ -187,17 +208,15 @@ def _require_same_shape(f: Process, g: Process) -> None:
         )
 
 
-def _as_num(data: np.ndarray) -> np.ndarray:
-    """Booleans as int64 so semiring sums cannot overflow, others unchanged."""
-    return data.astype(np.int64) if data.dtype == np.bool_ else data
+def _maxdiff(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of ``|a - b|``; booleans differ by their exclusive or."""
+    return _maxabs(a ^ b if a.dtype == np.bool_ else a - b)
 
 
 def _reorder_data(p: Process, new_wires: Sequence[System]) -> np.ndarray:
     """Transpose ``p.data`` so its wire axes follow ``new_wires`` order."""
     idx = [p.wire_pos(w.label) for w in new_wires]
-    n = p.n_wires
-    perm = idx + [n + i for i in idx] if p.backend == CPM else idx
-    return p.data.transpose(perm)
+    return p.data.transpose(_wire_axes(p.n_wires, idx, _spec(p.backend).axes_per_wire))
 
 
 # -- constructors -----------------------------------------------------------
@@ -205,7 +224,14 @@ def _reorder_data(p: Process, new_wires: Sequence[System]) -> np.ndarray:
 
 def scalar(backend: str, value) -> Process:
     """A process with no wires."""
-    return Process(backend, (), (), np.asarray(value, dtype=_DTYPES[_check_backend(backend)]))
+    return Process(backend, (), (), value)
+
+
+def _unit(backend: str, dim: int) -> np.ndarray:
+    """The tensor shared by the identity, the cap and the cup: a Kronecker
+    delta between the two wires on each axis."""
+    eye = np.eye(dim)
+    return functools.reduce(np.multiply.outer, [eye] * _spec(backend).axes_per_wire)
 
 
 def identity(backend: str, sys_in: System, out_label: str | None = None) -> Process:
@@ -214,28 +240,18 @@ def identity(backend: str, sys_in: System, out_label: str | None = None) -> Proc
     The output wire needs its own label (labels are unique within a process);
     by default the input label with a prime appended.
     """
-    _check_backend(backend)
     out_label = sys_in.label + "'" if out_label is None else out_label
-    d = sys_in.dim
-    eye = np.eye(d)
-    data = np.multiply.outer(eye, eye) if backend == CPM else eye
-    return Process(backend, (System(out_label, d),), (sys_in,), data)
+    return Process(backend, (System(out_label, sys_in.dim),), (sys_in,), _unit(backend, sys_in.dim))
 
 
 def cap(backend: str, dim: int, label_x: str, label_y: str) -> Process:
     """The cap effect: two input wires of equal dimension contracted together."""
-    _check_backend(backend)
-    eye = np.eye(dim)
-    data = np.multiply.outer(eye, eye) if backend == CPM else eye
-    return Process(backend, (), (System(label_x, dim), System(label_y, dim)), data)
+    return Process(backend, (), (System(label_x, dim), System(label_y, dim)), _unit(backend, dim))
 
 
 def cup(backend: str, dim: int, label_x: str, label_y: str) -> Process:
     """The cup state: the same tensor as :func:`cap` with both wires as outputs."""
-    _check_backend(backend)
-    eye = np.eye(dim)
-    data = np.multiply.outer(eye, eye) if backend == CPM else eye
-    return Process(backend, (System(label_x, dim), System(label_y, dim)), (), data)
+    return Process(backend, (System(label_x, dim), System(label_y, dim)), (), _unit(backend, dim))
 
 
 # -- structural operations ---------------------------------------------------
@@ -262,35 +278,16 @@ def tensor_par(f: Process, g: Process) -> Process:
         raise DuplicateLabel(f"wire labels shared between the factors: {sorted(overlap)}")
     out = f.out_wires + g.out_wires
     ins = f.in_wires + g.in_wires
-    if f.backend == REL:
-        raw = np.logical_and.outer(f.data, g.data)
-    else:
-        raw = np.multiply.outer(f.data, g.data)
-
+    raw = np.multiply.outer(f.data, g.data)  # for rel: logical and
+    # raw axes: f's axis groups, then g's; each group lists the factor's wires
+    a = _spec(f.backend).axes_per_wire
     nf, ng = f.n_wires, g.n_wires
-    if f.backend == CPM:
-        # raw axes: [f kets, f bras, g kets, g bras]
-        def ket(src, i):
-            return i if src == "f" else 2 * nf + i
-
-        def bra(src, i):
-            return nf + i if src == "f" else 2 * nf + ng + i
-
-    else:
-        def ket(src, i):
-            return i if src == "f" else nf + i
-
-        bra = None
-
-    order = (
-        [("f", i) for i in range(len(f.out_wires))]
-        + [("g", i) for i in range(len(g.out_wires))]
-        + [("f", len(f.out_wires) + i) for i in range(len(f.in_wires))]
-        + [("g", len(g.out_wires) + i) for i in range(len(g.in_wires))]
-    )
-    perm = [ket(src, i) for src, i in order]
-    if f.backend == CPM:
-        perm += [bra(src, i) for src, i in order]
+    fo, go = len(f.out_wires), len(g.out_wires)
+    perm = []
+    for k in range(a):
+        fk, gk = k * nf, a * nf + k * ng
+        perm += [fk + i for i in range(fo)] + [gk + i for i in range(go)]
+        perm += [fk + i for i in range(fo, nf)] + [gk + i for i in range(go, ng)]
     return Process(f.backend, out, ins, raw.transpose(perm))
 
 
@@ -307,33 +304,8 @@ def compose_seq(f: Process, g: Process) -> Process:
             f"cannot compose: f outputs {[w.dim for w in f.out_wires]} "
             f"vs g inputs {[w.dim for w in g.in_wires]}"
         )
-    overlap = {w.label for w in g.out_wires} & {w.label for w in f.in_wires}
-    if overlap:
-        raise DuplicateLabel(f"composite would repeat labels {sorted(overlap)}; rename() first")
-
-    n_mid = len(f.out_wires)
-    nf, ng = f.n_wires, g.n_wires
-    if f.backend == CPM:
-        g_axes = list(range(len(g.out_wires), ng)) + list(range(ng + len(g.out_wires), 2 * ng))
-        f_axes = list(range(n_mid)) + list(range(nf, nf + n_mid))
-        raw = np.tensordot(g.data, f.data, axes=(g_axes, f_axes))
-        # raw axes: [g out kets, g out bras, f in kets, f in bras]
-        go, fi = len(g.out_wires), len(f.in_wires)
-        perm = (
-            list(range(go))
-            + list(range(2 * go, 2 * go + fi))
-            + list(range(go, 2 * go))
-            + list(range(2 * go + fi, 2 * go + 2 * fi))
-        )
-        data = raw.transpose(perm)
-    else:
-        raw = np.tensordot(
-            _as_num(g.data),
-            _as_num(f.data),
-            axes=(list(range(len(g.out_wires), ng)), list(range(n_mid))),
-        )
-        data = raw > 0 if f.backend == REL else raw
-    return Process(f.backend, g.out_wires, f.in_wires, data)
+    go = len(g.out_wires)
+    return _contract(f, g, [(i, go + i) for i in range(len(f.out_wires))])
 
 
 def permute(p: Process, out_order: Sequence[str], in_order: Sequence[str]) -> Process:
@@ -383,21 +355,16 @@ def discard_outputs(p: Process, labels: Iterable[str]) -> Process:
         return p
     keep_out = tuple(w for w in p.out_wires if w.label not in labels)
 
-    if p.backend == CPM:
-        # Trace each discarded wire: its ket and bra axes share a subscript.
-        n = p.n_wires
-        subs = list(range(2 * n))
-        out_subs = []
-        for i, w in enumerate(p.wires):
-            if w.label in labels:
-                subs[n + i] = subs[i]
-            else:
-                out_subs.append(i)
-        out_subs = out_subs + [n + i for i in out_subs]
-        data = np.einsum(p.data, subs, out_subs)
+    a = _spec(p.backend).axes_per_wire
+    gone = [p.wire_pos(l) for l in labels]
+    if a == 1:
+        # for rel, a sum in the boolean dtype is the join
+        data = p.data.sum(axis=tuple(gone), dtype=p.data.dtype)
     else:
-        axes = tuple(p.wire_pos(l) for l in labels)
-        data = p.data.any(axis=axes) if p.backend == REL else p.data.sum(axis=axes)
+        # the axes of a discarded wire share one subscript: a partial trace
+        n = p.n_wires
+        subs = [ax % n if ax % n in gone else ax for ax in range(a * n)]
+        data = np.einsum(p.data, subs, [ax for ax in range(a * n) if ax % n not in gone])
     return Process(p.backend, keep_out, p.in_wires, data)
 
 
@@ -418,56 +385,52 @@ def plug(f: Process, g: Process, wiring: Sequence[tuple[str, str]]) -> Process:
     if f is g:
         raise CyclicWiring("plugging a process into itself is a closed loop; use bend + cap")
 
-    f_used: set[str] = set()
-    g_used: set[str] = set()
+    fo, go = len(f.out_wires), len(g.out_wires)
+    pairs: list[tuple[int, int]] = []
     for fl, gl in wiring:
-        fw, gw = f.wire(fl), g.wire(gl)
-        if fl in f_used or gl in g_used:
+        i, j = f.wire_pos(fl), g.wire_pos(gl)
+        if any(i == pi or j == pj for pi, pj in pairs):
             raise CyclicWiring(f"wire pair ({fl!r}, {gl!r}) reuses an already plugged wire")
-        f_used.add(fl)
-        g_used.add(gl)
+        fw, gw = f.wire(fl), g.wire(gl)
         if fw.dim != gw.dim:
             raise ShapeMismatch(f"cannot plug {fl!r} (dim {fw.dim}) into {gl!r} (dim {gw.dim})")
-        if f.role(fl) == g.role(gl):
+        if (i < fo) == (j < go):
             raise CyclicWiring(f"wires {fl!r} and {gl!r} are both {f.role(fl)}-wires")
+        pairs.append((i, j))
+    return _contract(f, g, pairs)
 
-    keep_f = [w for w in f.wires if w.label not in f_used]
-    keep_g = [w for w in g.wires if w.label not in g_used]
-    overlap = {w.label for w in keep_f} & {w.label for w in keep_g}
+
+def _contract(f: Process, g: Process, pairs: Sequence[tuple[int, int]]) -> Process:
+    """The one contraction: join wire ``i`` of ``f`` to wire ``j`` of ``g``
+    for each checked pair ``(i, j)`` of canonical positions, in one einsum.
+
+    Remaining wires keep their order: ``f`` outputs, ``g`` outputs, ``f``
+    inputs, ``g`` inputs.
+    """
+    nf, ng = f.n_wires, g.n_wires
+    fo, go = len(f.out_wires), len(g.out_wires)
+    # einsum subscripts: wire i of f is i, wire j of g is nf + j unless plugged
+    g_ids = list(range(nf, nf + ng))
+    for i, j in pairs:
+        g_ids[j] = i
+    f_kept = [i for i in range(nf) if i not in g_ids]
+    g_kept = [j for j in range(ng) if g_ids[j] >= nf]
+    f_wires, g_wires = f.wires, g.wires
+    overlap = {f_wires[i].label for i in f_kept} & {g_wires[j].label for j in g_kept}
     if overlap:
         raise DuplicateLabel(f"remaining wires share labels {sorted(overlap)}; rename() first")
-
-    # Assign einsum subscripts: one id (cpm: two) per distinct wire, shared
-    # across a plugged pair.
-    next_id = 0
-
-    def fresh():
-        nonlocal next_id
-        next_id += 2
-        return next_id - 2
-
-    f_ids = {w.label: fresh() for w in f.wires}
-    g_ids = {w.label: fresh() for w in g.wires}
-    for fl, gl in wiring:
-        g_ids[gl] = f_ids[fl]
-
-    cpm = f.backend == CPM
-
-    def sublist(p, ids):
-        kets = [ids[w.label] for w in p.wires]
-        return kets + [i + 1 for i in kets] if cpm else kets
-
-    keep = [(w, f_ids[w.label], "out" if f.role(w.label) == "out" else "in") for w in keep_f]
-    keep += [(w, g_ids[w.label], "out" if g.role(w.label) == "out" else "in") for w in keep_g]
-    out_wires = tuple(w for w, _, r in keep if r == "out")
-    in_wires = tuple(w for w, _, r in keep if r == "in")
-    by_label = {w.label: i for w, i, _ in keep}
-    out_ids = [by_label[w.label] for w in out_wires + in_wires]
-    out_sub = out_ids + [i + 1 for i in out_ids] if cpm else out_ids
-
-    raw = np.einsum(_as_num(f.data), sublist(f, f_ids), _as_num(g.data), sublist(g, g_ids), out_sub)
-    data = raw > 0 if f.backend == REL else raw
-    return Process(f.backend, out_wires, in_wires, data)
+    out_ids = [i for i in f_kept if i < fo] + [nf + j for j in g_kept if j < go]
+    in_ids = [i for i in f_kept if i >= fo] + [nf + j for j in g_kept if j >= go]
+    wires = f_wires + g_wires
+    a, n = _spec(f.backend).axes_per_wire, nf + ng
+    raw = np.einsum(
+        f.data,
+        _wire_axes(n, range(nf), a),
+        g.data,
+        _wire_axes(n, g_ids, a),
+        _wire_axes(n, out_ids + in_ids, a),
+    )
+    return Process(f.backend, tuple(wires[s] for s in out_ids), tuple(wires[s] for s in in_ids), raw)
 
 
 # -- views --------------------------------------------------------------------
@@ -526,7 +489,7 @@ def from_json_dict(doc: Mapping) -> Process:
         data = doc["data"]
     except (KeyError, TypeError) as e:
         raise FormatError(f"process document must have backend/wires/data: {e}") from e
-    _check_backend(backend)
+    _spec(backend)  # an unknown backend raises
 
     outs: list[System] = []
     ins: list[System] = []
@@ -545,24 +508,25 @@ def from_json_dict(doc: Mapping) -> Process:
         else:
             raise FormatError(f"wire role must be 'out' or 'in', got {role!r}")
 
-    dims = tuple(w.dim for w in outs) + tuple(w.dim for w in ins)
-    size = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    shape = Process.expected_shape(backend, outs, ins)
+    size = int(np.prod(shape, dtype=np.int64))
     try:
+        if len(data) != size:
+            raise FormatError(f"{backend} data must have {size} entries, got {len(data)}")
         if backend == CPM:
-            if len(data) != size * size:
-                raise FormatError(f"cpm data must have {size * size} [re, im] pairs, got {len(data)}")
             arr = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-            arr = arr.reshape(dims + dims) if dims else arr.reshape(())
         else:
-            if len(data) != size:
-                raise FormatError(f"data must have {size} entries, got {len(data)}")
-            arr = np.asarray(data, dtype=np.float64).reshape(dims)
-            if backend == REL:
-                if not np.all((arr == 0) | (arr == 1)):
-                    raise FormatError("rel data entries must be 0 or 1")
-                arr = arr.astype(np.bool_)
+            arr = np.asarray(data, dtype=np.float64)
+        arr = arr.reshape(shape)
     except (TypeError, ValueError) as e:
         raise FormatError(f"malformed data payload: {e}") from e
+    # json reads NaN and Infinity literals
+    if not np.all(np.isfinite(arr)):
+        raise FormatError("data entries must be finite numbers")
+    if backend == REL:
+        if not np.all((arr == 0) | (arr == 1)):
+            raise FormatError("rel data entries must be 0 or 1")
+        arr = arr.astype(np.bool_)
     return Process(backend, tuple(outs), tuple(ins), arr)
 
 

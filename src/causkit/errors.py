@@ -82,18 +82,8 @@ class UnsupportedType(CauskitError):
     """check_membership has no decision procedure for this type shape."""
 
 
-class NotFirstOrderBased(CauskitError):
-    """The type is not built from first-order atoms with tensor/par/dual,
-    so it has no canonical first-order embedding."""
-
-
 class EmbedMismatch(CauskitError):
     """Two types do not embed into the same first-order ambient type."""
-
-
-class UnsupportedIso(CauskitError):
-    """The requested identification between types is not among the supported
-    isomorphisms."""
 
 
 class MalformedProof(CauskitError):

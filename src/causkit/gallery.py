@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import backends, core
-from .core import CPM, MATR, REL, Process, System
+from .core import CPM, MATR, Process, System
 
 
 @dataclass(frozen=True)
@@ -286,13 +286,14 @@ def time_travel(backend: str = MATR, d: int = 2) -> ExampleInstance:
     """Both wires of an identity channel bent around into a loop.
 
     The contraction leaves the scalar ``d`` (``d**2`` for cpm, ``True`` for
-    rel): a normalized process only in the trivial ``d = 1`` case, which is
-    why causal types never close a feedback loop.
+    rel): a normalized process only when that is 1, so in the trivial
+    ``d = 1`` case for the numeric backends, which is why causal types never
+    close a feedback loop.
     """
     f = core.identity(backend, System("A", d), out_label="B")
     g = core.identity(backend, System("B2", d), out_label="A2")
     p = core.plug(f, g, [("B", "B2"), ("A", "A2")])
-    ok = d == 1 or backend == REL
+    ok = backends.dimension(backend, System("A", d)) == 1
     return ExampleInstance(
         "time_travel",
         time_travel.__doc__.splitlines()[0],

@@ -56,6 +56,11 @@ def test_is_causal_fails_on_unnormalized(rng):
     r = Process(REL, (System("B", 2),), (System("A", 2),), np.array([[True, False], [False, False]]))
     rep = backends.is_causal(r)
     assert not rep and "1" in rep.detail  # names the input with no related output
+    inf = Process(MATR, (System("B", 2),), (System("A", 2),), np.array([[np.inf, 0.5], [0.0, 0.5]]))
+    rep = backends.is_causal(inf)
+    assert not rep and rep.residual == np.inf
+    nan = Process(MATR, (System("B", 2),), (System("A", 2),), np.array([[np.nan, 0.5], [0.0, 0.5]]))
+    assert not backends.is_causal(nan)
 
 
 def test_is_positive():
@@ -66,6 +71,7 @@ def test_is_positive():
     assert not backends.is_positive(Process(CPM, (System("A", 2),), (), skew))
     assert backends.is_positive(Process(MATR, (System("A", 2),), (), np.array([0.2, 0.8])))
     assert not backends.is_positive(Process(MATR, (System("A", 2),), (), np.array([-0.1, 1.1])))
+    assert not backends.is_positive(Process(MATR, (System("A", 2),), (), np.array([np.nan, 1.0])))
 
 
 def test_causal_basis_sizes_and_causality():

@@ -190,6 +190,9 @@ def test_membership_first_order(rng):
     assert not checks.check_membership(
         Process(MATR, p.out_wires, p.in_wires, 2 * p.data), "A[2] -o B[3]", tol=TOL
     )
+    # an infinite entry makes the scale infinite too; the verdict must still fail
+    inf = Process(MATR, (System("A'", 2),), (System("A", 2),), np.array([[np.inf, 0.5], [0.0, 0.5]]))
+    assert not checks.check_membership(inf, "A[2] -o A'[2]", tol=TOL)
 
 
 def test_membership_tensor_vs_par(rng):
@@ -197,6 +200,11 @@ def test_membership_tensor_vs_par(rng):
     tensor, par = inst.expectations[0][0], inst.expectations[1][0]
     assert not checks.check_membership(inst.process, tensor, tol=TOL)
     assert checks.check_membership(inst.process, par, tol=TOL)
+    # rel verdicts are exact: no tolerance lets the swap into the tensor
+    swap = gallery.swap_process(REL).process
+    for tol in (1.0, 5.0):
+        assert not checks.check_membership(swap, tensor, tol=tol)
+        assert checks.check_membership(swap, par, tol=tol)
 
 
 def test_membership_comb_matches_check_comb():

@@ -110,3 +110,14 @@ def test_error_paths_exit_2(capsys, tmp_path):
     bad.write_text("{\"backend\": \"matr+\"}")
     code, _, _ = run(capsys, "check", str(bad))
     assert code == 2
+
+
+def test_non_finite_data_exits_2(capsys, tmp_path):
+    """json reads NaN and Infinity; the loader must reject them."""
+    doc = core.to_json_dict(gallery.swap_process().process)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        doc["data"][0] = bad
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out is None and "finite" in err

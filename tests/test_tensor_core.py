@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,22 @@ def test_plug_matches_dense_einsum_oracle(rng):
             want = np.einsum("ma,bm->ba", f.data, g.data)
         if backend == REL:
             assert np.array_equal(got.data, want > 0)
+        else:
+            np.testing.assert_allclose(got.data, want, atol=CLOSE)
+
+
+def test_compose_seq_with_itself_matches_einsum_oracle(rng):
+    """compose_seq(p, p) is no self-loop: the output of one copy feeds the other."""
+    for backend in BACKENDS:
+        p = rand_process(backend, (System("B", 3),), (System("A", 3),), rng)
+        got = core.compose_seq(p, p)
+        assert got.out_wires == p.out_wires and got.in_wires == p.in_wires
+        if backend == CPM:
+            want = np.einsum("bmBM,maMA->baBA", p.data, p.data)
+        else:
+            want = np.einsum("bm,ma->ba", p.data, p.data)
+        if backend == REL:
+            np.testing.assert_array_equal(got.data, want > 0)
         else:
             np.testing.assert_allclose(got.data, want, atol=CLOSE)
 
@@ -129,14 +148,22 @@ def test_discard_outputs_marginalizes(rng):
 
 
 def test_tensor_par_shapes_and_order(rng):
-    f = rand_process(MATR, (System("A", 2),), (System("B", 3),), rng)
-    g = rand_process(MATR, (System("C", 4),), (), rng)
-    t = core.tensor_par(f, g)
-    assert [w.label for w in t.out_wires] == ["A", "C"]
-    assert [w.label for w in t.in_wires] == ["B"]
-    np.testing.assert_allclose(t.data, np.einsum("ab,c->acb", f.data, g.data))
-    with pytest.raises(DuplicateLabel):
-        core.tensor_par(f, f)
+    for backend in BACKENDS:
+        f = rand_process(backend, (System("A", 2),), (System("B", 3),), rng)
+        g = rand_process(backend, (System("C", 4),), (), rng)
+        t = core.tensor_par(f, g)
+        assert [w.label for w in t.out_wires] == ["A", "C"]
+        assert [w.label for w in t.in_wires] == ["B"]
+        if backend == CPM:  # kets (a, c, b), then bras in the same wire order
+            want = np.einsum("abAB,cC->acbACB", f.data, g.data)
+        else:
+            want = np.einsum("ab,c->acb", f.data, g.data)
+        if backend == REL:
+            np.testing.assert_array_equal(t.data, want)
+        else:
+            np.testing.assert_allclose(t.data, want, atol=CLOSE)
+        with pytest.raises(DuplicateLabel):
+            core.tensor_par(f, f)
 
 
 def test_json_roundtrip_all_backends(rng, tmp_path):
@@ -148,6 +175,16 @@ def test_json_roundtrip_all_backends(rng, tmp_path):
         path = tmp_path / f"{backend.strip('+')}.json"
         core.dump_process(p, path)
         np.testing.assert_array_equal(core.load_process(path).data, p.data)
+
+
+def test_readme_process_example_loads():
+    """The process file shown in README.md is accepted by the loader."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Process files look like:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    p = core.from_json_dict(json.loads(block))
+    assert p.backend == MATR
+    assert [w.label for w in p.out_wires] == ["B"] and [w.label for w in p.in_wires] == ["A"]
+    np.testing.assert_array_equal(core.matrix(p), [[0.5, 1.0], [0.5, 0.0]])
 
 
 def test_matrix_views(rng):
