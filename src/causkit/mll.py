@@ -21,11 +21,28 @@ Rules (one-sided, multisets)::
     mix:     |- G   |- D   =>  |- G, D
 
 Search applies the invertible rules first (``bot``, ``par``, and removal of
-``1`` from a context, which mix makes admissible), short-circuits sequents
-of bare literals by perfect matching, and otherwise branches over tensor
-context splits and mix bipartitions with memoization.  Unbalanced literal
-counts prune early: every rule preserves the property that each atom occurs
-as often positively as negatively in a provable sequent.
+``1`` from a context, which mix makes admissible) and short-circuits
+sequents of bare literals by perfect matching.  Unbalanced literal counts
+prune early: every rule preserves the property that each atom occurs as
+often positively as negatively in a provable sequent.
+
+A *linear* sequent, where every atom occurs exactly once each way (as in
+the containments between causal types, whose atoms ``fo_embedding`` labels
+apart), has one possible axiom linking.  It is provable iff that proof
+structure has no cycle under any Danos-Regnier switching (Danos & Regnier
+1989; Fleury & Retoré, *The mix rule*, 1994; mix makes the units neutral),
+and every step is then forced, so the search never backtracks.  The first
+top-level tensor whose factors no chain of shared atoms connects once the
+tensor is removed is applied, with the formulas so connected to its
+left factor as its left context and all others as its right.  A failing
+premise refutes the sequent, since subnets of an acyclic net are acyclic,
+and when no tensor splits, some switching has a cycle (the splitting-tensor
+lemma).  Formulas that share no atom with the rest need no separate mix:
+they fall to one side of such a split.
+
+A sequent with a repeated atom falls back to memoized search over every
+tensor context split and every mix bipartition; its subsequents that are
+linear take the forced path.
 """
 
 from __future__ import annotations
@@ -150,29 +167,55 @@ def render_sequent(seq: Sequence[Formula]) -> str:
     return "|- " + ", ".join(render_formula(f) for f in seq)
 
 
-def _size(f: Formula) -> int:
-    if isinstance(f, (FTensor, FPar)):
-        return 1 + _size(f.left) + _size(f.right)
-    return 1
-
-
 def _key(seq: Sequence[Formula]) -> tuple[str, ...]:
     return tuple(sorted(render_formula(f) for f in seq))
 
 
-def _balanced(seq: Sequence[Formula]) -> bool:
-    counts: dict[str, int] = {}
+_Site = tuple[int, int]
 
-    def walk(f: Formula) -> None:
+
+def _atom_sites(seq: Sequence[Formula]) -> list[list] | None:
+    """Per atom key, its net count (positive minus negative occurrences)
+    followed by the site of each occurrence: ``(formula index, factor)``
+    with ``factor`` 1 inside the right factor of a top-level tensor and 0
+    elsewhere.  ``None`` when some net count is not 0."""
+    sites: dict[str, list] = {}
+
+    def walk(f: Formula, site: _Site) -> None:
         if isinstance(f, FAtom):
-            counts[f.key] = counts.get(f.key, 0) + (-1 if f.neg else 1)
+            entry = sites.get(f.key)
+            if entry is None:
+                sites[f.key] = [-1 if f.neg else 1, site]
+            else:
+                entry[0] += -1 if f.neg else 1
+                entry.append(site)
         elif isinstance(f, (FTensor, FPar)):
-            walk(f.left)
-            walk(f.right)
+            walk(f.left, site)
+            walk(f.right, site)
 
-    for f in seq:
-        walk(f)
-    return all(v == 0 for v in counts.values())
+    for i, f in enumerate(seq):
+        if isinstance(f, FTensor):
+            walk(f.left, (i, 0))
+            walk(f.right, (i, 1))
+        else:
+            walk(f, (i, 0))
+    entries = list(sites.values())
+    return None if any(e[0] for e in entries) else entries
+
+
+def _components(size: int, links: Sequence[tuple[int, int]]) -> list[int]:
+    """A component label for each of ``size`` nodes joined by ``links``."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(size)]
 
 
 # -- proofs --------------------------------------------------------------------
@@ -295,14 +338,11 @@ class _Search:
         return proof
 
     def _rebuild(self, proof: Proof, seq: tuple[Formula, ...]) -> Proof:
-        # Memo hits are stored against one formula ordering; permute the
-        # cached derivation's conclusion to the requested one by re-running
-        # the (cheap) top-level rule match.  Orderings only differ by where
-        # invertible rules put things, so a full re-proof is never needed:
-        # we simply re-prove with the memoized subresults available.
+        # The memo key forgets formula order, so a hit may conclude a
+        # reordering of ``seq``; a mix with the empty sequent is the exchange.
         if proof.sequent == seq:
             return proof
-        return self._prove(seq)
+        return Proof("mix", seq, (proof, Proof("mix0", ())))
 
     def _prove(self, seq: tuple[Formula, ...]) -> Proof | None:
         # invertible: bot removal, par expansion, one removal (via mix)
@@ -323,14 +363,15 @@ class _Search:
                 unit = Proof("one", (FOne(),))
                 return Proof("mix", seq, (sub, unit) if i == len(seq) - 1 else (unit, sub))
 
-        if not _balanced(seq):
-            return None
-        if not seq:
-            return Proof("mix0", seq)
-
-        # literals only: pair them off
+        # literals only (or none): pair them off
         if all(isinstance(f, FAtom) for f in seq):
             return self._match_literals(seq)
+
+        atoms = _atom_sites(seq)
+        if atoms is None:
+            return None
+        if all(len(a) == 3 for a in atoms):
+            return self._forced(seq, [(a[1], a[2]) for a in atoms])
 
         # tensor: every principal, every context split
         n = len(seq)
@@ -364,6 +405,28 @@ class _Search:
             if p2 is None:
                 continue
             return Proof("mix", seq, (p1, p2))
+        return None
+
+    def _forced(self, seq: tuple[Formula, ...], links: list[tuple[_Site, _Site]]) -> Proof | None:
+        """Decide a linear sequent (see the module docstring); ``links``
+        holds the two sites of each atom's axiom."""
+        n = len(seq)
+        for i, f in enumerate(seq):
+            if not isinstance(f, FTensor):
+                continue
+            # without the tensor, node i is its left factor and node n its right
+            r = (i, 1)
+            comp = _components(n + 1, [(n if a == r else a[0], n if b == r else b[0]) for a, b in links])
+            if comp[i] == comp[n]:
+                continue
+            rest = [(g, c) for j, (g, c) in enumerate(zip(seq, comp)) if j != i]
+            left = tuple(g for g, c in rest if c == comp[i]) + (f.left,)
+            right = tuple(g for g, c in rest if c != comp[i]) + (f.right,)
+            p1 = self.prove(left)
+            if p1 is None:
+                return None
+            p2 = self.prove(right)
+            return None if p2 is None else Proof("tensor", seq, (p1, p2), i)
         return None
 
     def _match_literals(self, seq: tuple[Formula, ...]) -> Proof | None:

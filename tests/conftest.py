@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,13 +48,19 @@ def rand_systems(
     )
 
 
-def fuzz_proof(rng: np.random.Generator, max_depth: int = 6) -> Proof:
-    """Grow a valid proof bottom-up by randomly chaining rule applications."""
+def fuzz_proof(rng: np.random.Generator, max_depth: int = 6, fresh: bool = False) -> Proof:
+    """Grow a valid proof bottom-up by randomly chaining rule applications.
+
+    With ``fresh`` every axiom gets its own atom, so the conclusion is linear:
+    each atom occurs exactly once each way."""
+    axioms = itertools.count()
 
     def leaf() -> Proof:
         roll = rng.random()
         if roll < 0.7:
             key = FUZZ_ATOMS[int(rng.integers(len(FUZZ_ATOMS)))]
+            if fresh:
+                key += str(next(axioms))
             pair = (FAtom(key, True), FAtom(key, False))
             if rng.random() < 0.5:
                 pair = pair[::-1]

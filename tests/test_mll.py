@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from causkit.mll import (
     FPar,
     FTensor,
     Proof,
+    _Search,
     formula_of_type,
     parse_proof,
     parse_sequent,
@@ -130,3 +133,107 @@ def test_prover_finds_fuzzed_conclusions(rng):
         proof = fuzz_proof(rng, max_depth=4)
         if proof.sequent:
             assert provable(proof.sequent)
+
+
+def test_fresh_atom_fuzzed_conclusions_are_proved(rng):
+    """Linear conclusions (one atom per axiom) take the forced-split path."""
+    for _ in range(200):
+        sequent = fuzz_proof(rng, max_depth=5, fresh=True).sequent
+        proof = prove(sequent)
+        assert proof is not None, render_sequent(sequent)
+        assert verify_proof(proof) and proof.sequent == sequent
+
+
+def danos_regnier_acyclic(seq) -> bool:
+    """Brute-force criterion for a unit-free linear sequent: no switching of
+    its one proof structure (one premise edge per par) contains a cycle."""
+    edges: list[tuple[int, int]] = []
+    pars: list[tuple[int, int, int]] = []
+    sites: dict[str, list[int]] = {}
+    count = 0
+
+    def node(f) -> int:
+        nonlocal count
+        v, count = count, count + 1
+        if isinstance(f, FAtom):
+            sites.setdefault(f.key, []).append(v)
+        else:
+            left, right = node(f.left), node(f.right)
+            if isinstance(f, FTensor):
+                edges.extend([(v, left), (v, right)])
+            else:
+                pars.append((v, left, right))
+        return v
+
+    for f in seq:
+        node(f)
+    edges.extend((a, b) for a, b in sites.values())
+    for switching in itertools.product((0, 1), repeat=len(pars)):
+        parent = list(range(count))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        chosen = [(v, (left, right)[s]) for (v, left, right), s in zip(pars, switching)]
+        for a, b in edges + chosen:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                return False
+            parent[ra] = rb
+    return True
+
+
+def random_linear_sequent(rng, keys: int) -> tuple:
+    """Each of ``keys`` atoms once each way, shuffled into random binary
+    tensor/par trees."""
+    items = [FAtom(f"x{k}", neg) for k in range(keys) for neg in (False, True)]
+    items = [items[j] for j in rng.permutation(len(items))]
+    seq = []
+    while items:
+        take = int(rng.integers(1, len(items) + 1))
+        group, items = items[:take], items[take:]
+        while len(group) > 1:
+            j = int(rng.integers(len(group) - 1))
+            cls = FTensor if rng.random() < 0.5 else FPar
+            group[j : j + 2] = [cls(group[j], group[j + 1])]
+        seq.append(group[0])
+    return tuple(seq)
+
+
+def test_prover_agrees_with_danos_regnier_oracle(rng):
+    verdicts = []
+    for _ in range(500):
+        seq = random_linear_sequent(rng, int(rng.integers(1, 6)))
+        proof = prove(seq)
+        assert (proof is not None) == danos_regnier_acyclic(seq), render_sequent(seq)
+        if proof is not None:
+            assert verify_proof(proof) and proof.sequent == seq
+        verdicts.append(proof is not None)
+    assert 100 < sum(verdicts) < 400  # both verdicts are well represented
+
+
+def copies_family(n: int) -> str:
+    """``n`` copies of ``(Ai (x) Bi) (+) (Ai^* (x) Bi^*)``: not provable."""
+    return "|- " + ", ".join(f"(A{i} (x) B{i}) (+) (A{i}^* (x) B{i}^*)" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_copies_family_refuted_within_small_budget(n):
+    """Split search needed over 200k expansions at n = 8; forced splits
+    need n + 1, and exceeding the budget would raise CombinatorialBlowup."""
+    assert prove(copies_family(n), budget=100) is None
+
+
+def test_memo_hit_on_reordered_sequent_is_an_exchange(monkeypatch):
+    """The search meets ``a^*, a`` after memoizing ``a, a^*``; the cached
+    proof is reused under a mix with the empty sequent, not re-proved."""
+    calls = []
+    search_prove = _Search._prove
+    monkeypatch.setattr(_Search, "_prove", lambda self, seq: calls.append(seq) or search_prove(self, seq))
+    seq = parse_sequent("|- a (x) a^*, a^*, a")
+    search = _Search(100)
+    proof = search.prove(seq)
+    assert proof is not None and verify_proof(proof) and proof.sequent == seq
+    assert len(calls) == search.expansions  # every proof attempt is on the budget
