@@ -27,6 +27,7 @@ residual passes iff it is 0, any other passes iff it is at most
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,13 +103,21 @@ def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> C
 
 
 def discard(backend: str, systems: Sequence[System]) -> Process:
-    """The discarding effect on ``systems`` (sum / trace / existential)."""
-    systems = tuple(systems)
+    """The discarding effect on ``systems`` (sum / trace / existential).
+
+    Equal arguments give the same process, whose ``data`` is read-only.
+    """
+    return _discard(backend, tuple(systems))
+
+
+@functools.lru_cache(maxsize=1024)
+def _discard(backend: str, systems: tuple[System, ...]) -> Process:
     dims = tuple(s.dim for s in systems)
     if backend == CPM:
         data = np.eye(int(np.prod(dims, dtype=np.int64)), dtype=complex).reshape(dims + dims)
     else:
         data = np.ones(dims, dtype=core._spec(backend).dtype)
+    data.flags.writeable = False  # shared by every caller
     return Process(backend, (), systems, data)
 
 

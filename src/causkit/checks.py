@@ -26,7 +26,6 @@ On top of that primitive:
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from . import backends, core
@@ -213,6 +212,11 @@ def check_soc(
     families (deterministic functions, or an affine basis of channels for
     cpm) is plugged in; since plugging is affine per slot — monotone for rel
     — this decides the quantification over all causal channels.
+
+    Tuples are enumerated depth first, in ``itertools.product`` order: each
+    party's channel is plugged into the remainder left by the parties before
+    it, so every prefix of a tuple is plugged once.  The first failing tuple
+    is named in ``detail`` by each party's index into its family.
     """
     families = []
     total = 1
@@ -225,18 +229,30 @@ def check_soc(
                 f"spanning the parties needs more than {budget} channel tuples"
             )
         families.append(backends.causal_channel_family(p.backend, outs, ins))
+    wirings = [[(l, l) for l in e.outs] + [(l, l) for l in e.ins] for e in parties]
 
-    def remainders():
-        for combo in itertools.product(*families):
-            q = p
-            for e, chan in zip(parties, combo):
-                pairs = [(l, l) for l in e.outs] + [(l, l) for l in e.ins]
-                q = core.plug(q, chan, pairs)
-            rep = backends.is_causal(q, tol)
-            yield rep.passed, rep.residual, "a tuple of causal party channels leaves a non-causal remainder"
+    def remainders(q: Process, prefix: tuple[int, ...]):
+        """``(channel indices, is_causal report)`` of every tuple extending
+        ``prefix``, whose channels are already plugged into ``q``."""
+        k = len(prefix)
+        if k == len(parties):
+            yield prefix, backends.is_causal(q, tol)
+            return
+        for i, chan in enumerate(families[k]):
+            yield from remainders(core.plug(q, chan, wirings[k]), prefix + (i,))
+
+    def conditions():
+        witnessed = False
+        for index, rep in remainders(p, ()):
+            detail = ""
+            if not (rep.passed or witnessed):
+                witnessed = True
+                named = ", ".join(f"{e.name} #{i}" for e, i in zip(parties, index))
+                detail = f"the channel tuple {named} leaves a non-causal remainder"
+            yield rep.passed, rep.residual, detail
 
     # each remainder is judged against its own scale, so the reports are conjoined
-    return _conjunction(remainders(), tol)
+    return _conjunction(conditions(), tol)
 
 
 # -- membership in a causal type ---------------------------------------------------

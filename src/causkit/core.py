@@ -88,6 +88,14 @@ def _wire_axes(n: int, positions: Sequence[int], per_wire: int) -> list[int]:
     return [k * n + i for k in range(per_wire) for i in positions]
 
 
+def _position(pos: Mapping[str, int], label: str) -> int:
+    """``pos[label]`` of a label→position map; a missing label raises."""
+    try:
+        return pos[label]
+    except KeyError:
+        raise NoSuchWire(f"process has no wire {label!r} (wires: {list(pos)})") from None
+
+
 @dataclass(frozen=True, order=True)
 class System:
     """A wire type: a label together with its dimension.
@@ -156,10 +164,7 @@ class Process:
 
     def wire_pos(self, label: str) -> int:
         """Position of the wire in the canonical wire order."""
-        try:
-            return self._pos[label]
-        except KeyError:
-            raise NoSuchWire(f"process has no wire {label!r} (wires: {list(self._pos)})") from None
+        return _position(self._pos, label)
 
     def wire(self, label: str) -> System:
         return self.wires[self.wire_pos(label)]
@@ -304,8 +309,7 @@ def compose_seq(f: Process, g: Process) -> Process:
             f"cannot compose: f outputs {[w.dim for w in f.out_wires]} "
             f"vs g inputs {[w.dim for w in g.in_wires]}"
         )
-    go = len(g.out_wires)
-    return _contract(f, g, [(i, go + i) for i in range(len(f.out_wires))])
+    return _contract(f, g, tuple(zip((w.label for w in f.out_wires), (w.label for w in g.in_wires))))
 
 
 def permute(p: Process, out_order: Sequence[str], in_order: Sequence[str]) -> Process:
@@ -384,53 +388,74 @@ def plug(f: Process, g: Process, wiring: Sequence[tuple[str, str]]) -> Process:
         raise BackendMismatch(f"{f.backend} vs {g.backend}")
     if f is g:
         raise CyclicWiring("plugging a process into itself is a closed loop; use bend + cap")
+    return _contract(f, g, tuple((fl, gl) for fl, gl in wiring))
 
-    fo, go = len(f.out_wires), len(g.out_wires)
+
+def _contract(f: Process, g: Process, wiring: tuple[tuple[str, str], ...]) -> Process:
+    """The one contraction: join wire ``fl`` of ``f`` to wire ``gl`` of ``g``
+    for each pair ``(fl, gl)`` of ``wiring``, in one einsum planned by
+    :func:`_plan`."""
+    f_sub, g_sub, out_sub, outs, ins = _plan(
+        f.backend, f.out_wires, f.in_wires, g.out_wires, g.in_wires, wiring
+    )
+    return Process(f.backend, outs, ins, np.einsum(f.data, f_sub, g.data, g_sub, out_sub))
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(
+    backend: str,
+    f_out: tuple[System, ...],
+    f_in: tuple[System, ...],
+    g_out: tuple[System, ...],
+    g_in: tuple[System, ...],
+    wiring: tuple[tuple[str, str], ...],
+) -> tuple[list[int], list[int], list[int], tuple[System, ...], tuple[System, ...]]:
+    """The wire bookkeeping of a contraction, which depends only on the two
+    wire layouts and the wiring: it checks the pairs and returns the einsum
+    sublists of ``f``, ``g`` and the result, and the result's output and
+    input wires.
+
+    Remaining wires keep their order: ``f`` outputs, ``g`` outputs, ``f``
+    inputs, ``g`` inputs.  A bad wiring raises here on every call, since the
+    cache keeps only results.
+    """
+    f_wires, g_wires = f_out + f_in, g_out + g_in
+    f_pos = {w.label: i for i, w in enumerate(f_wires)}
+    g_pos = {w.label: j for j, w in enumerate(g_wires)}
+    fo, go = len(f_out), len(g_out)
     pairs: list[tuple[int, int]] = []
     for fl, gl in wiring:
-        i, j = f.wire_pos(fl), g.wire_pos(gl)
+        i, j = _position(f_pos, fl), _position(g_pos, gl)
         if any(i == pi or j == pj for pi, pj in pairs):
             raise CyclicWiring(f"wire pair ({fl!r}, {gl!r}) reuses an already plugged wire")
-        fw, gw = f.wire(fl), g.wire(gl)
+        fw, gw = f_wires[i], g_wires[j]
         if fw.dim != gw.dim:
             raise ShapeMismatch(f"cannot plug {fl!r} (dim {fw.dim}) into {gl!r} (dim {gw.dim})")
         if (i < fo) == (j < go):
-            raise CyclicWiring(f"wires {fl!r} and {gl!r} are both {f.role(fl)}-wires")
+            raise CyclicWiring(f"wires {fl!r} and {gl!r} are both {'out' if i < fo else 'in'}-wires")
         pairs.append((i, j))
-    return _contract(f, g, pairs)
 
-
-def _contract(f: Process, g: Process, pairs: Sequence[tuple[int, int]]) -> Process:
-    """The one contraction: join wire ``i`` of ``f`` to wire ``j`` of ``g``
-    for each checked pair ``(i, j)`` of canonical positions, in one einsum.
-
-    Remaining wires keep their order: ``f`` outputs, ``g`` outputs, ``f``
-    inputs, ``g`` inputs.
-    """
-    nf, ng = f.n_wires, g.n_wires
-    fo, go = len(f.out_wires), len(g.out_wires)
+    nf, ng = len(f_wires), len(g_wires)
     # einsum subscripts: wire i of f is i, wire j of g is nf + j unless plugged
     g_ids = list(range(nf, nf + ng))
     for i, j in pairs:
         g_ids[j] = i
     f_kept = [i for i in range(nf) if i not in g_ids]
     g_kept = [j for j in range(ng) if g_ids[j] >= nf]
-    f_wires, g_wires = f.wires, g.wires
     overlap = {f_wires[i].label for i in f_kept} & {g_wires[j].label for j in g_kept}
     if overlap:
         raise DuplicateLabel(f"remaining wires share labels {sorted(overlap)}; rename() first")
     out_ids = [i for i in f_kept if i < fo] + [nf + j for j in g_kept if j < go]
     in_ids = [i for i in f_kept if i >= fo] + [nf + j for j in g_kept if j >= go]
     wires = f_wires + g_wires
-    a, n = _spec(f.backend).axes_per_wire, nf + ng
-    raw = np.einsum(
-        f.data,
+    a, n = _spec(backend).axes_per_wire, nf + ng
+    return (
         _wire_axes(n, range(nf), a),
-        g.data,
         _wire_axes(n, g_ids, a),
         _wire_axes(n, out_ids + in_ids, a),
+        tuple(wires[s] for s in out_ids),
+        tuple(wires[s] for s in in_ids),
     )
-    return Process(f.backend, tuple(wires[s] for s in out_ids), tuple(wires[s] for s in in_ids), raw)
 
 
 # -- views --------------------------------------------------------------------

@@ -26,6 +26,23 @@ def test_discard_and_uniform_are_dual():
             assert abs(s.scalar_value() - want) <= TOL
 
 
+def test_discard_is_shared_and_read_only():
+    sys2 = (System("A", 2), System("B", 3))
+    for backend in BACKENDS:
+        disc = backends.discard(backend, sys2)
+        again = backends.discard(backend, list(sys2))
+        assert again.in_wires == disc.in_wires and core.distance(again, disc) == 0.0
+        with pytest.raises(ValueError):
+            disc.data[(0,) * disc.data.ndim] = 0
+        unif = backends.uniform_state(backend, (System("A", 2),))
+        built = [
+            core.tensor_par(disc, backends.discard(backend, (System("C", 2),))),
+            core.plug(unif, disc, [("A", "A")]),
+        ]
+        for p in built:
+            p.data[(0,) * p.data.ndim] = 0
+
+
 def test_dimension_scalar():
     assert backends.dimension(MATR, System("A", 3)) == 3.0
     assert backends.dimension(CPM, System("A", 3)) == 9.0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,73 @@ def test_soc_single_party(rng):
     # trace functional is not second-order causal
     tr = Process(MATR, (System("A", 2),), (System("A'", 2),), np.eye(2))
     assert not checks.check_soc(tr, [party], tol=TOL)
+
+
+def _soc_host(backend, n, rng):
+    """An ``n``-party fixed-order chain: a state feeds party 0, party ``k``'s
+    output reaches party ``k + 1`` through a random channel with a memory,
+    and the last output is discarded."""
+    a = [System(f"A{k}", 2) for k in range(n)]
+    b = [System(f"A{k}'", 2) for k in range(n)]
+    host = backends.random_causal(backend, (a[0], System("M0", 2)), (), rng)
+    for k in range(1, n):
+        mem_out = (System(f"M{k}", 2),) if k < n - 1 else ()
+        step = backends.random_causal(backend, (a[k],) + mem_out, (System(f"M{k - 1}", 2), b[k - 1]), rng)
+        host = core.plug(host, step, [(f"M{k - 1}", f"M{k - 1}")])
+    host = core.tensor_par(host, backends.discard(backend, (b[-1],)))
+    parties = [Event(f"party{k}", ins=x.label, outs=y.label) for k, (x, y) in enumerate(zip(b, a))]
+    return core.permute(host, [w.label for w in a], [w.label for w in b]), parties
+
+
+def _party_loop(host, party, rng):
+    """Feed the party's output straight back into its input.  A union with a
+    total relation stays total, so for rel the loop replaces the host."""
+    (out,), (back,) = party.outs, party.ins
+    term = core.identity(host.backend, host.wire(back), out_label=out)
+    others_out = tuple(w for w in host.out_wires if w.label != out)
+    others_in = tuple(w for w in host.in_wires if w.label != back)
+    term = core.tensor_par(term, backends.uniform_state(host.backend, others_out))
+    term = core.tensor_par(term, backends.discard(host.backend, others_in))
+    term = core.permute(term, [w.label for w in host.out_wires], [w.label for w in host.in_wires])
+    if host.backend == REL:
+        return term
+    eps = rng.uniform(0.1, 0.5)
+    return Process(host.backend, host.out_wires, host.in_wires, (1 - eps) * host.data + eps * term.data)
+
+
+def _soc_oracle(p, parties, tol):
+    """Every tuple in ``itertools.product`` order, each plugged into the whole
+    host: ``[(channel indices, is_causal report of the remainder)]``."""
+    families = [
+        backends.causal_channel_family(p.backend, [p.wire(l) for l in e.ins], [p.wire(l) for l in e.outs])
+        for e in parties
+    ]
+    reports = []
+    for index in itertools.product(*(range(len(f)) for f in families)):
+        q = p
+        for e, family, i in zip(parties, families, index):
+            q = core.plug(q, family[i], [(l, l) for l in e.outs + e.ins])
+        reports.append((index, backends.is_causal(q, tol)))
+    return reports
+
+
+@pytest.mark.parametrize("loop", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_soc_matches_product_oracle(backend, n, loop, rng):
+    host, parties = _soc_host(backend, n, rng)
+    if loop:
+        host = _party_loop(host, parties[int(rng.integers(n))], rng)
+    rep = checks.check_soc(host, parties, tol=TOL)
+    oracle = _soc_oracle(host, parties, TOL)
+    assert rep.passed == all(r.passed for _, r in oracle) == (not loop)
+    assert rep.residual == max(r.residual for _, r in oracle)
+    if loop:
+        named = tuple(int(i) for i in re.findall(r"party\d+ #(\d+)", rep.detail))
+        first_failure = next(index for index, r in oracle if not r.passed)
+        assert named == first_failure
+    else:
+        assert rep.detail == ""
 
 
 def test_soc_budget_raises():

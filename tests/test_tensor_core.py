@@ -106,6 +106,43 @@ def test_plug_rejects_self_loop():
         core.plug(f, f, [("B", "A")])
 
 
+# (wiring, error, message) for f: C[3], B[2] <- A[2] and g: D[2] <- B2[2], C2[3], A[2]
+_BAD_WIRINGS = [
+    ([("X", "B2")], NoSuchWire, r"no wire 'X' \(wires: \['C', 'B', 'A'\]\)"),
+    ([("B", "X")], NoSuchWire, r"no wire 'X' \(wires: \['D', 'B2', 'C2', 'A'\]\)"),
+    ([("B", "C2")], ShapeMismatch, r"cannot plug 'B' \(dim 2\) into 'C2' \(dim 3\)"),
+    ([("B", "B2"), ("B", "A")], CyclicWiring, r"\('B', 'A'\) reuses an already plugged wire"),
+    ([("B", "D")], CyclicWiring, r"'B' and 'D' are both out-wires"),
+    ([("B", "B2"), ("C", "C2")], DuplicateLabel, r"remaining wires share labels \['A'\]"),
+]
+
+
+@pytest.mark.parametrize("wiring, error, message", _BAD_WIRINGS)
+def test_plug_errors_raise_before_and_after_a_cached_plan(wiring, error, message, rng):
+    """A bad wiring raises every time, also once its layouts have a cached plan."""
+    f = rand_process(MATR, (System("C", 3), System("B", 2)), (System("A", 2),), rng)
+    g = rand_process(MATR, (System("D", 2),), (System("B2", 2), System("C2", 3), System("A", 2)), rng)
+    with pytest.raises(error, match=message):
+        core.plug(f, g, wiring)
+    core.plug(f, g, [("B", "B2"), ("C", "C2"), ("A", "D")])
+    with pytest.raises(error, match=message):
+        core.plug(f, g, wiring)
+
+
+def test_cached_plan_result_matches_fresh_process(rng):
+    for backend in BACKENDS:
+        f = rand_process(backend, (System("C", 3), System("B", 2)), (System("A", 2),), rng)
+        g = rand_process(backend, (System("D", 2),), (System("B2", 2), System("E", 3)), rng)
+        first = core.plug(f, g, [("B", "B2")])
+        again = core.plug(f, g, [("B", "B2")])
+        fresh = Process(backend, again.out_wires, again.in_wires, again.data.copy())
+        assert np.array_equal(first.data, again.data)
+        assert (again.out_wires, again.in_wires) == (first.out_wires, first.in_wires)
+        for w in fresh.wires:
+            assert again.wire_pos(w.label) == fresh.wire_pos(w.label)
+            assert again.role(w.label) == fresh.role(w.label)
+
+
 def test_snake_identity(rng):
     """Bending a wire out and back is the identity on the stored data."""
     for backend in BACKENDS:
