@@ -24,9 +24,7 @@ randomized or exhaustive verdicts:
 
 from __future__ import annotations
 
-import configparser
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,27 +49,6 @@ class HarnessConfig:
     instances: int = 50
     max_dim: int = 3
     tol: float = 1e-9
-
-
-def default_config_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "data", "axioms.cfg")
-
-
-def load_config(path: str | None = None) -> HarnessConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path or default_config_path())
-    if not read:
-        raise FormatError(f"cannot read harness config {path!r}")
-    try:
-        section = parser["harness"]
-        return HarnessConfig(
-            seed=section.getint("seed"),
-            instances=section.getint("instances"),
-            max_dim=section.getint("max_dim"),
-            tol=section.getfloat("tol"),
-        )
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"bad harness config: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -287,7 +264,7 @@ def run_axiom(axiom: str, backend: str, config: HarnessConfig | None = None) -> 
         raise FormatError(f"unknown axiom {axiom!r}; known: {', '.join(AXIOMS)}")
     if backend not in BACKENDS:
         raise UnsupportedBackend(f"unknown backend {backend!r}")
-    cfg = config or load_config()
+    cfg = config or HarnessConfig()
     rng = np.random.default_rng(cfg.seed)
     return _RUNNERS[axiom](backend, cfg, rng)
 
@@ -296,7 +273,7 @@ def run_all(
     which_backends: tuple[str, ...] = BACKENDS,
     config: HarnessConfig | None = None,
 ) -> list[AxiomResult]:
-    cfg = config or load_config()
+    cfg = config or HarnessConfig()
     results = []
     for backend in which_backends:
         for axiom in AXIOMS:

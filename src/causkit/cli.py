@@ -88,9 +88,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
-    cfg = axioms.load_config(args.config) if args.config else axioms.load_config()
     which = tuple(args.backend) if args.backend else core.BACKENDS
-    results = axioms.run_all(which, cfg)
+    results = axioms.run_all(which)
     _emit({"results": [r.to_dict() for r in results]})
     ok = True
     for r in results:
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("axioms", help="run the backend axiom harness")
     sp.add_argument("--backend", action="append", choices=core.BACKENDS, help="restrict to a backend")
-    sp.add_argument("--config", help="alternative harness config file")
     sp.set_defaults(func=cmd_axioms)
 
     sp = sub.add_parser("examples", help="list gallery examples or re-verify one")

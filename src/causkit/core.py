@@ -111,7 +111,7 @@ class System:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ShapeMismatch(f"system label must be a non-empty string, got {self.label!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ShapeMismatch(f"system {self.label!r} must have integer dimension >= 1, got {self.dim!r}")
 
 
@@ -189,7 +189,7 @@ class Process:
 
 def _maxabs(a: np.ndarray) -> float:
     """Largest absolute entry of an array (booleans count as 0 and 1)."""
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def maxabs(p: Process) -> float:
@@ -520,9 +520,9 @@ def from_json_dict(doc: Mapping) -> Process:
     ins: list[System] = []
     for wd in wire_docs:
         try:
-            sysm = System(str(wd["name"]), int(wd["dim"]))
+            sysm = System(str(wd["name"]), wd["dim"])
             role = wd["role"]
-        except (KeyError, TypeError, ValueError, ShapeMismatch) as e:
+        except (KeyError, TypeError, ShapeMismatch) as e:
             raise FormatError(f"bad wire entry {wd!r}: {e}") from e
         if role == "out":
             if ins:

@@ -24,25 +24,30 @@ Search applies the invertible rules first (``bot``, ``par``, and removal of
 ``1`` from a context, which mix makes admissible) and short-circuits
 sequents of bare literals by perfect matching.  Unbalanced literal counts
 prune early: every rule preserves the property that each atom occurs as
-often positively as negatively in a provable sequent.
+often positively as negatively in a provable sequent.  Any other sequent
+has a top-level tensor, and one memoized tensor step decides it by trying
+each tensor on its candidate contexts.  A proof that ends in ``mix`` can
+always push that mix into a tensor premise's context (Fleury & Retoré,
+*The mix rule*, 1994), so no mix bipartition is tried: proofs use ``mix``
+only to drop a ``1``, to pair off bare literals and, with ``mix0``, to
+reorder a memoized proof.
 
 A *linear* sequent, where every atom occurs exactly once each way (as in
 the containments between causal types, whose atoms ``fo_embedding`` labels
 apart), has one possible axiom linking.  It is provable iff that proof
 structure has no cycle under any Danos-Regnier switching (Danos & Regnier
-1989; Fleury & Retoré, *The mix rule*, 1994; mix makes the units neutral),
-and every step is then forced, so the search never backtracks.  The first
-top-level tensor whose factors no chain of shared atoms connects once the
-tensor is removed is applied, with the formulas so connected to its
-left factor as its left context and all others as its right.  A failing
-premise refutes the sequent, since subnets of an acyclic net are acyclic,
-and when no tensor splits, some switching has a cycle (the splitting-tensor
-lemma).  Formulas that share no atom with the rest need no separate mix:
-they fall to one side of such a split.
+1989; mix makes the units neutral), and every step is then forced.  A
+tensor has at most one candidate context: the formulas that a chain of
+shared atoms connects to its left factor once the tensor is removed go
+left and all others right, and there is none when such a chain reaches the
+right factor too.  The first tensor with a candidate is applied, and a
+failing premise refutes the sequent, since subnets of an acyclic net are
+acyclic; when no tensor has one, some switching has a cycle (the
+splitting-tensor lemma).  Formulas that share no atom with the rest need
+no separate mix: they fall to one side of such a split.
 
-A sequent with a repeated atom falls back to memoized search over every
-tensor context split and every mix bipartition; its subsequents that are
-linear take the forced path.
+A sequent with a repeated atom tries every context split of every tensor
+and backtracks; its subsequents that are linear are decided as above.
 """
 
 from __future__ import annotations
@@ -218,6 +223,29 @@ def _components(size: int, links: Sequence[tuple[int, int]]) -> list[int]:
     return [find(x) for x in range(size)]
 
 
+def _contexts(seq: tuple[Formula, ...], i: int, links: list[tuple[_Site, _Site]] | None):
+    """The candidate ``(left, right)`` contexts of the tensor ``seq[i]``:
+    every split, or, given the axiom ``links`` of a linear sequent, the one
+    split by link components (none when the links reconnect the factors)."""
+    if links is not None:
+        # without the tensor, node i is its left factor and node n its right
+        n, r = len(seq), (i, 1)
+        comp = _components(n + 1, [(n if a == r else a[0], n if b == r else b[0]) for a, b in links])
+        if comp[i] != comp[n]:
+            yield (
+                tuple(g for j, g in enumerate(seq) if j != i and comp[j] == comp[i]),
+                tuple(g for j, g in enumerate(seq) if j != i and comp[j] != comp[i]),
+            )
+        return
+    rest = _remove_at(seq, i)
+    m = len(rest)
+    for mask in range(1 << m):
+        yield (
+            tuple(rest[j] for j in range(m) if mask >> j & 1),
+            tuple(rest[j] for j in range(m) if not mask >> j & 1),
+        )
+
+
 # -- proofs --------------------------------------------------------------------
 
 
@@ -297,13 +325,13 @@ def verify_proof(proof: Proof) -> bool:
             g2 = _remove_one(node.premises[1].sequent, f.right)
             if g1 is None or g2 is None:
                 fail(node, "tensor premises must contain the factors")
-            if sorted(_key(g1 + g2)) != sorted(_key(_remove_at(seq, i))):
+            if _key(g1 + g2) != _key(_remove_at(seq, i)):
                 fail(node, "tensor premises must split the context")
         elif rule == "mix":
             if len(node.premises) != 2:
                 fail(node, "mix needs two premises")
             merged = node.premises[0].sequent + node.premises[1].sequent
-            if sorted(_key(merged)) != sorted(_key(seq)):
+            if _key(merged) != _key(seq):
                 fail(node, "mix premises must partition the sequent")
         else:
             fail(node, f"unknown rule {rule!r}")
@@ -370,63 +398,18 @@ class _Search:
         atoms = _atom_sites(seq)
         if atoms is None:
             return None
-        if all(len(a) == 3 for a in atoms):
-            return self._forced(seq, [(a[1], a[2]) for a in atoms])
-
-        # tensor: every principal, every context split
-        n = len(seq)
+        linear = all(len(a) == 3 for a in atoms)
+        links = [(a[1], a[2]) for a in atoms] if linear else None
         for i, f in enumerate(seq):
             if not isinstance(f, FTensor):
                 continue
-            rest = list(_remove_at(seq, i))
-            m = len(rest)
-            for mask in range(1 << m):
-                left = tuple(rest[j] for j in range(m) if mask >> j & 1)
-                right = tuple(rest[j] for j in range(m) if not mask >> j & 1)
+            for left, right in _contexts(seq, i, links):
                 p1 = self.prove(left + (f.left,))
-                if p1 is None:
-                    continue
-                p2 = self.prove(right + (f.right,))
-                if p2 is None:
-                    continue
-                return Proof("tensor", seq, (p1, p2), i)
-
-        # mix: proper bipartitions (both halves nonempty, fix element 0 left)
-        for mask in range(1 << (n - 1)):
-            bits = mask << 1 | 1
-            left = tuple(seq[j] for j in range(n) if bits >> j & 1)
-            right = tuple(seq[j] for j in range(n) if not bits >> j & 1)
-            if not right:
-                continue
-            p1 = self.prove(left)
-            if p1 is None:
-                continue
-            p2 = self.prove(right)
-            if p2 is None:
-                continue
-            return Proof("mix", seq, (p1, p2))
-        return None
-
-    def _forced(self, seq: tuple[Formula, ...], links: list[tuple[_Site, _Site]]) -> Proof | None:
-        """Decide a linear sequent (see the module docstring); ``links``
-        holds the two sites of each atom's axiom."""
-        n = len(seq)
-        for i, f in enumerate(seq):
-            if not isinstance(f, FTensor):
-                continue
-            # without the tensor, node i is its left factor and node n its right
-            r = (i, 1)
-            comp = _components(n + 1, [(n if a == r else a[0], n if b == r else b[0]) for a, b in links])
-            if comp[i] == comp[n]:
-                continue
-            rest = [(g, c) for j, (g, c) in enumerate(zip(seq, comp)) if j != i]
-            left = tuple(g for g, c in rest if c == comp[i]) + (f.left,)
-            right = tuple(g for g, c in rest if c != comp[i]) + (f.right,)
-            p1 = self.prove(left)
-            if p1 is None:
-                return None
-            p2 = self.prove(right)
-            return None if p2 is None else Proof("tensor", seq, (p1, p2), i)
+                p2 = None if p1 is None else self.prove(right + (f.right,))
+                if p2 is not None:
+                    return Proof("tensor", seq, (p1, p2), i)
+                if linear:  # the split was forced, so the sequent is refuted
+                    return None
         return None
 
     def _match_literals(self, seq: tuple[Formula, ...]) -> Proof | None:

@@ -5,26 +5,11 @@ from __future__ import annotations
 import pytest
 
 from causkit import axioms
-from causkit.axioms import AXIOMS, HarnessConfig, load_config, run_all, run_axiom
+from causkit.axioms import AXIOMS, HarnessConfig, run_all, run_axiom
 from causkit.core import BACKENDS, MATR, REL
 from causkit.errors import FormatError, UnsupportedBackend
 
 FAST = HarnessConfig(seed=7, instances=8, max_dim=3, tol=1e-9)
-
-
-def test_default_config_loads():
-    cfg = load_config()
-    assert cfg.instances > 0 and cfg.max_dim >= 2 and 0 < cfg.tol < 1e-3
-
-
-def test_config_file_roundtrip(tmp_path):
-    path = tmp_path / "h.cfg"
-    path.write_text("[harness]\nseed = 3\ninstances = 5\nmax_dim = 2\ntol = 1e-8\n")
-    cfg = load_config(path)
-    assert cfg == HarnessConfig(seed=3, instances=5, max_dim=2, tol=1e-8)
-    (tmp_path / "bad.cfg").write_text("[wrong]\nx = 1\n")
-    with pytest.raises(FormatError):
-        load_config(tmp_path / "bad.cfg")
 
 
 def test_unknown_axiom_and_backend():

@@ -121,3 +121,14 @@ def test_non_finite_data_exits_2(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and out is None and "finite" in err
+
+
+def test_non_integer_dim_exits_2(capsys, tmp_path):
+    """A wire dim must be a JSON integer: no truncated float, no bool."""
+    doc = core.to_json_dict(gallery.swap_process().process)
+    for bad in (2.9, 2.0, True, "2"):
+        doc["wires"][0]["dim"] = bad
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out is None and "integer dimension" in err

@@ -145,18 +145,20 @@ def test_fresh_atom_fuzzed_conclusions_are_proved(rng):
 
 
 def danos_regnier_acyclic(seq) -> bool:
-    """Brute-force criterion for a unit-free linear sequent: no switching of
-    its one proof structure (one premise edge per par) contains a cycle."""
+    """Brute-force criterion for a unit-free sequent: some axiom linking (for
+    each atom, a bijection between its positive and negative occurrences)
+    gives a proof structure that no switching (one premise edge per par)
+    makes cyclic."""
     edges: list[tuple[int, int]] = []
     pars: list[tuple[int, int, int]] = []
-    sites: dict[str, list[int]] = {}
+    sites: dict[str, tuple[list[int], list[int]]] = {}
     count = 0
 
     def node(f) -> int:
         nonlocal count
         v, count = count, count + 1
         if isinstance(f, FAtom):
-            sites.setdefault(f.key, []).append(v)
+            sites.setdefault(f.key, ([], []))[f.neg].append(v)
         else:
             left, right = node(f.left), node(f.right)
             if isinstance(f, FTensor):
@@ -167,28 +169,39 @@ def danos_regnier_acyclic(seq) -> bool:
 
     for f in seq:
         node(f)
-    edges.extend((a, b) for a, b in sites.values())
-    for switching in itertools.product((0, 1), repeat=len(pars)):
-        parent = list(range(count))
+    if any(len(pos) != len(neg) for pos, neg in sites.values()):
+        return False
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
+    def acyclic(links) -> bool:
+        for switching in itertools.product((0, 1), repeat=len(pars)):
+            parent = list(range(count))
 
-        chosen = [(v, (left, right)[s]) for (v, left, right), s in zip(pars, switching)]
-        for a, b in edges + chosen:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    return True
+            def find(x: int) -> int:
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            chosen = [(v, (left, right)[s]) for (v, left, right), s in zip(pars, switching)]
+            for a, b in edges + links + chosen:
+                ra, rb = find(a), find(b)
+                if ra == rb:
+                    return False
+                parent[ra] = rb
+        return True
+
+    bijections = [
+        [list(zip(pos, perm)) for perm in itertools.permutations(neg)] for pos, neg in sites.values()
+    ]
+    return any(
+        acyclic([link for links in linking for link in links])
+        for linking in itertools.product(*bijections)
+    )
 
 
-def random_linear_sequent(rng, keys: int) -> tuple:
-    """Each of ``keys`` atoms once each way, shuffled into random binary
-    tensor/par trees."""
-    items = [FAtom(f"x{k}", neg) for k in range(keys) for neg in (False, True)]
+def random_sequent(rng, counts) -> tuple:
+    """Atom ``xk`` occurring ``counts[k]`` times each way, shuffled into
+    random binary tensor/par trees."""
+    items = [FAtom(f"x{k}", neg) for k, c in enumerate(counts) for neg in (False, True) for _ in range(c)]
     items = [items[j] for j in rng.permutation(len(items))]
     seq = []
     while items:
@@ -205,13 +218,27 @@ def random_linear_sequent(rng, keys: int) -> tuple:
 def test_prover_agrees_with_danos_regnier_oracle(rng):
     verdicts = []
     for _ in range(500):
-        seq = random_linear_sequent(rng, int(rng.integers(1, 6)))
+        seq = random_sequent(rng, [1] * int(rng.integers(1, 6)))
         proof = prove(seq)
         assert (proof is not None) == danos_regnier_acyclic(seq), render_sequent(seq)
         if proof is not None:
             assert verify_proof(proof) and proof.sequent == seq
         verdicts.append(proof is not None)
     assert 100 < sum(verdicts) < 400  # both verdicts are well represented
+
+
+def test_prover_agrees_with_linking_oracle_on_repeated_atoms(rng):
+    """Sequents with repeated atoms take the backtracking split search; the
+    oracle tries every axiom linking."""
+    verdicts = []
+    for _ in range(300):
+        seq = random_sequent(rng, rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        proof = prove(seq)
+        assert (proof is not None) == danos_regnier_acyclic(seq), render_sequent(seq)
+        if proof is not None:
+            assert verify_proof(proof) and proof.sequent == seq
+        verdicts.append(proof is not None)
+    assert 75 < sum(verdicts) < 225  # both verdicts are well represented
 
 
 def copies_family(n: int) -> str:

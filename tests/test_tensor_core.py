@@ -30,6 +30,9 @@ def test_shape_is_validated():
         Process(MATR, (System("A", 2),), (System("B", 3),), np.zeros((2, 2)))
     with pytest.raises(ShapeMismatch):
         Process(CPM, (System("A", 2),), (), np.zeros((2,)))  # needs ket and bra axes
+    for dim in (True, 2.0, 0):
+        with pytest.raises(ShapeMismatch):
+            System("A", dim)
 
 
 def test_duplicate_labels_rejected():
