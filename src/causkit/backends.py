@@ -170,12 +170,25 @@ def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     """Entrywise non-negativity (matr+, and trivially rel), or Hermitian
     positive semidefiniteness of the Choi matrix (cpm)."""
     if p.backend != CPM:
-        return _verdict(p, tol, [(max(0.0, -float(np.min(p.data))), "negative entry")])
-    J = core.choi_matrix(p)
-    neg = max(0.0, -float(np.linalg.eigvalsh((J + J.conj().T) / 2.0).min()))
-    return _verdict(
-        p, tol, [(core._maxabs(J - J.conj().T), "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")]
-    )
+        at = np.unravel_index(np.argmin(p.data), p.data.shape)
+        low = float(p.data[at])
+        return _verdict(p, tol, [(max(0.0, -low), f"negative entry {low:.3g} at index {tuple(map(int, at))}")])
+    skew, neg = _hermitian_residuals(core.choi_matrix(p))
+    return _verdict(p, tol, [(skew, "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")])
+
+
+def _hermitian_residuals(J: np.ndarray) -> tuple[float, float]:
+    """``max |J - J^H|`` and the most negative eigenvalue of the Hermitian
+    part ``(J + J^H) / 2`` (0 if none is negative), computed in one
+    temporary of ``J``'s size."""
+    tmp = np.conjugate(J.T, order="C")  # J's layout, so J - J^H needs no buffer
+    tmp -= J
+    np.absolute(tmp, out=tmp)
+    skew = float(tmp.real.max())
+    np.conjugate(J.T, out=tmp)
+    tmp += J
+    tmp /= 2.0
+    return skew, max(0.0, -float(np.linalg.eigvalsh(tmp).min()))
 
 
 # -- state families ------------------------------------------------------------

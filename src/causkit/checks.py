@@ -21,22 +21,35 @@ On top of that primitive:
 * ``check_soc``: plugging every member of a spanning family of causal
   channels into the marked slots always leaves a causal process.
 
-``check_membership`` maps a causal type to whichever of these applies.
+Apart from these, ``check_projector`` decides any type built with tensor,
+par and duality on the affine backends (matr+, cpm) without enumerating
+anything: it compiles the type to the set of terms, patterns of wires off
+the identity, that its members may contain, and checks that the process
+contains no other term, has the type's total and is positive.
+
+``check_membership`` maps a causal type to whichever of these applies: the
+signalling shapes keep their procedures on every backend, every other type
+goes to the projector on matr+ and cpm, and on rel second-order types go
+to ``check_soc``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 from . import backends, core
 from .backends import CheckReport, _conjunction, _verdict
-from .core import DEFAULT_TOL, Process
+from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System
 from .errors import (
     CombinatorialBlowup,
     EmbedMismatch,
     NoSuchWire,
     ShapeMismatch,
     TooManyEvents,
+    UnsupportedBackend,
     UnsupportedType,
 )
 from .events import Event, EventPoset, check_partition
@@ -83,9 +96,9 @@ def _independence_residual(p: Process, in_labels: Sequence[str]) -> tuple[float,
     return core.distance(recon, p), extracted
 
 
-def _causal_condition(causal: CheckReport) -> tuple[float, str]:
-    """``is_causal(p)`` as a condition on ``p``; the same rule decides it again."""
-    return causal.residual, causal.detail or "not causal"
+def _condition(rep: CheckReport) -> tuple[float, str]:
+    """A report on ``p`` as a condition on ``p``; the same rule decides it again."""
+    return rep.residual, rep.detail
 
 
 # -- pairwise and multipartite signalling ----------------------------------------
@@ -102,7 +115,7 @@ def check_one_way(p: Process, first: Event, second: Event, tol: float = DEFAULT_
     marg = core.discard_outputs(p, second.outs)
     residual, _ = _independence_residual(marg, second.ins)
     return _verdict(p, tol, [
-        _causal_condition(causal),
+        _condition(causal),
         (residual, f"input of {second.name!r} influences the marginal of {first.name!r}"),
     ])
 
@@ -115,7 +128,7 @@ def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAUL
     inputs can be switched one event at a time.
     """
     check_partition(events, p)
-    conditions = [_causal_condition(backends.is_causal(p, tol))]
+    conditions = [_condition(backends.is_causal(p, tol))]
     for e in events:
         marg = core.discard_outputs(p, e.outs)
         residual, _ = _independence_residual(marg, e.ins)
@@ -131,7 +144,7 @@ def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) ->
     in) must recursively be a comb on the remaining events.
     """
     check_partition(events, p)
-    conditions = [_causal_condition(backends.is_causal(p, tol))]
+    conditions = [_condition(backends.is_causal(p, tol))]
     q = p
     for k in range(len(events) - 1, 0, -1):
         last = events[k]
@@ -160,7 +173,7 @@ def check_order_consistency(
             f"{len(poset)} events would need up to 2**{len(poset)} marginal checks"
         )
     check_partition(poset.events, p)
-    conditions = [_causal_condition(backends.is_causal(p, tol))]
+    conditions = [_condition(backends.is_causal(p, tol))]
     all_names = set(poset.names)
     for sub in poset.down_closed_subsets():
         comp = all_names - sub
@@ -253,6 +266,119 @@ def check_soc(
 
     # each remainder is judged against its own scale, so the reports are conjoined
     return _conjunction(conditions(), tol)
+
+
+# -- affine types: the allowed-terms projector -------------------------------------
+
+
+def _allowed_terms(n: Type, wires: Sequence[System]) -> tuple[np.ndarray, float]:
+    """Which terms a member of the normalized type ``n`` may contain, and the
+    total ``gamma`` every member has.
+
+    A term is a pattern of wires carrying a non-identity component.  The
+    patterns are the entries of a boolean array with one axis of size 2 per
+    wire of ``wires`` (index 1: not at the identity).  Atoms allow every
+    pattern (gamma 1), tensors allow what all their parts allow (gamma is the
+    product), and the negation of ``X`` on its wires allows what ``X``
+    forbids together with the all-identity pattern (gamma ``d_X / gamma_X``);
+    a dual atom and a par are negations.
+    """
+    axis = {w.label: i for i, w in enumerate(wires)}
+    dim = {w.label: w.dim for w in wires}
+    shape = (2,) * len(wires)
+
+    def negate(mask: np.ndarray, gamma: float, labels: tuple[str, ...]):
+        at_identity = np.ones(shape, dtype=bool)
+        for l in labels:
+            at_identity[(slice(None),) * axis[l] + (1,)] = False
+        return ~mask | at_identity, math.prod(dim[l] for l in labels) / gamma, labels
+
+    def tensor(parts):
+        masks, gammas, labels = zip(*parts)
+        return np.logical_and.reduce(masks), math.prod(gammas), sum(labels, ())
+
+    def go(t: Type):
+        if isinstance(t, Atom):
+            return np.ones(shape, dtype=bool), 1.0, (t.label,)
+        if isinstance(t, Dual):
+            return negate(*go(t.body))
+        if isinstance(t, Tensor):
+            return tensor([go(part) for part in t.parts])
+        if isinstance(t, Par):
+            return negate(*tensor([negate(*go(part)) for part in t.parts]))
+        raise UnsupportedType(f"the projector takes no {type(t).__name__} node; decide cap branches one by one")
+
+    mask, gamma, _ = go(n)
+    return mask, gamma
+
+
+def _coefficients(p: Process) -> np.ndarray:
+    """``p``'s data with one axis per wire (a cpm wire's ket and bra axes
+    merged), changed on each wire to an orthonormal basis whose element 0 is
+    the identity direction: the unit vector ``u`` along the wire's discarding
+    effect (the uniform vector, or ``I/sqrt(d)``).
+
+    The change is the reflection ``x -> x - 2 v (v.x) / (v.v)`` with
+    ``v = u - e_0``, which swaps ``u`` and ``e_0``.  It works in place on one
+    copy of the data and touches only the entries where ``v`` is non-zero.
+    """
+    a, n = core._spec(p.backend).axes_per_wire, p.n_wires
+    c = p.data.transpose([i + k * n for i in range(n) for k in range(a)]).copy()
+    c = c.reshape(tuple(w.dim**a for w in p.wires))
+    for i, w in enumerate(p.wires):
+        if w.dim == 1:  # the identity is the whole wire
+            continue
+        u = backends.discard(p.backend, (w,)).data.real.ravel() / math.sqrt(w.dim)
+        v = u - np.eye(1, u.size)[0]
+        sites = [((slice(None),) * i + (k,), v[k]) for k in np.flatnonzero(v)]
+        dot = sum(vk * c[site] for site, vk in sites) * (2.0 / (v @ v))
+        for site, vk in sites:
+            c[site] -= vk * dot
+    return c
+
+
+def _pattern_maxima(c: np.ndarray) -> np.ndarray:
+    """The largest ``|coefficient|`` of each pattern, indexed as in
+    :func:`_allowed_terms`.  Overwrites ``c`` with its absolute values."""
+    m = np.absolute(c, out=c).real
+    for i in range(m.ndim):
+        keep = (slice(None),) * i
+        rest = m[keep + (slice(1, None),)].max(axis=i, keepdims=True, initial=0.0)
+        m = np.concatenate([m[keep + (slice(0, 1),)], rest], axis=i)
+    return m
+
+
+def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Does ``p`` inhabit the type ``t`` on an affine backend (matr+, cpm)?
+
+    There every type built from atoms with tensor, par and duality is the set
+    of positive processes that contain only the terms the type allows and
+    have its total (Hoffreumon & Oreshkov, arXiv:2206.06206): the sum of all
+    entries for matr+, the Choi trace for cpm.  Three conditions, on ``p``:
+    the largest coefficient of a forbidden term (see :func:`_allowed_terms`),
+    the distance of the total from the type's, and positivity
+    (:func:`backends.is_positive`).
+    """
+    if p.backend not in (MATR, CPM):
+        raise UnsupportedBackend(f"the projector needs an affine backend, not {p.backend}")
+    n = normalize(parse_type(t) if isinstance(t, str) else t)
+    _check_wires(p, n)
+    return _projector(p, n, tol)
+
+
+def _projector(p: Process, n: Type, tol: float) -> CheckReport:
+    positive = backends.is_positive(p, tol)  # before any array of p's size is made here
+    allowed, gamma = _allowed_terms(n, p.wires)
+    c = _coefficients(p)
+    total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
+    forbidden = np.where(allowed, 0.0, _pattern_maxima(c))
+    worst = np.unravel_index(np.argmax(forbidden), forbidden.shape)
+    term = ", ".join(w.label for w, bit in zip(p.wires, worst) if bit)
+    return _verdict(p, tol, [
+        (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
+        (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
+        _condition(positive),
+    ])
 
 
 # -- membership in a causal type ---------------------------------------------------
@@ -378,31 +504,9 @@ def _nonsig_events(n: Type) -> list[Event] | None:
     return events
 
 
-def check_membership(
-    p: Process,
-    t: Type | str,
-    tol: float = DEFAULT_TOL,
-    budget: int = 20000,
-) -> CheckReport:
-    """Decide whether ``p`` inhabits the causal type ``t``.
-
-    The type's shape selects the check: first-order types and channel types
-    (including pars of channels and curried forms) ask for causality;
-    tensors of channels for non-signalling; nested ``G -o (M -o H)`` combs
-    for the comb conditions; ``(tensor of arrows) -o H``, optionally under
-    one first-order argument, for second-order causality; ``cap`` for the
-    conjunction of its branches.
-    """
-    if isinstance(t, str):
-        t = parse_type(t)
-    if isinstance(t, Cap):
-        fo_embedding(t)  # branches must share one ambient shape
-        reports = [check_membership(p, part, tol, budget) for part in t.parts]
-        return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
-
-    n = normalize(t)
-    _check_wires(p, n)
-
+def _signalling_check(p: Process, t: Type, n: Type, tol: float) -> CheckReport | None:
+    """The unit, first-order, comb, channel and non-signalling shapes, which
+    keep their own procedures on every backend; None for any other shape."""
     if isinstance(n, Unit):
         return _verdict(p, tol, [(abs(complex(p.scalar_value()) - 1.0), "scalar is not 1")])
 
@@ -423,9 +527,45 @@ def check_membership(
     events = _nonsig_events(n)
     if events is not None:
         return check_nonsignalling(p, events, tol)
+    return None
 
-    parties = _soc_parties(t)
-    if parties is not None:
+
+def check_membership(
+    p: Process,
+    t: Type | str,
+    tol: float = DEFAULT_TOL,
+    budget: int = 20000,
+) -> CheckReport:
+    """Decide whether ``p`` inhabits the causal type ``t``.
+
+    The type's shape selects the check: first-order types and channel types
+    (including pars of channels and curried forms) ask for causality;
+    tensors of channels for non-signalling; nested ``G -o (M -o H)`` combs
+    for the comb conditions; ``cap`` for the conjunction of its branches.
+    Every other type is decided by :func:`check_projector` on matr+ and cpm;
+    on rel, ``(tensor of arrows) -o H``, optionally under one first-order
+    argument, is decided by :func:`check_soc` and anything else raises
+    :class:`UnsupportedType`.  A matr+ verdict also requires non-negative
+    entries.
+    """
+    if isinstance(t, str):
+        t = parse_type(t)
+    if isinstance(t, Cap):
+        fo_embedding(t)  # branches must share one ambient shape
+        reports = [check_membership(p, part, tol, budget) for part in t.parts]
+        return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
+
+    n = normalize(t)
+    _check_wires(p, n)
+    rep = _signalling_check(p, t, n, tol)
+    if rep is None and p.backend != REL:
+        return _projector(p, n, tol)
+    if rep is None:
+        parties = _soc_parties(t)
+        if parties is None:
+            raise UnsupportedType(f"no decision procedure for the shape of {render_type(t)} on rel")
         return check_soc(p, parties, tol, budget)
-
-    raise UnsupportedType(f"no decision procedure for the shape of {render_type(t)}")
+    if p.backend == MATR:  # the PSD check of cpm stays off these paths (see ROADMAP)
+        pos = backends.is_positive(p, tol)
+        rep = _conjunction([(rep.passed, rep.residual, rep.detail), (pos.passed, pos.residual, pos.detail)], tol)
+    return rep

@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser, expect: bool = True) -> None:
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
         sp.add_argument(
-            "--budget", type=int, default=20000, help="bound on enumerated channel tuples / expansions"
+            "--budget", type=int, default=20000, help="bound on enumerated channel tuples (rel) / expansions"
         )
         if expect:
             sp.add_argument(

@@ -52,6 +52,7 @@ and backtracks; its subsequents that are linear are decided as above.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -89,11 +90,21 @@ class FTensor:
     left: "Formula"
     right: "Formula"
 
+    @functools.cached_property
+    def text(self) -> str:
+        """The rendering without outer parentheses, made once per formula."""
+        return f"{render_formula(self.left, 0)} (x) {render_formula(self.right, 0)}"
+
 
 @dataclass(frozen=True)
 class FPar:
     left: "Formula"
     right: "Formula"
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The rendering without outer parentheses, made once per formula."""
+        return f"{render_formula(self.left, 1)} (+) {render_formula(self.right, 1)}"
 
 
 Formula = Union[FAtom, FOne, FBot, FTensor, FPar]
@@ -161,11 +172,8 @@ def render_formula(f: Formula, ctx: int = 2) -> str:
         return "I"
     if isinstance(f, FBot):
         return "I^*"
-    if isinstance(f, FTensor):
-        s, prec = f"{render_formula(f.left, 0)} (x) {render_formula(f.right, 0)}", 1
-    else:
-        s, prec = f"{render_formula(f.left, 1)} (+) {render_formula(f.right, 1)}", 2
-    return f"({s})" if prec > ctx else s
+    prec = 1 if isinstance(f, FTensor) else 2
+    return f"({f.text})" if prec > ctx else f.text
 
 
 def render_sequent(seq: Sequence[Formula]) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ def test_is_positive():
     assert backends.is_positive(Process(MATR, (System("A", 2),), (), np.array([0.2, 0.8])))
     assert not backends.is_positive(Process(MATR, (System("A", 2),), (), np.array([-0.1, 1.1])))
     assert not backends.is_positive(Process(MATR, (System("A", 2),), (), np.array([np.nan, 1.0])))
+
+
+def test_is_positive_takes_one_choi_sized_temporary():
+    qubits = tuple(System(f"A{k}", 2) for k in range(8))
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    p = Process(CPM, qubits, (), (g @ g.conj().T).reshape((2,) * 16))
+    tracemalloc.start()
+    try:
+        rep = backends.is_positive(p, tol=TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep and peak <= 1.25 * p.data.nbytes
 
 
 def test_causal_basis_sizes_and_causality():

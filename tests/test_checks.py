@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from causkit import backends, checks, core, gallery
-from causkit.core import BACKENDS, MATR, REL, Process, System
+from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
 from causkit.errors import (
     CombinatorialBlowup,
     CyclicOrder,
@@ -18,9 +18,12 @@ from causkit.errors import (
     ShapeMismatch,
     TooManyEvents,
     UnknownEvent,
+    UnsupportedBackend,
     UnsupportedType,
 )
 from causkit.events import Event, EventPoset
+from causkit.typesys import atom_occurrences, is_first_order, normalize, parse_type, render_type
+from conftest import rand_data
 
 TOL = 1e-9
 
@@ -244,6 +247,170 @@ def test_soc_matches_product_oracle(backend, n, loop, rng):
         assert rep.detail == ""
 
 
+def _soc_type(parties, d=2):
+    arrows = " (x) ".join(f"({e.outs[0]}[{d}] -o {e.ins[0]}[{d}])" for e in parties)
+    return f"({arrows}) -o I"
+
+
+@pytest.mark.parametrize("loop", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_projector_matches_soc_enumeration(backend, n, loop, rng):
+    host, parties = _soc_host(backend, n, rng)
+    if loop:
+        host = _party_loop(host, parties[int(rng.integers(n))], rng)
+    rep = checks.check_projector(host, _soc_type(parties), tol=TOL)
+    assert rep.passed == checks.check_soc(host, parties, tol=TOL).passed == (not loop)
+    if loop:
+        assert re.fullmatch(r"the type forbids a term on \{.*\}", rep.detail)
+
+
+def _leak(p, sender, receiver, rng):
+    """Mix in a term whose output ``receiver`` copies the input ``sender``."""
+    s, r = p.wire(sender), p.wire(receiver)
+    term = core.identity(p.backend, s, out_label=r.label)
+    rest_out = tuple(w for w in p.out_wires if w != r)
+    rest_in = tuple(w for w in p.in_wires if w != s)
+    term = core.tensor_par(term, backends.uniform_state(p.backend, rest_out))
+    term = core.tensor_par(term, backends.discard(p.backend, rest_in))
+    term = core.permute(term, [w.label for w in p.out_wires], [w.label for w in p.in_wires])
+    return Process(p.backend, p.out_wires, p.in_wires, 0.7 * p.data + 0.3 * term.data)
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_projector_matches_signalling_procedures(backend, rng):
+    """On the shapes that keep their own procedures, the projector agrees
+    with them, on members and on processes perturbed out of the type."""
+    inst = gallery.memory_comb(backend=backend, events=3, d=2, seed=int(rng.integers(1 << 16)))
+    evs = [Event(f"E{k}", ins=f"A{k}", outs=f"A{k}'") for k in (1, 2, 3)]
+    pairs = [(f"A{k}[2]", f"A{k}'[2]") for k in (1, 2, 3)]
+    for order in (pairs, pairs[::-1]):
+        events = evs if order is pairs else evs[::-1]
+        for p in (inst.process, _leak(inst.process, "A3", "A1'", rng)):
+            want = checks.check_comb(p, events, tol=TOL).passed
+            assert checks.check_projector(p, gallery.comb_type(order), tol=TOL).passed == want
+
+    a, a_, b, b_ = System("A", 2), System("A'", 2), System("B", 3), System("B'", 2)
+    prod = core.tensor_par(
+        backends.random_causal(backend, (a_,), (a,), rng), backends.random_causal(backend, (b_,), (b,), rng)
+    )
+    leaky = _leak(prod, "A", "B'", rng)
+    tensor = "(A[2] -o A'[2]) (x) (B[3] -o B'[2])"
+    nonsig = [Event("e0", ins="A", outs="A'"), Event("e1", ins="B", outs="B'")]
+    for p in (prod, leaky):
+        want = checks.check_nonsignalling(p, nonsig, tol=TOL).passed
+        assert checks.check_projector(p, tensor, tol=TOL).passed == want == (p is prod)
+
+    par = "(A[2] -o A'[2]) (+) (B[3] -o B'[2])"
+    scaled = Process(backend, leaky.out_wires, leaky.in_wires, 1.1 * leaky.data)
+    for p in (leaky, scaled):
+        want = backends.is_causal(p, tol=TOL).passed
+        assert checks.check_projector(p, par, tol=TOL).passed == want == (p is leaky)
+    assert "total" in checks.check_projector(scaled, par, tol=TOL).detail
+
+
+def test_projector_refuses_rel_and_cap(rng):
+    p = backends.random_causal(REL, (System("B", 2),), (System("A", 2),), rng)
+    with pytest.raises(UnsupportedBackend):
+        checks.check_projector(p, "A[2] -o B[2]", tol=TOL)
+    q = backends.random_causal(MATR, (System("B", 2),), (System("A", 2),), rng)
+    with pytest.raises(UnsupportedType):
+        checks.check_projector(q, "cap(A[2] -o B[2], A[2]^* (x) B[2])", tol=TOL)
+
+
+def test_projector_checks_positivity(rng):
+    good = backends.random_causal(CPM, (System("B", 2),), (System("A", 2),), rng)
+    flip = np.zeros((2,) * 4, dtype=complex)  # a traceless term the channel type allows
+    flip[0, 0, 0, 0], flip[1, 0, 1, 0] = 1.0, -1.0
+    bad = Process(CPM, good.out_wires, good.in_wires, good.data + 2.0 * flip)
+    assert backends.is_causal(bad, tol=TOL)
+    rep = checks.check_projector(bad, "A[2] -o B[2]", tol=TOL)
+    assert not rep and rep.detail.startswith("negative eigenvalue")
+
+
+def test_projector_decides_what_enumeration_refuses():
+    big = gallery.classical_switch(4)
+    assert checks.check_membership(big.process, big.expectations[0][0], tol=TOL)
+    with pytest.raises(CombinatorialBlowup):
+        parties = [Event("PA", ins="A'", outs="A"), Event("PB", ins="B'", outs="B")]
+        checks.check_soc(big.process, parties, tol=TOL)
+    host, parties = _soc_host(CPM, 4, np.random.default_rng(4))
+    assert checks.check_membership(host, _soc_type(parties), tol=TOL)
+
+
+# -- the paper's definition of X -o Y, as an oracle for higher-order types ---------
+
+
+def _trace_and_replace(data, backend, n, i):
+    """Discard wire ``i`` of an ``n``-wire data tensor and put back the
+    uniform state on it: the projection onto its identity component."""
+    if backend == MATR:
+        return np.broadcast_to(data.mean(axis=i, keepdims=True), data.shape)
+    ket, bra = i, n + i
+    d = data.shape[i]
+    traced = np.trace(data, axis1=ket, axis2=bra)
+    eye = np.eye(d).reshape([d if ax in (ket, bra) else 1 for ax in range(2 * n)])
+    return np.expand_dims(traced, (ket, bra)) * eye / d
+
+
+def _pattern_part(data, backend, wires, pattern):
+    """The component of ``data`` whose wires carry a non-identity part
+    exactly where ``pattern`` has a 1."""
+    for i, bit in enumerate(pattern):
+        identity = _trace_and_replace(data, backend, len(wires), i)
+        data = data - identity if bit else identity
+    return data
+
+
+def _terms(data, backend, wires, keep):
+    """The sum of the pattern components of ``data`` that ``keep`` selects."""
+    patterns = [s for s in itertools.product((0, 1), repeat=len(wires)) if keep(s)]
+    return sum((_pattern_part(data, backend, wires, s) for s in patterns), np.zeros(data.shape))
+
+
+def _affine_basis(backend, ty, outs, ins):
+    """An affine basis of the states of ``ty`` on those wires: its uniform
+    member, and that plus each element of an orthonormal basis of the range
+    of its allowed non-identity patterns."""
+    wires = outs + ins
+    allowed, gamma = checks._allowed_terms(normalize(parse_type(ty)), wires)
+    shape = Process.expected_shape(backend, outs, ins)
+    units = np.eye(int(np.prod(shape))).reshape((-1,) + shape)
+    columns = [_terms(e, backend, wires, lambda s: any(s) and allowed[s]).ravel() for e in units]
+    u, sv, _ = np.linalg.svd(np.array(columns).T)
+    directions = [u[:, k].reshape(shape) for k in range(int(np.sum(sv > 1e-9)))]
+    base = gamma * backends.uniform_state(backend, wires).data
+    return [Process(backend, outs, ins, base + r) for r in [0.0] + directions]
+
+
+def _near_uniform(backend, ty, outs, ins, rng, inside):
+    """The uniform member of ``ty`` plus a random term, small enough to stay
+    positive, made of the type's allowed patterns (``inside``) or of all."""
+    wires = outs + ins
+    allowed, gamma = checks._allowed_terms(normalize(parse_type(ty)), wires)
+    shape = Process.expected_shape(backend, outs, ins)
+    term = _terms(rand_data(backend, shape, rng), backend, wires, lambda s: any(s) and (allowed[s] or not inside))
+    size = int(np.prod([w.dim for w in wires]))
+    term *= gamma / size / (2 * np.linalg.norm(term))
+    return Process(backend, outs, ins, gamma * backends.uniform_state(backend, wires).data + term)
+
+
+def _lolli_oracle(p, t):
+    """The affine part of ``p : X -o Y`` by definition: plugging each member
+    of an affine basis of ``X`` leaves a member of ``Y``, recursively, and a
+    first-order type asks for normalization."""
+    if is_first_order(t):
+        return bool(backends.is_causal(p, tol=TOL))
+    atoms = list(atom_occurrences(normalize(t.left)))
+    x_outs = tuple(p.wire(a.label) for a, dual in atoms if not dual)
+    x_ins = tuple(p.wire(a.label) for a, dual in atoms if dual)
+    wiring = [(w.label, w.label) for w in x_outs + x_ins]
+    return all(
+        _lolli_oracle(core.plug(p, x, wiring), t.right)
+        for x in _affine_basis(p.backend, render_type(t.left), x_outs, x_ins)
+    )
+
+
 def test_soc_budget_raises():
     inst = gallery.build("ocb_process")
     parties = [Event("PA", ins="A'", outs="A"), Event("PB", ins="B'", outs="B")]
@@ -263,6 +430,11 @@ def test_membership_first_order(rng):
     # an infinite entry makes the scale infinite too; the verdict must still fail
     inf = Process(MATR, (System("A'", 2),), (System("A", 2),), np.array([[np.inf, 0.5], [0.0, 0.5]]))
     assert not checks.check_membership(inf, "A[2] -o A'[2]", tol=TOL)
+    # a quasi-stochastic matrix: its columns sum to 1, but an entry is negative
+    quasi = Process(MATR, (System("A'", 2),), (System("A", 2),), np.array([[1.5, 0.5], [-0.5, 0.5]]))
+    assert backends.is_causal(quasi, tol=TOL)
+    rep = checks.check_membership(quasi, "A[2] -o A'[2]", tol=TOL)
+    assert not rep and rep.residual == 0.5 and rep.detail == "negative entry -0.5 at index (1, 0)"
 
 
 def test_membership_tensor_vs_par(rng):
@@ -311,7 +483,63 @@ def test_membership_wire_mismatches(rng):
 
 
 def test_membership_unsupported_type(rng):
-    p = backends.random_causal(MATR, (System("B", 2),), (System("A", 2),), rng)
-    # a bare dual atom tensored with an atom is not a recognized shape
+    ty = "A[2]^* (x) B[2]"
+    # on rel a bare dual atom tensored with an atom is not a recognized shape
+    chan = backends.random_causal(REL, (System("B", 2),), (System("A", 2),), rng)
     with pytest.raises(UnsupportedType):
-        checks.check_membership(p, "A[2]^* (x) B[2]", tol=TOL)
+        checks.check_membership(chan, ty, tol=TOL)
+    # on matr+ the projector decides it: B must not depend on A
+    reads_input = core.identity(MATR, System("A", 2), out_label="B")
+    assert not checks.check_membership(reads_input, ty, tol=TOL)
+    state = backends.random_state(MATR, (System("B", 2),), rng)
+    ignores_input = core.tensor_par(state, backends.discard(MATR, (System("A", 2),)))
+    assert checks.check_membership(ignores_input, ty, tol=TOL)
+
+
+HIGHER_ORDER = [
+    # (type, process outputs, process inputs)
+    ("((A[2] -o B[2]) -o C[2]) -o D[2]", ("B", "D"), ("A", "C")),
+    ("(A[2] -o B[2]) -o (C[2] -o D[2])", ("A", "D"), ("B", "C")),
+    ("(((A[2] -o B[2]) -o C[2]) -o D[2]) -o E[2]", ("A", "C", "E"), ("B", "D")),
+]
+
+
+HIGHER_ORDER_CASES = [
+    (backend, *case)
+    for case in HIGHER_ORDER
+    for backend in (MATR, CPM)
+    if backend == MATR or len(case[1] + case[2]) <= 4  # a 5-qubit cpm basis has 1,024 columns
+]
+
+
+@pytest.mark.parametrize("backend, ty, outs, ins", HIGHER_ORDER_CASES)
+def test_projector_matches_lolli_definition(backend, ty, outs, ins, rng):
+    outs = tuple(System(l, 2) for l in outs)
+    ins = tuple(System(l, 2) for l in ins)
+    t = parse_type(ty)
+    for inside in (True, False, True, False):
+        p = _near_uniform(backend, ty, outs, ins, rng, inside)
+        assert backends.is_positive(p, tol=TOL)
+        want = _lolli_oracle(p, t)
+        assert want == inside
+        assert checks.check_membership(p, ty, tol=TOL).passed == want
+    scaled = Process(backend, outs, ins, 1.2 * _near_uniform(backend, ty, outs, ins, rng, True).data)
+    assert not _lolli_oracle(scaled, t)
+    assert not checks.check_membership(scaled, ty, tol=TOL)
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_third_order_comb_member(backend, rng):
+    """A comb that acts as the channel ``A -o B`` and then maps ``C`` to
+    ``D`` inhabits ``((A -o B) -o C) -o D``; signalling from ``C`` back to
+    ``B`` does not."""
+    a, b, c, d, m = (System(l, 2) for l in ("A", "B", "C", "D", "M"))
+    first = backends.random_causal(backend, (b, m), (a,), rng)
+    second = backends.random_causal(backend, (d,), (m, c), rng)
+    comb = core.permute(core.plug(first, second, [("M", "M")]), ["B", "D"], ["A", "C"])
+    ty = "((A[2] -o B[2]) -o C[2]) -o D[2]"
+    t = parse_type(ty)
+    assert _lolli_oracle(comb, t) and checks.check_membership(comb, ty, tol=TOL)
+    loop = _leak(comb, "C", "B", rng)
+    assert not _lolli_oracle(loop, t)
+    assert not checks.check_membership(loop, ty, tol=TOL)
