@@ -9,13 +9,14 @@ reconstruction ``K' (x) discard``.
 
 On top of that primitive:
 
-* ``check_one_way``: causal, and the first event's marginal ignores the
-  second event's input.
-* ``check_nonsignalling``: causal, and no single event signals to the rest.
+* ``check_order_consistency``: causal, and for every event the events at
+  or above it (its up-set) do not signal into the rest; one condition per
+  event.  The one signalling procedure: ``check_one_way`` (a two-event
+  chain) and ``check_nonsignalling`` (an antichain) call it, and so does
+  ``check_membership`` for combs (a chain).
 * ``check_comb``: causal, and peeling events off the back one at a time
-  leaves marginals independent of the peeled input.
-* ``check_order_consistency``: causal, and no set of events signals into a
-  down-closed subset of a given partial order.
+  leaves marginals independent of the peeled input.  Kept as the
+  independent oracle behind ``check_via_totalisations``.
 * ``check_via_totalisations``: the same property checked instead as "is a
   comb for every linear extension" (the two agree; see the tests).
 * ``check_soc``: plugging every member of a spanning family of causal
@@ -101,39 +102,45 @@ def _condition(rep: CheckReport) -> tuple[float, str]:
     return rep.residual, rep.detail
 
 
-# -- pairwise and multipartite signalling ----------------------------------------
+# -- signalling along a partial order --------------------------------------------
+
+
+def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Is ``p`` causal and compatible with the partial order?
+
+    For every event ``x``, with ``U`` its up-set (the events at or above
+    ``x``), discarding the outputs of ``U`` must leave a process independent
+    of the inputs of ``U``.  When ``U`` is every event, causality covers it.
+
+    This equals the condition for every up-set, i.e. for the complement of
+    every down-closed set, which is a union of principal up-sets: discarding
+    the outputs of ``U1 | U2`` keeps the independence of ``U1``'s inputs and
+    of ``U2``'s, and plugging the uniform state into one and then the other
+    makes it independent of both, for functions, linear maps and relations
+    alike.  So ``len(poset)`` conditions replace up to ``2**len(poset)``.
+    """
+    check_partition(poset.events, p)
+    conditions = [_condition(backends.is_causal(p, tol))]
+    for x in poset.names:
+        up = [e for e in poset.events if poset.leq(x, e.name)]
+        if len(up) == len(poset):
+            continue
+        marg = core.discard_outputs(p, [l for e in up for l in e.outs])
+        residual, _ = _independence_residual(marg, [l for e in up for l in e.ins])
+        conditions.append(
+            (residual, f"events {[e.name for e in up]} (up-set of {x!r}) signal into the rest")
+        )
+    return _verdict(p, tol, conditions)
 
 
 def check_one_way(p: Process, first: Event, second: Event, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Is ``p`` causal and signalling at most from ``first`` to ``second``?
-
-    Concretely: discarding the outputs of ``second`` must leave a process
-    independent of the inputs of ``second``.
-    """
-    check_partition([first, second], p)
-    causal = backends.is_causal(p, tol)
-    marg = core.discard_outputs(p, second.outs)
-    residual, _ = _independence_residual(marg, second.ins)
-    return _verdict(p, tol, [
-        _condition(causal),
-        (residual, f"input of {second.name!r} influences the marginal of {first.name!r}"),
-    ])
+    """Is ``p`` causal and signalling at most from ``first`` to ``second``?"""
+    return check_order_consistency(p, EventPoset([first, second], [(first.name, second.name)]), tol)
 
 
 def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
-    """Is ``p`` causal with no event signalling to the others?
-
-    For each event, discarding its outputs must leave a process independent
-    of its inputs.  Single-event conditions imply the subset-wise ones, since
-    inputs can be switched one event at a time.
-    """
-    check_partition(events, p)
-    conditions = [_condition(backends.is_causal(p, tol))]
-    for e in events:
-        marg = core.discard_outputs(p, e.outs)
-        residual, _ = _independence_residual(marg, e.ins)
-        conditions.append((residual, f"event {e.name!r} signals to the rest"))
-    return _verdict(p, tol, conditions)
+    """Is ``p`` causal with no event signalling to the others?"""
+    return check_order_consistency(p, EventPoset(events), tol)
 
 
 def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
@@ -141,7 +148,9 @@ def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) ->
 
     The last event's output is discarded; the marginal must not depend on
     its input; the process with that event peeled off (uniform state plugged
-    in) must recursively be a comb on the remaining events.
+    in) must recursively be a comb on the remaining events.  An independent
+    oracle for :func:`check_order_consistency` on chains, behind
+    :func:`check_via_totalisations`.
     """
     check_partition(events, p)
     conditions = [_condition(backends.is_causal(p, tol))]
@@ -156,47 +165,15 @@ def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) ->
     return _verdict(p, tol, conditions)
 
 
-# -- arbitrary acyclic orders -----------------------------------------------------
+MAX_TOTALISED_EVENTS = 8
 
 
-def check_order_consistency(
-    p: Process, poset: EventPoset, tol: float = DEFAULT_TOL, max_events: int = 12
-) -> CheckReport:
-    """Is ``p`` causal and compatible with the partial order?
-
-    For every down-closed subset ``S`` of events, discarding the outputs of
-    the events outside ``S`` must leave a process independent of their
-    inputs: nothing outside a completed past can signal into it.
-    """
-    if len(poset) > max_events:
-        raise TooManyEvents(
-            f"{len(poset)} events would need up to 2**{len(poset)} marginal checks"
-        )
-    check_partition(poset.events, p)
-    conditions = [_condition(backends.is_causal(p, tol))]
-    all_names = set(poset.names)
-    for sub in poset.down_closed_subsets():
-        comp = all_names - sub
-        if not comp:
-            continue
-        outs = [l for n in comp for l in poset.event(n).outs]
-        ins = [l for n in comp for l in poset.event(n).ins]
-        marg = core.discard_outputs(p, outs)
-        residual, _ = _independence_residual(marg, ins)
-        conditions.append(
-            (residual, f"events {sorted(comp)} signal into the down-closed set {sorted(sub)}")
-        )
-    return _verdict(p, tol, conditions)
-
-
-def check_via_totalisations(
-    p: Process, poset: EventPoset, tol: float = DEFAULT_TOL, max_events: int = 8
-) -> CheckReport:
+def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
     """Order consistency checked the expensive way: ``p`` must be a comb for
     every linear extension of the partial order.  Agrees with
     :func:`check_order_consistency` and serves as its oracle in the tests.
     """
-    if len(poset) > max_events:
+    if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
@@ -519,7 +496,8 @@ def _signalling_check(p: Process, t: Type, n: Type, tol: float) -> CheckReport |
             Event(f"e{k}", ins=_fo_labels(seq[2 * k]), outs=_fo_labels(seq[2 * k + 1]))
             for k in range(len(seq) // 2)
         ]
-        return check_comb(p, events, tol)
+        chain = [(a.name, b.name) for a, b in zip(events, events[1:])]
+        return check_order_consistency(p, EventPoset(events, chain), tol)
 
     if _causal_shape(n):
         return backends.is_causal(p, tol)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -34,6 +35,17 @@ def _emit(doc: dict) -> None:
 
 def _say(line: str) -> None:
     print(line, file=sys.stderr)
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number, at least 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _verdict_exit(passed: bool, expect: str) -> int:
@@ -172,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp: argparse.ArgumentParser, expect: bool = True) -> None:
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual tolerance")
         sp.add_argument(
             "--budget", type=int, default=20000, help="bound on enumerated channel tuples (rel) / expansions"
         )
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--totalise",
         action="store_true",
-        help="with --poset: check all linear extensions instead of down-closed sets",
+        help="with --poset: check all linear extensions instead of the up-set of each event",
     )
     common(sp)
     sp.set_defaults(func=cmd_check)

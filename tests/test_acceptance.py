@@ -126,7 +126,7 @@ def test_criterion_03_order_consistency_equals_totalisations():
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
-    _announce(3, f"{checked} process/poset pairs: down-set check == all totalisations")
+    _announce(3, f"{checked} process/poset pairs: up-set check == all totalisations")
 
 
 def test_criterion_04_one_way_factorization_reconstructs():

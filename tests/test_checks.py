@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -44,7 +45,8 @@ def test_one_way_accepts_chain_rejects_reverse(backend, rng):
     p = _chain(backend, rng)
     assert checks.check_one_way(p, E1, E2, tol=TOL)
     # generic chains signal, so the opposite order fails
-    assert not checks.check_one_way(p, E2, E1, tol=TOL)
+    rep = checks.check_one_way(p, E2, E1, tol=TOL)
+    assert not rep and rep.detail == "events ['P1'] (up-set of 'P1') signal into the rest"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -63,6 +65,7 @@ def test_nonsignalling_product_and_swap(backend, rng):
     )
     rep = checks.check_nonsignalling(swap, [E1, E2], tol=TOL)
     assert not rep and rep.residual > 0.4
+    assert rep.detail == "events ['P1'] (up-set of 'P1') signal into the rest"
 
 
 def test_nonsignalling_implies_both_one_way(rng):
@@ -127,6 +130,10 @@ def test_order_consistency_matches_construction(rng):
     assert checks.check_order_consistency(inst.process, chain, tol=TOL)
     reverse = EventPoset(evs, [("E3", "E2"), ("E2", "E1")])
     assert not checks.check_order_consistency(inst.process, reverse, tol=TOL)
+    # E1 signals to E2, which this order leaves unrelated to it
+    fork = EventPoset(evs, [("E1", "E3"), ("E2", "E3")])
+    rep = checks.check_order_consistency(inst.process, fork, tol=TOL)
+    assert not rep and rep.detail == "events ['E1', 'E3'] (up-set of 'E1') signal into the rest"
 
 
 def test_order_consistency_equals_totalisations(rng):
@@ -156,18 +163,104 @@ def test_order_consistency_equals_totalisations(rng):
         assert a.passed == b.passed, f"seed {seed}: {a} vs {b}"
 
 
-def test_order_consistency_event_budget():
-    evs = [Event(f"E{k}", ins=f"A{k}", outs=f"A{k}'") for k in range(13)]
-    poset = EventPoset(evs)
-    p = backends.uniform_state(REL, tuple(System(f"A{k}'", 1) for k in range(13)))
-    p = Process(
-        REL,
-        p.out_wires,
-        tuple(System(f"A{k}", 1) for k in range(13)),
-        p.data.reshape((1,) * 26),
-    )
+def _dimension_one(n):
+    """The causal rel process of ``n`` events on dimension-1 wires."""
+    evs = [Event(f"E{k}", ins=f"A{k}", outs=f"A{k}'") for k in range(n)]
+    p = backends.uniform_state(REL, tuple(System(f"A{k}'", 1) for k in range(n)))
+    p = Process(REL, p.out_wires, tuple(System(f"A{k}", 1) for k in range(n)), p.data.reshape((1,) * 2 * n))
+    return p, evs
+
+
+def test_order_consistency_decides_sixteen_events():
+    p, evs = _dimension_one(16)
+    chain = [(a.name, b.name) for a, b in zip(evs[:8], evs[1:8])]
+    for poset in (EventPoset(evs), EventPoset(evs, chain)):
+        rep = checks.check_order_consistency(p, poset)
+        assert rep and rep.residual == 0.0
+
+
+def test_totalisations_event_limit():
+    p, evs = _dimension_one(checks.MAX_TOTALISED_EVENTS + 1)
     with pytest.raises(TooManyEvents):
-        checks.check_order_consistency(p, poset)
+        checks.check_via_totalisations(p, EventPoset(evs))
+    p, evs = _dimension_one(checks.MAX_TOTALISED_EVENTS)
+    chain = [(a.name, b.name) for a, b in zip(evs, evs[1:])]
+    assert checks.check_via_totalisations(p, EventPoset(evs, chain))
+
+
+def _signalling_oracle(p, poset, groups, tol):
+    """Causality, and for each group of events: discarding the group's
+    outputs leaves a process independent of the group's inputs."""
+    conditions = [(backends.is_causal(p, tol).residual, "")]
+    for group in groups:
+        up = [poset.event(n) for n in poset.names if n in group]
+        marg = core.discard_outputs(p, [l for e in up for l in e.outs])
+        residual, _ = checks._independence_residual(marg, [l for e in up for l in e.ins])
+        conditions.append((residual, ""))
+    return backends._verdict(p, tol, conditions)
+
+
+def _down_set_oracle(p, poset, tol):
+    """Order consistency by enumeration: nothing outside a non-empty
+    down-closed set signals into it.  Outside the empty set lie all events,
+    whose condition causality implies; it is left to ``is_causal`` as in
+    the comb and one-way conditions, since near ``tol`` its residual can
+    reach twice that of ``is_causal``."""
+    names = set(poset.names)
+    groups = [names - sub for sub in poset.down_closed_subsets() if sub and sub != names]
+    return _signalling_oracle(p, poset, groups, tol)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_order_consistency_matches_down_set_oracle(backend):
+    """Principal up-sets and every down-closed set give the same verdict; on
+    antichains and two-event chains the conditions are the per-event ones of
+    non-signalling and one-way signalling, with the same residual."""
+    gen = np.random.default_rng({MATR: 701, CPM: 702, REL: 703}[backend])
+    verdicts = set()
+    for k in range(60):
+        n = int(gen.integers(2, 5))
+        evs = [Event(f"E{j}", ins=f"A{j}", outs=f"A{j}'") for j in range(1, n + 1)]
+        outs = tuple(System(f"A{j}'", 2) for j in range(1, n + 1))
+        ins = tuple(System(f"A{j}", 2) for j in range(1, n + 1))
+        perm = list(gen.permutation(n))
+        rels = [
+            (evs[perm[i]].name, evs[perm[j]].name)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if gen.random() < 0.5
+        ]
+        poset = EventPoset(evs, rels)
+        kind = k % 4
+        if kind == 3:  # a product of channels fits every order
+            parts = [backends.random_causal(backend, (o,), (i,), gen) for o, i in zip(outs, ins)]
+            p = functools.reduce(core.tensor_par, parts)
+        elif kind == 2:
+            p = backends.random_causal(backend, outs, ins, gen)
+        else:  # an honest comb along a random linear extension
+            exts = list(poset.linear_extensions())
+            ext = exts[int(gen.integers(len(exts)))]
+            p = gallery.memory_comb(backend=backend, events=n, d=2, seed=k).process
+            mapping = {}
+            for j, name in enumerate(ext, start=1):
+                mapping |= {f"A{j}": poset.event(name).ins[0], f"A{j}'": poset.event(name).outs[0]}
+            p = core.rename(p, mapping)
+            if kind == 1 and backend != REL:  # perturbed around tol
+                eps = 10 ** gen.uniform(-11, -6)
+                p = Process(backend, p.out_wires, p.in_wires, p.data + eps * rand_data(backend, p.data.shape, gen))
+        got = checks.check_order_consistency(p, poset, tol=TOL)
+        want = _down_set_oracle(p, poset, TOL)
+        assert got.passed == want.passed, f"{backend} pair {k}, order {rels}: {got} vs {want}"
+        verdicts.add(got.passed)
+        if not rels:
+            old = _signalling_oracle(p, poset, [{e.name} for e in evs], TOL)
+            assert got.residual == old.residual == checks.check_nonsignalling(p, evs, tol=TOL).residual
+        if n == 2 and rels:
+            (first, second), = rels
+            old = _signalling_oracle(p, poset, [{second}], TOL)
+            rep = checks.check_one_way(p, poset.event(first), poset.event(second), tol=TOL)
+            assert got.residual == old.residual == rep.residual
+    assert verdicts == {True, False}
 
 
 def test_soc_single_party(rng):

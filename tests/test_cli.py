@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from causkit import core, gallery
 from causkit.cli import main
 
@@ -110,6 +112,13 @@ def test_error_paths_exit_2(capsys, tmp_path):
     bad.write_text("{\"backend\": \"matr+\"}")
     code, _, _ = run(capsys, "check", str(bad))
     assert code == 2
+    for argv in (("check", "example:swap_process"), ("examples", "bw_process")):
+        for tol in ("nan", "inf", "-0.5", "tiny"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol", tol])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert f"argument --tol: expected a finite number >= 0, got '{tol}'" in err
 
 
 def test_non_finite_data_exits_2(capsys, tmp_path):
