@@ -18,7 +18,10 @@ On top of that primitive:
   leaves marginals independent of the peeled input.  Kept as the
   independent oracle behind ``check_via_totalisations``.
 * ``check_via_totalisations``: the same property checked instead as "is a
-  comb for every linear extension" (the two agree; see the tests).
+  comb for every linear extension" (the two agree; see the tests).  The
+  combs share one causality check and take each peel step (an event, after
+  a given up-set is peeled) once: ``n * 2**(n - 1) - n`` peels on an
+  ``n``-event antichain instead of ``(n - 1) * n!``.
 * ``check_soc``: plugging every member of a spanning family of causal
   channels into the marked slots always leaves a causal process.
 
@@ -143,22 +146,53 @@ def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAUL
     return check_order_consistency(p, EventPoset(events), tol)
 
 
-def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
+class _Peeling:
+    """The peel steps of :func:`check_comb` on one process, each taken once
+    however many combs ask for it.
+
+    Peeling an event discards its outputs and plugs the uniform state into
+    its inputs.  On different wires these steps commute, so the remainder
+    after peeling a set ``S`` of events depends only on ``S``, and the
+    residual of peeling one more event only on ``S`` and that event.  The
+    first remainder computed for ``S`` is kept and every later step from
+    ``S`` starts from it.
+    """
+
+    def __init__(self, p: Process, tol: float):
+        self.causal = _condition(backends.is_causal(p, tol))
+        self.remainders: dict[frozenset[str], Process] = {frozenset(): p}
+        self.residuals: dict[tuple[str, frozenset[str]], float] = {}
+
+    def peel(self, e: Event, peeled: frozenset[str]) -> float:
+        """Residual of peeling ``e`` once the events ``peeled`` are gone."""
+        key = (e.name, peeled)
+        if key not in self.residuals:
+            marg = core.discard_outputs(self.remainders[peeled], e.outs)
+            self.residuals[key], rest = _independence_residual(marg, e.ins)
+            self.remainders.setdefault(peeled | {e.name}, rest)
+        return self.residuals[key]
+
+
+def check_comb(
+    p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL, *, _peeling: _Peeling | None = None
+) -> CheckReport:
     """Is ``p`` a comb with the given events in the given temporal order?
 
     The last event's output is discarded; the marginal must not depend on
     its input; the process with that event peeled off (uniform state plugged
     in) must recursively be a comb on the remaining events.  An independent
     oracle for :func:`check_order_consistency` on chains, behind
-    :func:`check_via_totalisations`.
+    :func:`check_via_totalisations`, which shares one ``_Peeling`` of ``p``
+    across all its combs; called alone it takes ``len(events) - 1`` peels.
     """
     check_partition(events, p)
-    conditions = [_condition(backends.is_causal(p, tol))]
-    q = p
+    peeling = _Peeling(p, tol) if _peeling is None else _peeling
+    conditions = [peeling.causal]
+    peeled: frozenset[str] = frozenset()
     for k in range(len(events) - 1, 0, -1):
         last = events[k]
-        marg = core.discard_outputs(q, last.outs)
-        residual, q = _independence_residual(marg, last.ins)
+        residual = peeling.peel(last, peeled)
+        peeled |= {last.name}
         conditions.append(
             (residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}")
         )
@@ -172,15 +206,21 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
     """Order consistency checked the expensive way: ``p`` must be a comb for
     every linear extension of the partial order.  Agrees with
     :func:`check_order_consistency` and serves as its oracle in the tests.
+
+    The combs share their work (see :class:`_Peeling`): ``is_causal`` runs
+    once, and each peel step, an event peeled after a given up-set, is taken
+    once.  An ``n``-event antichain thus takes ``n * 2**(n - 1) - n`` peels
+    instead of ``(n - 1) * n!``.
     """
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
     check_partition(poset.events, p)
+    peeling = _Peeling(p, tol)
     conditions = []
     for ext in poset.linear_extensions():
-        rep = check_comb(p, [poset.event(n) for n in ext], tol)
+        rep = check_comb(p, [poset.event(n) for n in ext], tol, _peeling=peeling)
         conditions.append((rep.passed, rep.residual, f"not a comb for the extension {ext}: {rep.detail}"))
     return _conjunction(conditions, tol)
 

@@ -128,7 +128,10 @@ def cmd_examples(args: argparse.Namespace) -> int:
         if "=" not in kv:
             raise CauskitError(f"--param expects key=value, got {kv!r}")
         k, v = kv.split("=", 1)
-        params[k] = int(v) if v.lstrip("-").isdigit() else v
+        try:
+            params[k] = int(v)
+        except ValueError:
+            params[k] = v  # e.g. backend=cpm; a builder rejects what it cannot use
     if args.seed is not None:
         params["seed"] = args.seed
     try:
@@ -241,10 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CauskitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (CauskitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

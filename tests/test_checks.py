@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import re
@@ -211,6 +212,42 @@ def _down_set_oracle(p, poset, tol):
     return _signalling_oracle(p, poset, groups, tol)
 
 
+def _random_instance(backend, gen, k, n):
+    """A random poset on ``n`` events with dimension-2 wires and a process
+    for it, by ``k % 4``: an honest comb relabelled to a random linear
+    extension (0), the same perturbed around tol on matr+/cpm (1), a generic
+    causal process (2) or a product of channels, which fits every order (3)."""
+    evs = [Event(f"E{j}", ins=f"A{j}", outs=f"A{j}'") for j in range(1, n + 1)]
+    outs = tuple(System(f"A{j}'", 2) for j in range(1, n + 1))
+    ins = tuple(System(f"A{j}", 2) for j in range(1, n + 1))
+    perm = list(gen.permutation(n))
+    rels = [
+        (evs[perm[i]].name, evs[perm[j]].name)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if gen.random() < 0.5
+    ]
+    poset = EventPoset(evs, rels)
+    kind = k % 4
+    if kind == 3:
+        parts = [backends.random_causal(backend, (o,), (i,), gen) for o, i in zip(outs, ins)]
+        p = functools.reduce(core.tensor_par, parts)
+    elif kind == 2:
+        p = backends.random_causal(backend, outs, ins, gen)
+    else:
+        exts = list(poset.linear_extensions())
+        ext = exts[int(gen.integers(len(exts)))]
+        p = gallery.memory_comb(backend=backend, events=n, d=2, seed=k).process
+        mapping = {}
+        for j, name in enumerate(ext, start=1):
+            mapping |= {f"A{j}": poset.event(name).ins[0], f"A{j}'": poset.event(name).outs[0]}
+        p = core.rename(p, mapping)
+        if kind == 1 and backend != REL:
+            eps = 10 ** gen.uniform(-11, -6)
+            p = Process(backend, p.out_wires, p.in_wires, p.data + eps * rand_data(backend, p.data.shape, gen))
+    return p, poset, rels
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_order_consistency_matches_down_set_oracle(backend):
     """Principal up-sets and every down-closed set give the same verdict; on
@@ -220,34 +257,8 @@ def test_order_consistency_matches_down_set_oracle(backend):
     verdicts = set()
     for k in range(60):
         n = int(gen.integers(2, 5))
-        evs = [Event(f"E{j}", ins=f"A{j}", outs=f"A{j}'") for j in range(1, n + 1)]
-        outs = tuple(System(f"A{j}'", 2) for j in range(1, n + 1))
-        ins = tuple(System(f"A{j}", 2) for j in range(1, n + 1))
-        perm = list(gen.permutation(n))
-        rels = [
-            (evs[perm[i]].name, evs[perm[j]].name)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if gen.random() < 0.5
-        ]
-        poset = EventPoset(evs, rels)
-        kind = k % 4
-        if kind == 3:  # a product of channels fits every order
-            parts = [backends.random_causal(backend, (o,), (i,), gen) for o, i in zip(outs, ins)]
-            p = functools.reduce(core.tensor_par, parts)
-        elif kind == 2:
-            p = backends.random_causal(backend, outs, ins, gen)
-        else:  # an honest comb along a random linear extension
-            exts = list(poset.linear_extensions())
-            ext = exts[int(gen.integers(len(exts)))]
-            p = gallery.memory_comb(backend=backend, events=n, d=2, seed=k).process
-            mapping = {}
-            for j, name in enumerate(ext, start=1):
-                mapping |= {f"A{j}": poset.event(name).ins[0], f"A{j}'": poset.event(name).outs[0]}
-            p = core.rename(p, mapping)
-            if kind == 1 and backend != REL:  # perturbed around tol
-                eps = 10 ** gen.uniform(-11, -6)
-                p = Process(backend, p.out_wires, p.in_wires, p.data + eps * rand_data(backend, p.data.shape, gen))
+        p, poset, rels = _random_instance(backend, gen, k, n)
+        evs = poset.events
         got = checks.check_order_consistency(p, poset, tol=TOL)
         want = _down_set_oracle(p, poset, TOL)
         assert got.passed == want.passed, f"{backend} pair {k}, order {rels}: {got} vs {want}"
@@ -261,6 +272,88 @@ def test_order_consistency_matches_down_set_oracle(backend):
             rep = checks.check_one_way(p, poset.event(first), poset.event(second), tol=TOL)
             assert got.residual == old.residual == rep.residual
     assert verdicts == {True, False}
+
+
+def _unshared_comb(p, events, tol):
+    """The comb check peeling one remainder after another, sharing nothing."""
+    causal = backends.is_causal(p, tol)
+    conditions = [(causal.residual, causal.detail)]
+    q = p
+    for k in range(len(events) - 1, 0, -1):
+        last = events[k]
+        residual, q = checks._independence_residual(core.discard_outputs(q, last.outs), last.ins)
+        conditions.append((residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}"))
+    return backends._verdict(p, tol, conditions)
+
+
+def _unshared_totalisations(p, poset, tol):
+    """Totalisations without shared work: a fresh comb check per extension."""
+    conditions = []
+    for ext in poset.linear_extensions():
+        rep = _unshared_comb(p, [poset.event(n) for n in ext], tol)
+        conditions.append((rep.passed, rep.residual, f"not a comb for the extension {ext}: {rep.detail}"))
+    return backends._conjunction(conditions, tol)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_totalisations_match_unshared_combs(backend):
+    """Sharing peel steps across extensions keeps every verdict and detail;
+    a remainder reached by another peel order may differ only by rounding.
+    A comb checked alone peels in one order and gives the same report."""
+    gen = np.random.default_rng({MATR: 801, CPM: 802, REL: 803}[backend])
+    verdicts = set()
+    for k in range(20 if backend == CPM else 40):  # a 5-event cpm process has 16 MB of data
+        n = int(gen.integers(2, 6))
+        p, poset, rels = _random_instance(backend, gen, k, n)
+        got = checks.check_via_totalisations(p, poset, tol=TOL)
+        want = _unshared_totalisations(p, poset, TOL)
+        assert (got.passed, got.detail) == (want.passed, want.detail), f"{backend} pair {k}, order {rels}"
+        if backend == REL:
+            assert got.residual == want.residual
+        else:
+            assert abs(got.residual - want.residual) <= 1e-12 * backends._scale(p)
+        verdicts.add(got.passed)
+        ext = [poset.event(name) for name in next(iter(poset.linear_extensions()))]
+        assert checks.check_comb(p, ext, tol=TOL) == _unshared_comb(p, ext, TOL)
+    assert verdicts == {True, False}
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _channels(n, order=()):
+    """A product of ``n`` dimension-2 matr+ channels and a poset on its events."""
+    gen = np.random.default_rng(n)
+    evs = [Event(f"E{k}", ins=f"A{k}", outs=f"A{k}'") for k in range(1, n + 1)]
+    parts = [backends.random_causal(MATR, (System(f"A{k}'", 2),), (System(f"A{k}", 2),), gen) for k in range(1, n + 1)]
+    return functools.reduce(core.tensor_par, parts), EventPoset(evs, order)
+
+
+@pytest.mark.parametrize(
+    "n, order, peels",
+    [pytest.param(n, (), n * 2 ** (n - 1) - n, id=f"antichain{n}") for n in (3, 4, 5, 6)]
+    + [
+        pytest.param(4, (("E1", "E2"), ("E3", "E4"), ("E1", "E4")), 8, id="chains2+2"),
+        pytest.param(5, (("E1", "E2"), ("E2", "E3"), ("E4", "E5"), ("E1", "E5")), 13, id="chains3+2"),
+    ],
+)
+def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, peels):
+    """One causality check, and one peel per event and up-set above it: on an
+    antichain ``n * 2**(n - 1) - n`` peels instead of ``(n - 1) * n!``; the
+    last two are the benchmark's two-chain poset shapes."""
+    p, poset = _channels(n, order)
+    counts = collections.Counter()
+    _count_calls(monkeypatch, checks, "_independence_residual", counts)
+    _count_calls(monkeypatch, backends, "is_causal", counts)
+    assert checks.check_via_totalisations(p, poset, tol=TOL)
+    assert counts == {"_independence_residual": peels, "is_causal": 1}
 
 
 def test_soc_single_party(rng):

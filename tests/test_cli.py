@@ -90,6 +90,30 @@ def test_examples_with_params(capsys):
     assert code == 0 and len(doc["checks"]) == 1
 
 
+def test_examples_param_not_an_integer(capsys):
+    code, out, err = run(capsys, "examples", "memory_comb", "--param", "events=--3")
+    assert code == 2 and out is None
+    assert err.startswith("error:") and "'--3'" in err
+
+
+def test_check_totalise_names_failing_extension(capsys, tmp_path):
+    """The swap process leaks from E2 back to E1, so E1 < E2 fails."""
+    poset = tmp_path / "o.json"
+    poset.write_text(json.dumps({
+        "events": [
+            {"name": "E1", "in": ["A"], "out": ["A'"]},
+            {"name": "E2", "in": ["B"], "out": ["B'"]},
+        ],
+        "order": [["E1", "E2"]],
+    }))
+    argv = ("check", "example:swap_process", "--poset", str(poset), "--totalise")
+    code, doc, _ = run(capsys, *argv)
+    assert code == 1 and doc["mode"] == "totalisations" and doc["passed"] is False
+    assert doc["detail"] == "not a comb for the extension ('E1', 'E2'): event 'E2' signals backwards to ['E1']"
+    code, doc, _ = run(capsys, *argv, "--expect", "fail")
+    assert code == 0 and doc["passed"] is False
+
+
 def test_convert_permutes_and_writes(capsys, tmp_path):
     out = tmp_path / "sw.json"
     code, _, err = run(
@@ -104,6 +128,8 @@ def test_convert_permutes_and_writes(capsys, tmp_path):
 def test_error_paths_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 2 and "error" in err
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 2 and out is None and err.startswith("error:") and "Is a directory" in err
     code, _, err = run(capsys, "check", "example:bw_process", "--type", "A[2] -o")
     assert code == 2
     code, _, err = run(capsys, "examples", "no_such_example")
