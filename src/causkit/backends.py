@@ -123,23 +123,18 @@ def _discard(backend: str, systems: tuple[System, ...]) -> Process:
 
 def uniform_state(backend: str, systems: Sequence[System]) -> Process:
     """The canonical causal state: uniform distribution, maximally mixed
-    state, or the full relation, on the given systems."""
+    state, or the full relation, on the given systems; the discarding
+    effect's data over the total dimension."""
     systems = tuple(systems)
-    dims = tuple(s.dim for s in systems)
-    total = int(np.prod(dims, dtype=np.int64))
-    if backend == CPM:
-        data = (np.eye(total, dtype=complex) / total).reshape(dims + dims)
-    else:
-        data = np.full(dims, 1.0 / total)  # for rel, every weight is nonzero: True
-    return Process(backend, systems, (), data)
+    total = math.prod(s.dim for s in systems)
+    return Process(backend, systems, (), discard(backend, systems).data / total)
 
 
 def dimension(backend: str, system: System):
     """The scalar obtained by discarding the uniform-weight point: ``d`` for
     matr+, ``d**2`` for cpm, ``True`` for rel."""
-    if backend == REL:
-        return True
-    return float(system.dim ** core._spec(backend).axes_per_wire)
+    spec = core._spec(backend)
+    return spec.exact or float(system.dim**spec.axes_per_wire)  # rel: the nonzero scalar True
 
 
 # -- verdicts ------------------------------------------------------------------

@@ -7,23 +7,20 @@ distribution / maximally mixed state / full relation) into them, and the
 residual is the largest entrywise deviation between ``K`` and the
 reconstruction ``K' (x) discard``.
 
-On top of that primitive:
+One memo, ``_Peeling``, takes every signalling step: peeling an event after
+an up-set discards its outputs and asks for independence of its inputs.
+Besides causality, three procedures ask for different steps:
 
-* ``check_order_consistency``: causal, and for every event the events at
-  or above it (its up-set) do not signal into the rest; one condition per
-  event.  The one signalling procedure: ``check_one_way`` (a two-event
-  chain) and ``check_nonsignalling`` (an antichain) call it, and so does
-  ``check_membership`` for combs (a chain).
-* ``check_comb``: causal, and peeling events off the back one at a time
-  leaves marginals independent of the peeled input.  Kept as the
-  independent oracle behind ``check_via_totalisations``.
-* ``check_via_totalisations``: the same property checked instead as "is a
-  comb for every linear extension" (the two agree; see the tests).  The
-  combs share one causality check and take each peel step (an event, after
-  a given up-set is peeled) once: ``n * 2**(n - 1) - n`` peels on an
-  ``n``-event antichain instead of ``(n - 1) * n!``.
-* ``check_soc``: plugging every member of a spanning family of causal
-  channels into the marked slots always leaves a causal process.
+* ``check_order_consistency``: each event whose up-set is not every event,
+  after the rest of its up-set; ``check_one_way`` (a two-event chain) and
+  ``check_nonsignalling`` (an antichain) call it;
+* ``check_comb``: the same on a chain, peeling events off the back;
+* ``check_via_totalisations``: the comb steps of every linear extension:
+  ``n * 2**(n - 1) - n`` peels on an ``n``-event antichain instead of
+  ``(n - 1) * n!``.  The tests' oracle for order consistency.
+
+``check_soc``: plugging every member of a spanning family of causal
+channels into the marked slots always leaves a causal process.
 
 Apart from these, ``check_projector`` decides any type built with tensor,
 par and duality on the affine backends (matr+, cpm) without enumerating
@@ -78,22 +75,14 @@ from .typesys import (
 # -- the independence primitive -------------------------------------------------
 
 
-def _extract(p: Process, in_labels: Sequence[str]) -> Process:
-    """Plug the uniform causal state into the given inputs."""
-    if not in_labels:
-        return p
-    systems = tuple(p.wire(l) for l in in_labels)
-    st = backends.uniform_state(p.backend, systems)
-    return core.plug(st, p, [(l, l) for l in in_labels])
-
-
 def _independence_residual(p: Process, in_labels: Sequence[str]) -> tuple[float, Process]:
-    """Residual of ``p = p' (x) discard`` on ``in_labels``, and that ``p'``."""
+    """Residual of ``p = p' (x) discard`` on ``in_labels``, and that ``p'``:
+    ``p`` with the uniform causal state plugged into those inputs."""
     if not in_labels:
         return 0.0, p
-    extracted = _extract(p, in_labels)
-    disc = backends.discard(p.backend, tuple(p.wire(l) for l in in_labels))
-    recon = core.tensor_par(extracted, disc)
+    systems = tuple(p.wire(l) for l in in_labels)
+    extracted = core.plug(backends.uniform_state(p.backend, systems), p, [(l, l) for l in in_labels])
+    recon = core.tensor_par(extracted, backends.discard(p.backend, systems))
     recon = core.permute(
         recon, [w.label for w in p.out_wires], [w.label for w in p.in_wires]
     )
@@ -105,34 +94,73 @@ def _condition(rep: CheckReport) -> tuple[float, str]:
     return rep.residual, rep.detail
 
 
+class _Peeling:
+    """The peel steps of one process along one poset, each taken once.
+
+    Peeling ``x`` after an up-set ``S`` discards ``x``'s outputs from the
+    remainder of ``S``, measures the marginal's dependence on ``x``'s inputs
+    and plugs the uniform state into them, leaving the remainder of
+    ``S | {x}``.  Steps on different wires commute, so a remainder depends
+    only on its set: the first one computed is kept, and a missing one is
+    built by peeling its events top first (every prefix is an up-set).
+    """
+
+    def __init__(self, p: Process, poset: EventPoset, tol: float):
+        self.poset = poset
+        self.up = {x: frozenset(n for n in poset.names if poset.leq(x, n)) for x in poset.names}
+        self.top_first = sorted(poset.names, key=lambda x: len(self.up[x]))
+        self.causal = _condition(backends.is_causal(p, tol))
+        self.remainders: dict[frozenset[str], Process] = {frozenset(): p}
+        self.residuals: dict[tuple[str, frozenset[str]], float] = {}
+
+    def remainder(self, peeled: frozenset[str]) -> Process:
+        """``p`` with the events ``peeled`` peeled."""
+        if peeled not in self.remainders:
+            *above, lowest = [x for x in self.top_first if x in peeled]
+            self.step(lowest, frozenset(above))
+        return self.remainders[peeled]
+
+    def step(self, x: str, peeled: frozenset[str]) -> float:
+        """Residual of peeling ``x`` once the events ``peeled`` are gone."""
+        key = (x, peeled)
+        if key not in self.residuals:
+            e = self.poset.event(x)
+            marg = core.discard_outputs(self.remainder(peeled), e.outs)
+            self.residuals[key], rest = _independence_residual(marg, e.ins)
+            self.remainders.setdefault(peeled | {x}, rest)
+        return self.residuals[key]
+
+    def condition(self, x: str, peeled: frozenset[str], order: Sequence[str]) -> tuple[float, str]:
+        """The step as a condition, naming the events of ``order`` still there."""
+        rest = [n for n in order if n != x and n not in peeled]
+        return self.step(x, peeled), f"event {x!r} signals backwards to {rest}"
+
+
 # -- signalling along a partial order --------------------------------------------
 
 
 def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
     """Is ``p`` causal and compatible with the partial order?
 
-    For every event ``x``, with ``U`` its up-set (the events at or above
-    ``x``), discarding the outputs of ``U`` must leave a process independent
-    of the inputs of ``U``.  When ``U`` is every event, causality covers it.
+    For every event ``x`` whose up-set ``U`` (the events at or above ``x``)
+    is not every event, peeling ``x`` after ``U - {x}`` must pass; the first
+    failing event, taken top first, is named.  Causality covers the rest.
 
-    This equals the condition for every up-set, i.e. for the complement of
-    every down-closed set, which is a union of principal up-sets: discarding
-    the outputs of ``U1 | U2`` keeps the independence of ``U1``'s inputs and
-    of ``U2``'s, and plugging the uniform state into one and then the other
-    makes it independent of both, for functions, linear maps and relations
-    alike.  So ``len(poset)`` conditions replace up to ``2**len(poset)``.
+    This says that no down-closed set is signalled into from its complement,
+    a union of principal up-sets: discarding the outputs of ``U1 | U2``
+    keeps the independence of ``U1``'s inputs and of ``U2``'s, and plugging
+    the uniform state into one and then the other makes it independent of
+    both.  And once the events above ``x`` pass (induction up the order),
+    ``p`` without ``U``'s outputs is the remainder of ``U - {x}`` without
+    ``x``'s outputs, tensored with discarding the inputs of ``U - {x}``: it
+    is independent of ``U``'s inputs exactly when ``x``'s step passes.
     """
     check_partition(poset.events, p)
-    conditions = [_condition(backends.is_causal(p, tol))]
-    for x in poset.names:
-        up = [e for e in poset.events if poset.leq(x, e.name)]
-        if len(up) == len(poset):
-            continue
-        marg = core.discard_outputs(p, [l for e in up for l in e.outs])
-        residual, _ = _independence_residual(marg, [l for e in up for l in e.ins])
-        conditions.append(
-            (residual, f"events {[e.name for e in up]} (up-set of {x!r}) signal into the rest")
-        )
+    peeling = _Peeling(p, poset, tol)
+    conditions = [peeling.causal]
+    for x in peeling.top_first:
+        if len(peeling.up[x]) < len(poset):
+            conditions.append(peeling.condition(x, peeling.up[x] - {x}, poset.names))
     return _verdict(p, tol, conditions)
 
 
@@ -146,83 +174,34 @@ def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAUL
     return check_order_consistency(p, EventPoset(events), tol)
 
 
-class _Peeling:
-    """The peel steps of :func:`check_comb` on one process, each taken once
-    however many combs ask for it.
-
-    Peeling an event discards its outputs and plugs the uniform state into
-    its inputs.  On different wires these steps commute, so the remainder
-    after peeling a set ``S`` of events depends only on ``S``, and the
-    residual of peeling one more event only on ``S`` and that event.  The
-    first remainder computed for ``S`` is kept and every later step from
-    ``S`` starts from it.
-    """
-
-    def __init__(self, p: Process, tol: float):
-        self.causal = _condition(backends.is_causal(p, tol))
-        self.remainders: dict[frozenset[str], Process] = {frozenset(): p}
-        self.residuals: dict[tuple[str, frozenset[str]], float] = {}
-
-    def peel(self, e: Event, peeled: frozenset[str]) -> float:
-        """Residual of peeling ``e`` once the events ``peeled`` are gone."""
-        key = (e.name, peeled)
-        if key not in self.residuals:
-            marg = core.discard_outputs(self.remainders[peeled], e.outs)
-            self.residuals[key], rest = _independence_residual(marg, e.ins)
-            self.remainders.setdefault(peeled | {e.name}, rest)
-        return self.residuals[key]
-
-
-def check_comb(
-    p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL, *, _peeling: _Peeling | None = None
-) -> CheckReport:
-    """Is ``p`` a comb with the given events in the given temporal order?
-
-    The last event's output is discarded; the marginal must not depend on
-    its input; the process with that event peeled off (uniform state plugged
-    in) must recursively be a comb on the remaining events.  An independent
-    oracle for :func:`check_order_consistency` on chains, behind
-    :func:`check_via_totalisations`, which shares one ``_Peeling`` of ``p``
-    across all its combs; called alone it takes ``len(events) - 1`` peels.
-    """
-    check_partition(events, p)
-    peeling = _Peeling(p, tol) if _peeling is None else _peeling
-    conditions = [peeling.causal]
-    peeled: frozenset[str] = frozenset()
-    for k in range(len(events) - 1, 0, -1):
-        last = events[k]
-        residual = peeling.peel(last, peeled)
-        peeled |= {last.name}
-        conditions.append(
-            (residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}")
-        )
-    return _verdict(p, tol, conditions)
+def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
+    """Is ``p`` a comb with the given events in the given temporal order,
+    i.e. consistent with their chain (peeled off the back one at a time)?"""
+    chain = [(a.name, b.name) for a, b in zip(events, events[1:])]
+    return check_order_consistency(p, EventPoset(events, chain), tol)
 
 
 MAX_TOTALISED_EVENTS = 8
 
 
 def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Order consistency checked the expensive way: ``p`` must be a comb for
-    every linear extension of the partial order.  Agrees with
-    :func:`check_order_consistency` and serves as its oracle in the tests.
-
-    The combs share their work (see :class:`_Peeling`): ``is_causal`` runs
-    once, and each peel step, an event peeled after a given up-set, is taken
-    once.  An ``n``-event antichain thus takes ``n * 2**(n - 1) - n`` peels
-    instead of ``(n - 1) * n!``.
-    """
+    """Order consistency checked the expensive way, as the paper states it:
+    ``p`` must be a comb for every linear extension of the partial order.
+    The extensions share one :class:`_Peeling` and one verdict."""
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
     check_partition(poset.events, p)
-    peeling = _Peeling(p, tol)
-    conditions = []
-    for ext in poset.linear_extensions():
-        rep = check_comb(p, [poset.event(n) for n in ext], tol, _peeling=peeling)
-        conditions.append((rep.passed, rep.residual, f"not a comb for the extension {ext}: {rep.detail}"))
-    return _conjunction(conditions, tol)
+    peeling = _Peeling(p, poset, tol)
+    exts = list(poset.linear_extensions())
+    residual, detail = peeling.causal
+    conditions = [(residual, f"not a comb for the extension {exts[0]}: {detail}")]
+    for ext in exts:
+        for k in range(len(ext) - 1, 0, -1):
+            residual, detail = peeling.condition(ext[k], frozenset(ext[k + 1 :]), ext)
+            conditions.append((residual, f"not a comb for the extension {ext}: {detail}"))
+    return _verdict(p, tol, conditions)
 
 
 # -- second-order causal processes ------------------------------------------------
@@ -536,8 +515,7 @@ def _signalling_check(p: Process, t: Type, n: Type, tol: float) -> CheckReport |
             Event(f"e{k}", ins=_fo_labels(seq[2 * k]), outs=_fo_labels(seq[2 * k + 1]))
             for k in range(len(seq) // 2)
         ]
-        chain = [(a.name, b.name) for a, b in zip(events, events[1:])]
-        return check_order_consistency(p, EventPoset(events, chain), tol)
+        return check_comb(p, events, tol)
 
     if _causal_shape(n):
         return backends.is_causal(p, tol)

@@ -12,6 +12,7 @@ entry built with its default parameters.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -37,15 +38,44 @@ def _say(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _tolerance(text: str) -> float:
-    """A ``--tol`` value: a finite number, at least 0."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return tol
+def _at_least(kind: type, low: int, what: str):
+    """An argparse type: a finite ``kind`` value, at least ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"expected {what} >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _at_least(float, 0, "a finite number")
+_budget = _at_least(int, 1, "an integer")
+
+
+def _example_params(builder, pairs: Sequence[str]) -> dict[str, object]:
+    """``key=value`` pairs for a gallery builder, each value read as the type
+    of that parameter's default."""
+    signature = inspect.signature(builder).parameters
+    params: dict[str, object] = {}
+    for kv in pairs:
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise CauskitError(f"--param expects key=value, got {kv!r}")
+        if key not in signature:
+            takes = ", ".join(signature) or "no parameters"
+            raise CauskitError(f"unknown --param {key!r}; {builder.__name__} takes {takes}")
+        kind = type(signature[key].default)  # every builder has defaults: example:NAME uses them
+        try:
+            params[key] = kind(value)
+        except ValueError:
+            article = "an" if kind is int else "a"
+            raise CauskitError(f"--param {key} expects {article} {kind.__name__}, got {value!r}") from None
+    return params
 
 
 def _verdict_exit(passed: bool, expect: str) -> int:
@@ -123,18 +153,10 @@ def cmd_examples(args: argparse.Namespace) -> int:
             _say(f"{name:20} {doc}")
         _emit({"examples": listing})
         return 0
-    params: dict[str, object] = {}
-    for kv in args.param or []:
-        if "=" not in kv:
-            raise CauskitError(f"--param expects key=value, got {kv!r}")
-        k, v = kv.split("=", 1)
-        try:
-            params[k] = int(v)
-        except ValueError:
-            params[k] = v  # e.g. backend=cpm; a builder rejects what it cannot use
-    if args.seed is not None:
-        params["seed"] = args.seed
     try:
+        params = _example_params(gallery.builder(args.name), args.param or [])
+        if args.seed is not None:
+            params["seed"] = args.seed
         inst = gallery.build(args.name, **params)
     except (ValueError, TypeError) as e:
         raise CauskitError(str(e)) from e
@@ -189,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser, expect: bool = True) -> None:
         sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual tolerance")
         sp.add_argument(
-            "--budget", type=int, default=20000, help="bound on enumerated channel tuples (rel) / expansions"
+            "--budget", type=_budget, default=20000, help="bound on enumerated channel tuples (rel) / expansions"
         )
         if expect:
             sp.add_argument(
@@ -207,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--totalise",
         action="store_true",
-        help="with --poset: check all linear extensions instead of the up-set of each event",
+        help="with --poset: check the comb conditions of every linear extension instead of one peel per event",
     )
     common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("prove", help="decide a type sequent, e.g. \"A (x) B |- A (+) B\"")
     sp.add_argument("sequent")
-    sp.add_argument("--budget", type=int, default=200_000)
+    sp.add_argument("--budget", type=_budget, default=200_000)
     sp.add_argument("--expect", choices=("pass", "fail"), default="pass")
     sp.set_defaults(func=cmd_prove)
 

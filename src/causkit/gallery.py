@@ -241,21 +241,20 @@ def memory_comb(
     The canonical inhabitant of the comb type for its event order.
     """
     rng = np.random.default_rng(seed)
-    n = int(events)
-    if n < 1:
+    if events < 1:
         raise ValueError("a comb needs at least one event")
-    sysA = [System(f"A{k}", d) for k in range(1, n + 1)]
-    sysO = [System(f"A{k}'", d) for k in range(1, n + 1)]
-    mem = [System(f"M{k}", d) for k in range(1, n)]
-    if n == 1:
+    sysA = [System(f"A{k}", d) for k in range(1, events + 1)]
+    sysO = [System(f"A{k}'", d) for k in range(1, events + 1)]
+    mem = [System(f"M{k}", d) for k in range(1, events)]
+    if events == 1:
         p = backends.random_causal(backend, (sysO[0],), (sysA[0],), rng)
     else:
         p = backends.random_causal(backend, (sysO[0], mem[0]), (sysA[0],), rng)
-        for k in range(1, n):
-            outs = (sysO[k],) if k == n - 1 else (sysO[k], mem[k])
+        for k in range(1, events):
+            outs = (sysO[k],) if k == events - 1 else (sysO[k], mem[k])
             step = backends.random_causal(backend, outs, (mem[k - 1], sysA[k]), rng)
             p = core.plug(p, step, [(mem[k - 1].label, mem[k - 1].label)])
-    pairs = [(f"A{k}[{d}]", f"A{k}'[{d}]") for k in range(1, n + 1)]
+    pairs = [(f"A{k}[{d}]", f"A{k}'[{d}]") for k in range(1, events + 1)]
     return ExampleInstance(
         "memory_comb",
         memory_comb.__doc__.splitlines()[0],
@@ -315,14 +314,17 @@ REGISTRY: dict[str, Callable[..., ExampleInstance]] = {
 }
 
 
-def build(name: str, **params) -> ExampleInstance:
+def builder(name: str) -> Callable[..., ExampleInstance]:
     try:
-        builder = REGISTRY[name]
+        return REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown example {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
-    return builder(**params)
+
+
+def build(name: str, **params) -> ExampleInstance:
+    return builder(name)(**params)
 
 
 GOLDEN_BUILDERS: dict[str, Callable[[], ExampleInstance]] = {

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from causkit import backends, checks, core
 from causkit.core import MATR, REL, Process, System
 from causkit.mll import FAtom, FBot, FOne, FPar, FTensor, Proof
 
@@ -46,6 +47,19 @@ def rand_systems(
     return tuple(
         System(f"{prefix}{k}", int(rng.integers(1, max_dim + 1))) for k in range(n)
     )
+
+
+def _unshared_comb(p, events, tol):
+    """The comb check peeling one remainder after another, sharing nothing:
+    an oracle for ``check_comb`` that does not go through its memo."""
+    causal = backends.is_causal(p, tol)
+    conditions = [(causal.residual, causal.detail)]
+    q = p
+    for k in range(len(events) - 1, 0, -1):
+        last = events[k]
+        residual, q = checks._independence_residual(core.discard_outputs(q, last.outs), last.ins)
+        conditions.append((residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}"))
+    return backends._verdict(p, tol, conditions)
 
 
 def fuzz_proof(rng: np.random.Generator, max_depth: int = 6, fresh: bool = False) -> Proof:

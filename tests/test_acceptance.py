@@ -15,7 +15,7 @@ import pytest
 from causkit import axioms, backends, checks, core, gallery, mll
 from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
 from causkit.events import Event, EventPoset
-from conftest import fuzz_proof
+from conftest import _unshared_comb, fuzz_proof
 
 TOL = 1e-9
 FACTOR_TOL = 1e-12
@@ -67,7 +67,7 @@ def test_criterion_02_comb_checks_agree_with_comb_types():
         backend = backends_cycle[k % 3]
         n = 2 + k % 2
         p, ty = _comb_instance(backend, n, seed=k)
-        direct = checks.check_comb(p, _comb_events(n), tol=TOL)
+        direct = _unshared_comb(p, _comb_events(n), TOL)
         typed = checks.check_membership(p, ty, tol=TOL)
         assert direct.passed and typed.passed, f"honest comb {k} ({backend}, {n} events)"
         agree += 1
@@ -87,7 +87,7 @@ def test_criterion_02_comb_checks_agree_with_comb_types():
         else:
             p = Process(p.backend, p.out_wires, p.in_wires, 1.3 * p.data)
             events = _comb_events(n)
-        direct = checks.check_comb(p, events, tol=TOL)
+        direct = _unshared_comb(p, events, TOL)
         typed = checks.check_membership(p, ty, tol=TOL)
         assert not direct.passed and not typed.passed, f"perturbed comb {k} ({backend})"
     elapsed = time.monotonic() - t0

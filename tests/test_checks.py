@@ -25,7 +25,7 @@ from causkit.errors import (
 )
 from causkit.events import Event, EventPoset
 from causkit.typesys import atom_occurrences, is_first_order, normalize, parse_type, render_type
-from conftest import rand_data
+from conftest import _unshared_comb, rand_data
 
 TOL = 1e-9
 
@@ -47,7 +47,7 @@ def test_one_way_accepts_chain_rejects_reverse(backend, rng):
     assert checks.check_one_way(p, E1, E2, tol=TOL)
     # generic chains signal, so the opposite order fails
     rep = checks.check_one_way(p, E2, E1, tol=TOL)
-    assert not rep and rep.detail == "events ['P1'] (up-set of 'P1') signal into the rest"
+    assert not rep and rep.detail == "event 'P1' signals backwards to ['P2']"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -66,7 +66,7 @@ def test_nonsignalling_product_and_swap(backend, rng):
     )
     rep = checks.check_nonsignalling(swap, [E1, E2], tol=TOL)
     assert not rep and rep.residual > 0.4
-    assert rep.detail == "events ['P1'] (up-set of 'P1') signal into the rest"
+    assert rep.detail == "event 'P1' signals backwards to ['P2']"
 
 
 def test_nonsignalling_implies_both_one_way(rng):
@@ -134,7 +134,7 @@ def test_order_consistency_matches_construction(rng):
     # E1 signals to E2, which this order leaves unrelated to it
     fork = EventPoset(evs, [("E1", "E3"), ("E2", "E3")])
     rep = checks.check_order_consistency(inst.process, fork, tol=TOL)
-    assert not rep and rep.detail == "events ['E1', 'E3'] (up-set of 'E1') signal into the rest"
+    assert not rep and rep.detail == "event 'E1' signals backwards to ['E2']"
 
 
 def test_order_consistency_equals_totalisations(rng):
@@ -274,18 +274,6 @@ def test_order_consistency_matches_down_set_oracle(backend):
     assert verdicts == {True, False}
 
 
-def _unshared_comb(p, events, tol):
-    """The comb check peeling one remainder after another, sharing nothing."""
-    causal = backends.is_causal(p, tol)
-    conditions = [(causal.residual, causal.detail)]
-    q = p
-    for k in range(len(events) - 1, 0, -1):
-        last = events[k]
-        residual, q = checks._independence_residual(core.discard_outputs(q, last.outs), last.ins)
-        conditions.append((residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}"))
-    return backends._verdict(p, tol, conditions)
-
-
 def _unshared_totalisations(p, poset, tol):
     """Totalisations without shared work: a fresh comb check per extension."""
     conditions = []
@@ -354,6 +342,40 @@ def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, peels):
     _count_calls(monkeypatch, backends, "is_causal", counts)
     assert checks.check_via_totalisations(p, poset, tol=TOL)
     assert counts == {"_independence_residual": peels, "is_causal": 1}
+
+
+@pytest.mark.parametrize(
+    "n, order, peels",
+    [pytest.param(n, (), n, id=f"antichain{n}") for n in (2, 4, 6)]
+    + [
+        pytest.param(n, [(f"E{k}", f"E{k + 1}") for k in range(1, n)], n - 1, id=f"chain{n}")
+        for n in (2, 4, 6)
+    ]
+    + [
+        pytest.param(4, (("E1", "E2"), ("E3", "E4"), ("E1", "E4")), 5, id="chains2+2"),
+        pytest.param(5, (("E1", "E2"), ("E2", "E3"), ("E4", "E5"), ("E1", "E5")), 7, id="chains3+2"),
+    ],
+)
+def test_order_consistency_peels_each_up_set_once(monkeypatch, n, order, peels):
+    """One causality check, and each event peeled after the rest of its
+    up-set, whose remainder is built from the peels above it: ``n`` peels on
+    an antichain, ``n - 1`` on a chain."""
+    p, poset = _channels(n, order)
+    counts = collections.Counter()
+    _count_calls(monkeypatch, checks, "_independence_residual", counts)
+    _count_calls(monkeypatch, backends, "is_causal", counts)
+    assert checks.check_order_consistency(p, poset, tol=TOL)
+    assert counts == {"_independence_residual": peels, "is_causal": 1}
+
+
+def test_totalisations_scale_the_process_at_most_twice(monkeypatch):
+    """The 120 extensions of a 5-event antichain share one verdict: ``p``'s
+    scale is taken by ``is_causal`` and by that verdict only."""
+    p, poset = _channels(5)
+    counts = collections.Counter()
+    _count_calls(monkeypatch, backends, "_scale", counts)
+    assert checks.check_via_totalisations(p, poset, tol=TOL)
+    assert counts["_scale"] <= 2
 
 
 def test_soc_single_party(rng):
@@ -639,7 +661,7 @@ def test_membership_comb_matches_check_comb():
     inst = gallery.memory_comb(backend=MATR, events=3, d=2, seed=21)
     ty = inst.expectations[0][0]
     evs = [Event(f"E{k}", ins=f"A{k}", outs=f"A{k}'") for k in (1, 2, 3)]
-    direct = checks.check_comb(inst.process, evs, tol=TOL)
+    direct = _unshared_comb(inst.process, evs, TOL)
     via_type = checks.check_membership(inst.process, ty, tol=TOL)
     assert direct.passed == via_type.passed == True  # noqa: E712
 

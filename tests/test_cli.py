@@ -145,6 +145,17 @@ def test_error_paths_exit_2(capsys, tmp_path):
             out, err = capsys.readouterr()
             assert exc.value.code == 2 and out == ""
             assert f"argument --tol: expected a finite number >= 0, got '{tol}'" in err
+    for argv in (("check", "example:swap_process"), ("examples", "bw_process"), ("prove", "A |- A")):
+        for budget in ("-3", "0", "1.5", "many"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--budget", budget])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert f"argument --budget: expected an integer >= 1, got '{budget}'" in err
+    code, out, err = run(capsys, "examples", "memory_comb", "--param", "d=2", "--param", "events=abc")
+    assert code == 2 and out is None and "error: --param events expects an int, got 'abc'" in err
+    code, out, err = run(capsys, "examples", "memory_comb", "--param", "nodes=3")
+    assert code == 2 and out is None and "unknown --param 'nodes'; memory_comb takes backend, events, d, seed" in err
 
 
 def test_non_finite_data_exits_2(capsys, tmp_path):
