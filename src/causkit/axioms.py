@@ -14,8 +14,9 @@ randomized or exhaustive verdicts:
         hidden memory, the construction itself being out of scope there.
 ``C5``  effects that normalize every channel state split as an effect on
         the input factor times discarding: checked by computing the null
-        space of the normalization constraints and matching it against the
-        split pattern.  This one *fails* for rel — the witness effect
+        space of the normalization constraints and asking the independence
+        primitive of :mod:`causkit.checks` whether each effect in it depends
+        on the output factor.  This one *fails* for rel — the witness effect
         ``w(i, j) = not (i and j)`` on bits normalizes all nine total
         relations without splitting — and the harness reports exactly that.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends, checks, core
-from .core import BACKENDS, CPM, MATR, REL, Process, System
+from .core import BACKENDS, CPM, REL, Process, System
 from .errors import FormatError, UnsupportedBackend
 from .events import Event
 
@@ -238,21 +239,16 @@ def _c5(backend: str, cfg: HarnessConfig, rng: np.random.Generator) -> AxiomResu
     worst = 0.0
     for dA in range(2, cfg.max_dim + 1):
         for dB in range(2, cfg.max_dim + 1):
-            null, shape = _c5_null_space(_channel_states(backend, dA, dB))
+            states = _channel_states(backend, dA, dB)
+            null, shape = _c5_null_space(states)
             for vec in null:
-                w = vec.reshape(shape)
-                if backend == MATR:
-                    dev = float(np.max(np.abs(w - w[:, [0]])))
-                else:
-                    # pattern R (x) identity on the B factor
-                    r = np.einsum("abcb->ac", w) / dB
-                    recon = np.einsum("ac,bd->abcd", r, np.eye(dB))
-                    dev = float(np.max(np.abs(w - recon)))
-                worst = max(worst, dev)
+                # does the effect, with the states' wires (A, B) as inputs, depend on B?
+                effect = Process(backend, (), states[0].out_wires, vec.reshape(shape))
+                worst = max(worst, checks._independence_residual(effect, ["B"])[0])
     return AxiomResult(
         "C5", backend, worst <= 1e-8, float(worst),
         "every normalizing effect is constant in the output factor "
-        "(null space of the constraints matches the split pattern)",
+        "(no effect in the null space of the constraints depends on it)",
     )
 
 

@@ -28,10 +28,10 @@ anything: it compiles the type to the set of terms, patterns of wires off
 the identity, that its members may contain, and checks that the process
 contains no other term, has the type's total and is positive.
 
-``check_membership`` maps a causal type to whichever of these applies: the
-signalling shapes keep their procedures on every backend, every other type
-goes to the projector on matr+ and cpm, and on rel second-order types go
-to ``check_soc``.
+``check_membership`` maps a causal type to whichever of these applies: one
+event (its dualled atoms are inputs, its plain atoms outputs) to causality,
+combs and tensors of events to their procedures on every backend, every
+other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backends, core
-from .backends import CheckReport, _conjunction, _verdict
+from .backends import CheckReport, Detail, _conjunction, _verdict
 from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System
 from .errors import (
     CombinatorialBlowup,
@@ -62,7 +62,6 @@ from .typesys import (
     Par,
     Tensor,
     Type,
-    Unit,
     atom_occurrences,
     fo_embedding,
     is_first_order,
@@ -130,10 +129,15 @@ class _Peeling:
             self.remainders.setdefault(peeled | {x}, rest)
         return self.residuals[key]
 
-    def condition(self, x: str, peeled: frozenset[str], order: Sequence[str]) -> tuple[float, str]:
-        """The step as a condition, naming the events of ``order`` still there."""
-        rest = [n for n in order if n != x and n not in peeled]
-        return self.step(x, peeled), f"event {x!r} signals backwards to {rest}"
+    def condition(self, x: str, peeled: frozenset[str], order: Sequence[str], prefix: str = "") -> tuple[float, Detail]:
+        """The step as a condition whose detail, formatted only if it is
+        reported, names the events of ``order`` still there."""
+
+        def detail() -> str:
+            rest = [n for n in order if n != x and n not in peeled]
+            return f"{prefix}event {x!r} signals backwards to {rest}"
+
+        return self.step(x, peeled), detail
 
 
 # -- signalling along a partial order --------------------------------------------
@@ -196,12 +200,15 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
     peeling = _Peeling(p, poset, tol)
     exts = list(poset.linear_extensions())
     residual, detail = peeling.causal
-    conditions = [(residual, f"not a comb for the extension {exts[0]}: {detail}")]
-    for ext in exts:
-        for k in range(len(ext) - 1, 0, -1):
-            residual, detail = peeling.condition(ext[k], frozenset(ext[k + 1 :]), ext)
-            conditions.append((residual, f"not a comb for the extension {ext}: {detail}"))
-    return _verdict(p, tol, conditions)
+
+    def conditions():
+        yield residual, f"not a comb for the extension {exts[0]}: {detail}"
+        for ext in exts:
+            prefix = f"not a comb for the extension {ext}: "
+            for k in range(len(ext) - 1, 0, -1):
+                yield peeling.condition(ext[k], frozenset(ext[k + 1 :]), ext, prefix)
+
+    return _verdict(p, tol, conditions())
 
 
 # -- second-order causal processes ------------------------------------------------
@@ -380,14 +387,6 @@ def _projector(p: Process, n: Type, tol: float) -> CheckReport:
 # -- membership in a causal type ---------------------------------------------------
 
 
-def _split_labels(t: Type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(input labels, output labels) of a normalized type, in order."""
-    ins, outs = [], []
-    for atom, dualled in atom_occurrences(t):
-        (ins if dualled else outs).append(atom.label)
-    return tuple(ins), tuple(outs)
-
-
 def _check_wires(p: Process, t: Type) -> None:
     """The type's atoms must be exactly the process wires, with dual
     occurrences naming inputs and plain ones naming outputs."""
@@ -414,6 +413,24 @@ def _check_wires(p: Process, t: Type) -> None:
                 raise NoSuchWire(f"process wire {label!r} does not appear in the type")
 
 
+def _event(name: str, t: Type) -> Event:
+    """The event of ``t``: the dualled atoms of its normal form are the
+    inputs and the plain atoms the outputs, each in order."""
+    ins, outs = [], []
+    for atom, dualled in atom_occurrences(normalize(t)):
+        (ins if dualled else outs).append(atom.label)
+    return Event(name, ins=tuple(ins), outs=tuple(outs))
+
+
+def _one_event(n: Type) -> bool:
+    """Is the normalized ``n`` the type of one event?  Unit, first-order and
+    channel types, curried or as pars of channels: pars of dualled atoms and
+    first-order pieces.  Membership is then plain causality."""
+    return is_first_order(n) or (
+        isinstance(n, Par) and all(isinstance(q, Dual) or is_first_order(q) for q in n.parts)
+    )
+
+
 def _comb_seq(t: Type) -> list[Type] | None:
     """Flatten ``G -o (M -o H)`` nests into ``[G, .., H]``; None if not comb-shaped."""
     if not isinstance(t, Lolli):
@@ -429,100 +446,40 @@ def _comb_seq(t: Type) -> list[Type] | None:
     return None
 
 
-def _fo_labels(t: Type) -> tuple[str, ...]:
-    return tuple(a.label for a, _ in atom_occurrences(normalize(t)))
-
-
-def _is_arrow(t: Type) -> bool:
-    return isinstance(t, Lolli) and is_first_order(t.left) and is_first_order(t.right)
-
-
-def _party_events(t: Type) -> list[Event] | None:
-    """Events for the factors of a tensor of arrows, from the host's side:
-    an arrow party ``A -o A'`` occupies host outputs ``A`` and host inputs
-    ``A'``; a bare first-order factor is a party that only receives."""
-    factors = t.parts if isinstance(t, Tensor) else (t,)
-    events = []
-    for k, f in enumerate(factors):
-        if _is_arrow(f):
-            events.append(Event(f"party{k}", ins=_fo_labels(f.right), outs=_fo_labels(f.left)))
-        elif is_first_order(f):
-            events.append(Event(f"party{k}", ins=_fo_labels(f), outs=()))
-        else:
-            return None
-    return events
-
-
 def _soc_parties(t: Type) -> list[Event] | None:
-    """Match ``T -o H`` or ``G -o (T -o H)`` with ``T`` a tensor of arrows."""
+    """Match ``T -o H`` or ``G -o (T -o H)``, ``T`` a tensor of slots, each
+    slot and ``H`` an arrow or first-order.  A party is the event of its
+    slot's dual, seen from the host: an arrow slot ``A -o A'`` occupies host
+    outputs ``A`` and host inputs ``A'``; a first-order slot only receives."""
 
-    def tail_ok(h: Type) -> bool:
-        return is_first_order(h) or _is_arrow(h)
+    def slot(f: Type) -> bool:
+        return is_first_order(f) or (
+            isinstance(f, Lolli) and is_first_order(f.left) and is_first_order(f.right)
+        )
 
-    if not isinstance(t, Lolli):
+    if isinstance(t, Lolli) and is_first_order(t.left):
+        t = t.right
+    if not (isinstance(t, Lolli) and not is_first_order(t.left) and slot(t.right)):
         return None
-    if not is_first_order(t.left):
-        parties = _party_events(t.left)
-        if parties is not None and tail_ok(t.right):
-            return parties
+    slots = t.left.parts if isinstance(t.left, Tensor) else (t.left,)
+    if not all(map(slot, slots)):
         return None
-    if isinstance(t.right, Lolli) and not is_first_order(t.right.left):
-        parties = _party_events(t.right.left)
-        if parties is not None and tail_ok(t.right.right):
-            return parties
-    return None
-
-
-def _causal_shape(n: Type) -> bool:
-    """Normalized pars of dualled atoms and first-order pieces are channel
-    types up to currying, and membership is plain causality."""
-    if not isinstance(n, Par):
-        return False
-    return all(
-        (isinstance(part, Dual) and isinstance(part.body, Atom)) or is_first_order(part)
-        for part in n.parts
-    )
-
-
-def _nonsig_events(n: Type) -> list[Event] | None:
-    """Events of a normalized tensor whose factors are channel-shaped."""
-    if not isinstance(n, Tensor):
-        return None
-    events = []
-    for k, part in enumerate(n.parts):
-        if is_first_order(part):
-            events.append(Event(f"e{k}", ins=(), outs=_fo_labels(part)))
-        elif isinstance(part, Par) and _causal_shape(part):
-            ins, outs = _split_labels(part)
-            events.append(Event(f"e{k}", ins=ins, outs=outs))
-        else:
-            return None
-    return events
+    return [_event(f"party{k}", Dual(f)) for k, f in enumerate(slots)]
 
 
 def _signalling_check(p: Process, t: Type, n: Type, tol: float) -> CheckReport | None:
-    """The unit, first-order, comb, channel and non-signalling shapes, which
-    keep their own procedures on every backend; None for any other shape."""
-    if isinstance(n, Unit):
-        return _verdict(p, tol, [(abs(complex(p.scalar_value()) - 1.0), "scalar is not 1")])
-
-    if is_first_order(n):
+    """The one-event, comb and non-signalling shapes, which keep their own
+    procedures on every backend; None for any other shape."""
+    if _one_event(n):
         return backends.is_causal(p, tol)
 
     seq = _comb_seq(t)
     if seq is not None and len(seq) >= 4:
-        events = [
-            Event(f"e{k}", ins=_fo_labels(seq[2 * k]), outs=_fo_labels(seq[2 * k + 1]))
-            for k in range(len(seq) // 2)
-        ]
-        return check_comb(p, events, tol)
+        steps = [Lolli(seq[2 * k], seq[2 * k + 1]) for k in range(len(seq) // 2)]
+        return check_comb(p, [_event(f"e{k}", s) for k, s in enumerate(steps)], tol)
 
-    if _causal_shape(n):
-        return backends.is_causal(p, tol)
-
-    events = _nonsig_events(n)
-    if events is not None:
-        return check_nonsignalling(p, events, tol)
+    if isinstance(n, Tensor) and all(map(_one_event, n.parts)):
+        return check_nonsignalling(p, [_event(f"e{k}", q) for k, q in enumerate(n.parts)], tol)
     return None
 
 
@@ -534,10 +491,11 @@ def check_membership(
 ) -> CheckReport:
     """Decide whether ``p`` inhabits the causal type ``t``.
 
-    The type's shape selects the check: first-order types and channel types
-    (including pars of channels and curried forms) ask for causality;
-    tensors of channels for non-signalling; nested ``G -o (M -o H)`` combs
-    for the comb conditions; ``cap`` for the conjunction of its branches.
+    The type's shape selects the check: the types of one event (unit,
+    first-order and channel types, curried or as pars of channels) ask for
+    causality; nested ``G -o (M -o H)`` combs for the comb conditions;
+    tensors of one-event factors for non-signalling; ``cap`` for the
+    conjunction of its branches.
     Every other type is decided by :func:`check_projector` on matr+ and cpm;
     on rel, ``(tensor of arrows) -o H``, optionally under one first-order
     argument, is decided by :func:`check_soc` and anything else raises

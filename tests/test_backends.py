@@ -75,6 +75,9 @@ def test_is_causal_fails_on_unnormalized(rng):
     r = Process(REL, (System("B", 2),), (System("A", 2),), np.array([[True, False], [False, False]]))
     rep = backends.is_causal(r)
     assert not rep and "1" in rep.detail  # names the input with no related output
+    empty = Process(REL, (System("B", 2),), (), np.zeros(2, dtype=bool))
+    rep = backends.is_causal(empty)
+    assert not rep and rep.detail == "the relation is empty"  # no input index to name
     inf = Process(MATR, (System("B", 2),), (System("A", 2),), np.array([[np.inf, 0.5], [0.0, 0.5]]))
     rep = backends.is_causal(inf)
     assert not rep and rep.residual == np.inf

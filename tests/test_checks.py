@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
+import io
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +27,8 @@ from causkit.errors import (
     UnsupportedType,
 )
 from causkit.events import Event, EventPoset
-from causkit.typesys import atom_occurrences, is_first_order, normalize, parse_type, render_type
-from conftest import _unshared_comb, rand_data
+from causkit.typesys import atom_occurrences, fo_embedding, is_first_order, normalize, parse_type, render_type
+from conftest import _unshared_comb, rand_data, rand_process
 
 TOL = 1e-9
 
@@ -670,6 +673,104 @@ def test_membership_scalar_unit():
     one = core.scalar(MATR, 1.0)
     assert checks.check_membership(one, "I", tol=TOL)
     assert not checks.check_membership(core.scalar(MATR, 2.0), "I", tol=TOL)
+    assert checks.check_membership(core.scalar(CPM, 1.0), "I", tol=TOL)
+    rep = checks.check_membership(core.scalar(CPM, 2.0), "I", tol=TOL)
+    assert not rep and rep.residual == pytest.approx(1.0, abs=1e-12)
+    assert checks.check_membership(core.scalar(REL, True), "I", tol=TOL)
+    rep = checks.check_membership(core.scalar(REL, False), "I", tol=TOL)
+    assert not rep and rep.residual == 1.0 and rep.detail == "the relation is empty"
+
+
+def _slots(*events):
+    """``(name, ins, outs)`` of the events a procedure receives; wire labels
+    are separated by spaces."""
+    return [(name, tuple(ins.split()), tuple(outs.split())) for name, ins, outs in events]
+
+
+SWITCH_SLOTS = "((A[2] -o A'[2]) (x) (B[2] -o B'[2]))"
+
+DISPATCH = [
+    # (backend, type, [(procedure, events or None), ...]); None: raises UnsupportedType
+    (MATR, "I", [("is_causal", None)]),
+    (MATR, "A[2]", [("is_causal", None)]),
+    (MATR, "A[2] -o B[2]", [("is_causal", None)]),
+    (MATR, "A[2] -o (B[2] -o C[2])", [("is_causal", None)]),
+    (MATR, "(A[2] -o A'[2]) (+) (B[2] -o B'[2])", [("is_causal", None)]),
+    (
+        MATR,
+        "(A[2] -o A'[2]) (x) (B[2] -o B'[2])",
+        [("check_nonsignalling", _slots(("e0", "A", "A'"), ("e1", "B", "B'")))],
+    ),
+    (
+        REL,
+        "S[2] (x) (A[2] -o A'[2])",
+        [("check_nonsignalling", _slots(("e0", "", "S"), ("e1", "A", "A'")))],
+    ),
+    (CPM, "I -o ((A[2] -o A'[2]) -o I)", [("check_comb", _slots(("e0", "", "A"), ("e1", "A'", "")))]),
+    (
+        MATR,
+        "I -o ((B[2] -o ((B'[2] -o A[2]) -o A'[2])) -o I)",
+        [("check_comb", _slots(("e0", "", "B"), ("e1", "B'", "A"), ("e2", "A'", "")))],
+    ),
+    (MATR, "((A[2] -o B[2]) -o C[2]) -o D[2]", [("_projector", None)]),
+    (CPM, f"{SWITCH_SLOTS} -o I", [("_projector", None)]),
+    (
+        REL,
+        f"{SWITCH_SLOTS} -o I",
+        [("check_soc", _slots(("party0", "A'", "A"), ("party1", "B'", "B")))],
+    ),
+    (
+        REL,
+        "X[2] -o (((A[2] -o A'[2]) (x) (B[2] -o B'[2]) (x) S[2]) -o C[2])",
+        [("check_soc", _slots(("party0", "A'", "A"), ("party1", "B'", "B"), ("party2", "S", "")))],
+    ),
+    (REL, "A[2]^* (x) B[2]", None),
+    (REL, "((A[2] -o B[2]) -o C[2]) -o D[2]", None),
+    (
+        MATR,
+        f"cap({SWITCH_SLOTS}, (A[2] -o A'[2]) (+) (B[2] -o B'[2]))",
+        [("check_nonsignalling", _slots(("e0", "A", "A'"), ("e1", "B", "B'"))), ("is_causal", None)],
+    ),
+]
+
+
+@pytest.mark.parametrize("backend, ty, want", DISPATCH, ids=[f"{b}:{t}" for b, t, _ in DISPATCH])
+def test_membership_dispatch_table(backend, ty, want, rng, monkeypatch):
+    """Which procedure each shape selects, and the events it receives."""
+    calls = []
+
+    def spy(name):
+        def record(p, *args, **kwargs):
+            events = args[0] if name.startswith("check_") else None
+            calls.append((name, None if events is None else [(e.name, e.ins, e.outs) for e in events]))
+            return backends.CheckReport(True, 0.0, TOL)
+
+        return record
+
+    monkeypatch.setattr(backends, "is_causal", spy("is_causal"))
+    for name in ("check_comb", "check_nonsignalling", "_projector", "check_soc"):
+        monkeypatch.setattr(checks, name, spy(name))
+    emb = fo_embedding(parse_type(ty))
+    outs, ins = (tuple(System(a.label, a.dim) for a in atoms) for atoms in (emb.out_atoms, emb.in_atoms))
+    p = rand_process(backend, outs, ins, rng)
+    if want is None:
+        with pytest.raises(UnsupportedType):
+            checks.check_membership(p, ty, tol=TOL)
+        assert calls == []
+    else:
+        assert checks.check_membership(p, ty, tol=TOL)
+        assert calls == want
+
+
+def test_readme_quick_tour_runs():
+    """The Python block of the README's quick tour prints a pass, then True."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("pass ") and lines[1] == "True"
 
 
 def test_membership_cap_is_conjunction(rng):
