@@ -31,7 +31,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,44 +65,37 @@ class CheckReport:
         return f"{msg}: {self.detail}" if self.detail else msg
 
 
-#: a condition's failure detail, or a callable that formats it on demand
-Detail = str | Callable[[], str]
-
-
 def _scale(p: Process) -> float:
     """``max(1, |p|_max)``, or NaN when ``p`` has a NaN entry."""
     m = maxabs(p)
     return m if math.isnan(m) or m > 1.0 else 1.0
 
 
-def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, Detail]]) -> CheckReport:
+def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, str]]) -> CheckReport:
     """The one verdict rule, for residuals measured against ``p``.
 
     Each condition is ``(residual, detail if it fails)``.  A ``rel`` residual
     passes iff it is 0, whatever ``tol`` is; any other passes iff it is at
-    most ``tol * _scale(p)``.  A non-finite residual or scale fails.  The
-    conditions are read one at a time, so a long run of them can be a
-    generator that holds none after it is read.
+    most ``tol * _scale(p)``.  A non-finite residual or scale fails.
     """
     if core._spec(p.backend).exact:
         bound = 0.0
     else:
         scale = _scale(p)
         bound = tol * scale if math.isfinite(scale) else math.nan  # nothing passes a NaN bound
-    return _conjunction(((math.isfinite(r) and r <= bound, r, detail) for r, detail in conditions), tol)
+    return _conjunction([(math.isfinite(r) and r <= bound, r, detail) for r, detail in conditions], tol)
 
 
-def _conjunction(conditions: Iterable[tuple[bool, float, Detail]], tol: float) -> CheckReport:
+def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> CheckReport:
     """Conjoin decided conditions ``(passed, residual, detail)``: the worst
-    residual, NaN included, and the detail of the first failure.  A detail
-    may be a callable returning it, called only for that failure."""
+    residual, NaN included, and the detail of the first failure."""
     ok, worst, bad = True, 0.0, ""
     for passed, residual, detail in conditions:
         residual = float(residual)
         if not (math.isnan(worst) or residual <= worst):
             worst = residual
         if not passed and ok:
-            ok, bad = False, detail() if callable(detail) else detail
+            ok, bad = False, detail
     return CheckReport(ok, worst, tol, bad)
 
 

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backends, core
-from .backends import CheckReport, Detail, _conjunction, _verdict
+from .backends import CheckReport, _conjunction, _verdict
 from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System
 from .errors import (
     CombinatorialBlowup,
@@ -129,15 +129,10 @@ class _Peeling:
             self.remainders.setdefault(peeled | {x}, rest)
         return self.residuals[key]
 
-    def condition(self, x: str, peeled: frozenset[str], order: Sequence[str], prefix: str = "") -> tuple[float, Detail]:
-        """The step as a condition whose detail, formatted only if it is
-        reported, names the events of ``order`` still there."""
-
-        def detail() -> str:
-            rest = [n for n in order if n != x and n not in peeled]
-            return f"{prefix}event {x!r} signals backwards to {rest}"
-
-        return self.step(x, peeled), detail
+    def condition(self, x: str, peeled: frozenset[str], order: Sequence[str]) -> tuple[float, str]:
+        """The step as a condition, naming the events of ``order`` still there."""
+        rest = [n for n in order if n != x and n not in peeled]
+        return self.step(x, peeled), f"event {x!r} signals backwards to {rest}"
 
 
 # -- signalling along a partial order --------------------------------------------
@@ -191,7 +186,9 @@ MAX_TOTALISED_EVENTS = 8
 def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
     """Order consistency checked the expensive way, as the paper states it:
     ``p`` must be a comb for every linear extension of the partial order.
-    The extensions share one :class:`_Peeling` and one verdict."""
+    The extensions share one :class:`_Peeling` and one verdict, and a step
+    met again in a later extension is left out: its residual is the same,
+    and the first failure is always a step's first occurrence."""
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
@@ -200,15 +197,16 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
     peeling = _Peeling(p, poset, tol)
     exts = list(poset.linear_extensions())
     residual, detail = peeling.causal
-
-    def conditions():
-        yield residual, f"not a comb for the extension {exts[0]}: {detail}"
-        for ext in exts:
-            prefix = f"not a comb for the extension {ext}: "
-            for k in range(len(ext) - 1, 0, -1):
-                yield peeling.condition(ext[k], frozenset(ext[k + 1 :]), ext, prefix)
-
-    return _verdict(p, tol, conditions())
+    conditions = [(residual, f"not a comb for the extension {exts[0]}: {detail}")]
+    seen: set[tuple[str, frozenset[str]]] = set()
+    for ext in exts:
+        for k in range(len(ext) - 1, 0, -1):
+            step = (ext[k], frozenset(ext[k + 1 :]))
+            if step not in seen:
+                seen.add(step)
+                residual, detail = peeling.condition(*step, ext)
+                conditions.append((residual, f"not a comb for the extension {ext}: {detail}"))
+    return _verdict(p, tol, conditions)
 
 
 # -- second-order causal processes ------------------------------------------------
@@ -423,12 +421,12 @@ def _event(name: str, t: Type) -> Event:
 
 
 def _one_event(n: Type) -> bool:
-    """Is the normalized ``n`` the type of one event?  Unit, first-order and
-    channel types, curried or as pars of channels: pars of dualled atoms and
-    first-order pieces.  Membership is then plain causality."""
-    return is_first_order(n) or (
-        isinstance(n, Par) and all(isinstance(q, Dual) or is_first_order(q) for q in n.parts)
-    )
+    """Is the normalized ``n`` the type of one event?  Unit, first-order,
+    effect and channel types, curried or as pars of channels: a dualled atom,
+    a first-order piece, or a par of them.  Membership is then plain
+    causality."""
+    parts = n.parts if isinstance(n, Par) else (n,)
+    return all(isinstance(q, Dual) or is_first_order(q) for q in parts)
 
 
 def _comb_seq(t: Type) -> list[Type] | None:
@@ -492,10 +490,10 @@ def check_membership(
     """Decide whether ``p`` inhabits the causal type ``t``.
 
     The type's shape selects the check: the types of one event (unit,
-    first-order and channel types, curried or as pars of channels) ask for
-    causality; nested ``G -o (M -o H)`` combs for the comb conditions;
-    tensors of one-event factors for non-signalling; ``cap`` for the
-    conjunction of its branches.
+    first-order, effect and channel types, curried or as pars of channels)
+    ask for causality; nested ``G -o (M -o H)`` combs for the comb
+    conditions; tensors of one-event factors for non-signalling; ``cap`` for
+    the conjunction of its branches.
     Every other type is decided by :func:`check_projector` on matr+ and cpm;
     on rel, ``(tensor of arrows) -o H``, optionally under one first-order
     argument, is decided by :func:`check_soc` and anything else raises

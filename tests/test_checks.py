@@ -694,6 +694,7 @@ DISPATCH = [
     (MATR, "I", [("is_causal", None)]),
     (MATR, "A[2]", [("is_causal", None)]),
     (MATR, "A[2] -o B[2]", [("is_causal", None)]),
+    (REL, "A[2] -o I", [("is_causal", None)]),
     (MATR, "A[2] -o (B[2] -o C[2])", [("is_causal", None)]),
     (MATR, "(A[2] -o A'[2]) (+) (B[2] -o B'[2])", [("is_causal", None)]),
     (
@@ -724,7 +725,12 @@ DISPATCH = [
         "X[2] -o (((A[2] -o A'[2]) (x) (B[2] -o B'[2]) (x) S[2]) -o C[2])",
         [("check_soc", _slots(("party0", "A'", "A"), ("party1", "B'", "B"), ("party2", "S", "")))],
     ),
-    (REL, "A[2]^* (x) B[2]", None),
+    (
+        REL,
+        "A[2]^* (x) B[2]",
+        [("check_nonsignalling", _slots(("e0", "A", ""), ("e1", "", "B")))],
+    ),
+    (REL, "((A[2] -o B[2]) -o C[2]) (x) D[2]", None),
     (REL, "((A[2] -o B[2]) -o C[2]) -o D[2]", None),
     (
         MATR,
@@ -792,17 +798,20 @@ def test_membership_wire_mismatches(rng):
 
 
 def test_membership_unsupported_type(rng):
-    ty = "A[2]^* (x) B[2]"
-    # on rel a bare dual atom tensored with an atom is not a recognized shape
-    chan = backends.random_causal(REL, (System("B", 2),), (System("A", 2),), rng)
+    # on rel a tensor with a second-order factor is not a recognized shape
+    outs, ins = (System("A", 2), System("C", 2), System("D", 2)), (System("B", 2),)
+    chan = backends.random_causal(REL, outs, ins, rng)
     with pytest.raises(UnsupportedType):
-        checks.check_membership(chan, ty, tol=TOL)
-    # on matr+ the projector decides it: B must not depend on A
-    reads_input = core.identity(MATR, System("A", 2), out_label="B")
-    assert not checks.check_membership(reads_input, ty, tol=TOL)
-    state = backends.random_state(MATR, (System("B", 2),), rng)
-    ignores_input = core.tensor_par(state, backends.discard(MATR, (System("A", 2),)))
-    assert checks.check_membership(ignores_input, ty, tol=TOL)
+        checks.check_membership(chan, "((A[2] -o B[2]) -o C[2]) (x) D[2]", tol=TOL)
+    # an effect factor is an event with inputs only, on every backend: B must
+    # not depend on A
+    ty = "A[2]^* (x) B[2]"
+    for backend in (MATR, REL):
+        reads_input = core.identity(backend, System("A", 2), out_label="B")
+        assert not checks.check_membership(reads_input, ty, tol=TOL)
+        state = backends.random_state(backend, (System("B", 2),), rng)
+        ignores_input = core.tensor_par(state, backends.discard(backend, (System("A", 2),)))
+        assert checks.check_membership(ignores_input, ty, tol=TOL)
 
 
 HIGHER_ORDER = [
