@@ -11,7 +11,11 @@ Each backend fixes what "discard" and "causal" mean concretely:
     Processes are Choi tensors of linear maps between Hilbert spaces.
     Discarding an output is the partial trace, a process is causal iff it is
     completely positive and trace-preserving (``tr_out J = I_in``), and the
-    dimension scalar is ``d**2``.
+    dimension scalar is ``d**2``.  Complete positivity is positive
+    semidefiniteness of the Choi matrix (:func:`is_positive`): a blocked
+    Cholesky factorization certifies a pass, reporting 0.0 for the
+    eigenvalue it did not measure, and ``eigvalsh`` runs only when that
+    certificate fails or is skipped, to report the most negative eigenvalue.
 
 ``rel``
     Processes are boolean relations.  Discarding is existential projection
@@ -71,17 +75,20 @@ def _scale(p: Process) -> float:
     return m if math.isnan(m) or m > 1.0 else 1.0
 
 
-def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, str]]) -> CheckReport:
+def _verdict(
+    p: Process, tol: float, conditions: Iterable[tuple[float, str]], scale: float | None = None
+) -> CheckReport:
     """The one verdict rule, for residuals measured against ``p``.
 
     Each condition is ``(residual, detail if it fails)``.  A ``rel`` residual
     passes iff it is 0, whatever ``tol`` is; any other passes iff it is at
-    most ``tol * _scale(p)``.  A non-finite residual or scale fails.
+    most ``tol * _scale(p)``.  A non-finite residual or scale fails.  A caller
+    that has ``_scale(p)`` already passes it as ``scale``.
     """
     if core._spec(p.backend).exact:
         bound = 0.0
     else:
-        scale = _scale(p)
+        scale = _scale(p) if scale is None else scale
         bound = tol * scale if math.isfinite(scale) else math.nan  # nothing passes a NaN bound
     return _conjunction([(math.isfinite(r) and r <= bound, r, detail) for r, detail in conditions], tol)
 
@@ -165,27 +172,110 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
 
 def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     """Entrywise non-negativity (matr+, and trivially rel), or Hermitian
-    positive semidefiniteness of the Choi matrix (cpm)."""
+    positive semidefiniteness of the Choi matrix (cpm).
+
+    A process with a non-finite entry fails, with that NaN or inf as its
+    residual.  On cpm two conditions are reported: the skew
+    ``max |J - J^H|`` of the Choi matrix ``J``, always measured, and the most
+    negative eigenvalue of its Hermitian part ``H``.  A blocked Cholesky
+    factorization (:func:`_certified_skew`) proves most passes without
+    computing an eigenvalue; such a pass reports 0.0 for the eigenvalue
+    condition, which is then known to be within ``tol * scale``, not
+    measured.  ``np.linalg.eigvalsh`` runs only when the certificate fails or
+    is skipped because rounding could reach its margin, and then gives the
+    residual and the detail.
+    """
+    return _positive(p, tol, _scale(p))
+
+
+def _positive(p: Process, tol: float, scale: float) -> CheckReport:
+    """:func:`is_positive` with ``scale = _scale(p)`` given."""
+    if not math.isfinite(scale):
+        return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
     if p.backend != CPM:
         at = np.unravel_index(np.argmin(p.data), p.data.shape)
         low = float(p.data[at])
-        return _verdict(p, tol, [(max(0.0, -low), f"negative entry {low:.3g} at index {tuple(map(int, at))}")])
-    skew, neg = _hermitian_residuals(core.choi_matrix(p))
-    return _verdict(p, tol, [(skew, "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")])
+        return _verdict(p, tol, [(max(0.0, -low), f"negative entry {low:.3g} at index {tuple(map(int, at))}")], scale)
+    J = core.choi_matrix(p)
+    skew = _certified_skew(J, tol, scale)
+    neg = 0.0
+    if skew is None:
+        h, skew = _hermitian_block(J, slice(None), slice(None), 0.0)
+        neg = max(0.0, -float(np.linalg.eigvalsh(h).min()))
+    return _verdict(p, tol, [(skew, "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")], scale)
 
 
-def _hermitian_residuals(J: np.ndarray) -> tuple[float, float]:
-    """``max |J - J^H|`` and the most negative eigenvalue of the Hermitian
-    part ``(J + J^H) / 2`` (0 if none is negative), computed in one
-    temporary of ``J``'s size."""
-    tmp = np.conjugate(J.T, order="C")  # J's layout, so J - J^H needs no buffer
-    tmp -= J
-    np.absolute(tmp, out=tmp)
-    skew = float(tmp.real.max())
-    np.conjugate(J.T, out=tmp)
-    tmp += J
-    tmp /= 2.0
-    return skew, max(0.0, -float(np.linalg.eigvalsh(tmp).min()))
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+
+
+def _certified_skew(J: np.ndarray, tol: float, scale: float) -> float | None:
+    """``max |J - J^H|`` if a Cholesky factorization proves that the Hermitian
+    part ``H`` of ``J`` has no eigenvalue below ``-3/4 * eps``, else None.
+
+    With ``eps = tol * scale`` and ``s = eps / 2``, ``H + s I`` is factored in
+    one 2x2 block split, so that no temporary exceeds a quarter of ``J``:
+    ``L_A = chol(A + s I)``, ``W = solve(L_A, B)`` and
+    ``L_C = chol(C + s I - W^H W)`` for ``H = [[A, B], [B^H, C]]``, each block
+    read straight from ``J``.  The computed factor ``L = [[L_A, 0], [W^H, L_C]]``
+    gives a positive semidefinite ``L L^H``, so by Weyl's inequality
+    ``lambda_min(H) >= -s - |L L^H - (H + s I)|_2``.  That norm is bounded by
+    measured quantities: twice ``rho = |L_A W - B|_F`` (``solve`` pivots, so
+    its error is measured, not assumed), plus ``2 gamma_{4n+4} |L|_F^2`` for
+    the rounding of the Cholesky factorizations and of the products (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3 and Thm 10.3,
+    with each complex inner product counted as real ones of twice the
+    length), plus ``4 n u (scale + s)`` for forming ``H``, the shift and the
+    Schur complement.  A pass needs ``s`` plus that bound to be at most
+    ``3/4 * eps``, and the skew to be at most ``eps / 4``; the remaining
+    ``eps / 4`` covers the error of ``eigvalsh``, so a certified pass is one
+    that ``eigvalsh`` would also give.  When ``n (n + 1) u > tol / 4`` the
+    rounding terms could reach that margin, and the certificate is skipped.
+    """
+    n = len(J)
+    if not n * (n + 1) * _U <= tol / 4:
+        return None
+    eps = tol * scale
+    s = eps / 2
+    top, bottom = slice(0, n // 2), slice(n // 2, n)
+    try:
+        a, skew_a = _hermitian_block(J, top, top, s)
+        la = np.linalg.cholesky(a)
+        del a  # each temporary goes before the next is made: at most J's size is alive
+        b, skew_b = _hermitian_block(J, top, bottom, 0.0)
+        w = np.linalg.solve(la, b)
+        r = la @ w
+        r -= b
+        rho = float(np.linalg.norm(r))
+        del r, b
+        norms = np.vdot(la, la).real + np.vdot(w, w).real
+        del la
+        c, skew_c = _hermitian_block(J, bottom, bottom, s)
+        c -= w.conj().T @ w
+        del w
+        lc = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return None
+    norms += np.vdot(lc, lc).real
+    gamma = 4 * (n + 1) * _U / (1 - 4 * (n + 1) * _U)
+    bound = 2 * rho + 2 * gamma * norms + 4 * n * _U * (scale + s)
+    skew = max(skew_a, skew_b, skew_c)
+    return skew if skew <= eps / 4 and s + bound <= 3 * eps / 4 else None
+
+
+def _hermitian_block(J: np.ndarray, rows: slice, cols: slice, shift: float) -> tuple[np.ndarray, float]:
+    """The block ``rows x cols`` of the Hermitian part of ``J`` plus
+    ``shift`` on its diagonal (a diagonal block's), and ``max |J - J^H|``
+    over that block, in one temporary of the block's size."""
+    h = np.conjugate(J[cols, rows].T, order="C")  # J's layout, so J - J^H needs no buffer
+    h -= J[rows, cols]
+    np.absolute(h, out=h)
+    skew = float(h.real.max(initial=0.0))
+    np.conjugate(J[cols, rows].T, out=h)
+    h += J[rows, cols]
+    h /= 2.0
+    if shift:
+        h.reshape(-1)[:: len(h) + 1] += shift  # a view: h is contiguous
+    return h, skew
 
 
 # -- state families ------------------------------------------------------------

@@ -368,7 +368,10 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
 
 
 def _projector(p: Process, n: Type, tol: float) -> CheckReport:
-    positive = backends.is_positive(p, tol)  # before any array of p's size is made here
+    scale = backends._scale(p)
+    positive = backends._positive(p, tol, scale)  # before any array of p's size is made here
+    if not math.isfinite(scale):  # no coefficient of a non-finite process means anything
+        return positive
     allowed, gamma = _allowed_terms(n, p.wires)
     c = _coefficients(p)
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
@@ -379,7 +382,7 @@ def _projector(p: Process, n: Type, tol: float) -> CheckReport:
         (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
         (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
         _condition(positive),
-    ])
+    ], scale)
 
 
 # -- membership in a causal type ---------------------------------------------------

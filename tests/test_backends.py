@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from causkit import backends, core
+import causkit
+from causkit import backends, checks, core
 from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
 from causkit.errors import NotOneWay, UnsupportedBackend
 from causkit.events import Event
@@ -108,6 +113,76 @@ def test_is_positive_takes_one_choi_sized_temporary():
     finally:
         tracemalloc.stop()
     assert rep and peak <= 1.25 * p.data.nbytes
+
+
+def test_positivity_certificate_agrees_with_eigvalsh():
+    """The Cholesky certificate against eigvalsh, the independent oracle, on
+    Hermitian matrices of every rank shifted across the boundary and skewed
+    across the certificate's and the verdict's skew limits."""
+    rng = np.random.default_rng(1701)
+    certified = total = 0
+    for n in (1, 2, 3, 5, 8, 16, 17, 31, 32, 33, 64, 65, 127, 128):
+        for _ in range(14):
+            rank = int(rng.integers(1, n + 1))
+            g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            h = g @ g.conj().T
+            h /= np.abs(h).max()
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            anti = x - x.conj().T  # J - J^H = 2 * anti-Hermitian part
+            skew = TOL * rng.uniform(0.0, 2.0) if rng.random() < 0.5 else 0.0
+            j = h + rng.uniform(-3.0, 3.0) * TOL * np.eye(n) + anti * (skew / 2 / np.abs(anti).max())
+            p = Process(CPM, (System("A", n),), (), j)
+            scale = backends._scale(p)
+            want_skew = np.abs(j - j.conj().T).max()
+            neg = -np.linalg.eigvalsh((j + j.conj().T) / 2).min()
+            want = want_skew <= TOL * scale and neg <= TOL * scale
+            assert backends.is_positive(p, tol=TOL).passed == want
+            got = backends._certified_skew(j, TOL, scale)
+            if got is not None:
+                assert want and got == want_skew
+                certified += 1
+            total += 1
+    assert certified >= total // 4
+
+
+def test_positivity_certificate_declines_when_rounding_could_matter():
+    """The identity factors at any shift, but at a tolerance just above the
+    skip limit the certificate's rounding bound exceeds its margin."""
+    n = 64
+    tol = 4 * n * (n + 1) * (np.finfo(float).eps / 2)
+    assert backends._certified_skew(np.eye(n, dtype=complex), tol, 1.0) is None
+    assert backends._certified_skew(np.eye(n, dtype=complex), 100 * tol, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("backend", [CPM, MATR])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_fails_without_error_or_warning(backend, bad):
+    a, b = System("A", 2), System("B", 2)
+    data = backends.random_causal(backend, (b,), (a,), np.random.default_rng(3)).data.copy()
+    data.flat[1] = bad
+    p = Process(backend, (b,), (a,), data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rep in (backends.is_positive(p, tol=TOL), checks.check_projector(p, "A[2] -o B[2]", tol=TOL)):
+            assert not rep and not np.isfinite(rep.residual)
+            assert rep.detail == "an entry is not finite"
+
+
+def test_cpm_checks_import_numpy_only():
+    """causkit declares numpy as its one dependency: a cpm verdict through the
+    certificate must not import scipy, even where scipy is installed."""
+    code = (
+        "import sys, numpy as np\n"
+        "from causkit import checks\n"
+        "from causkit.core import CPM, Process, System\n"
+        "p = Process(CPM, (System('A', 2), System('B', 2)), (), (np.eye(4) / 4).reshape((2,) * 4))\n"
+        "assert checks.check_projector(p, 'A[2] (x) B[2]')\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(causkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_causal_basis_sizes_and_causality():

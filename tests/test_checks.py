@@ -476,6 +476,46 @@ def test_projector_matches_soc_enumeration(backend, n, loop, rng):
         assert re.fullmatch(r"the type forbids a term on \{.*\}", rep.detail)
 
 
+def _transpose_on_first(wires):
+    """The transpose on ``A -> B`` beside identity channels on ``wires - 1``
+    more wires, and its type.  The transpose's Choi matrix is the swap
+    operator: trace-preserving, with eigenvalue -1, so the map is not CP."""
+    a, b = System("A", 2), System("B", 2)
+    p = Process(CPM, (b,), (a,), np.einsum("ad,bc->abcd", np.eye(2), np.eye(2)))
+    ty = "(A[2] -o B[2])"
+    for k in range(1, wires):
+        p = core.tensor_par(p, core.identity(CPM, System(f"I{k}", 2), out_label=f"O{k}"))
+        ty += f" (x) (I{k}[2] -o O{k}[2])"
+    return p, ty
+
+
+@pytest.mark.parametrize("wires", [1, 2, 3])
+def test_projector_fails_transpose(wires):
+    """The whole and the partial transposes fail: the Cholesky certificate
+    declines them and eigvalsh names the negative eigenvalue."""
+    p, ty = _transpose_on_first(wires)
+    rep = checks.check_projector(p, ty, tol=TOL)
+    assert not rep and rep.detail == f"negative eigenvalue {-(2 ** (wires - 1)):.3g}"
+    assert backends._certified_skew(core.choi_matrix(p), TOL, backends._scale(p)) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_membership_fails_transpose():
+    """A channel type does not reach the projector, and so no cpm positivity
+    check, on the membership path."""
+    p, ty = _transpose_on_first(1)
+    assert not checks.check_membership(p, ty, tol=TOL)
+
+
+def test_projector_scales_the_process_once(monkeypatch):
+    """Positivity and the projector's own conditions share one ``_scale``."""
+    p = Process(CPM, (System("A", 2), System("B", 2)), (), (np.eye(4) / 4).reshape((2,) * 4))
+    counts = collections.Counter()
+    _count_calls(monkeypatch, backends, "_scale", counts)
+    assert checks.check_projector(p, "A[2] (x) B[2]", tol=TOL)
+    assert counts["_scale"] == 1
+
+
 def _leak(p, sender, receiver, rng):
     """Mix in a term whose output ``receiver`` copies the input ``sender``."""
     s, r = p.wire(sender), p.wire(receiver)
