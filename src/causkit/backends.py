@@ -4,8 +4,9 @@ Each backend fixes what "discard" and "causal" mean concretely:
 
 ``matr+``
     Processes are tensors of non-negative reals.  Discarding is summation,
-    a process is causal iff every joint-input column sums to 1
-    (column-stochasticity), and the dimension scalar of a system is ``d``.
+    a process is causal iff it is non-negative and every joint-input column
+    sums to 1 (column-stochasticity): both are :func:`is_causal` conditions.
+    The dimension scalar of a system is ``d``.
 
 ``cpm``
     Processes are Choi tensors of linear maps between Hilbert spaces.
@@ -93,6 +94,11 @@ def _verdict(
     return _conjunction([(math.isfinite(r) and r <= bound, r, detail) for r, detail in conditions], tol)
 
 
+def _condition(rep: CheckReport) -> tuple[float, str]:
+    """A report on ``p`` as a condition on ``p``; the same rule decides it again."""
+    return rep.residual, rep.detail
+
+
 def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> CheckReport:
     """Conjoin decided conditions ``(passed, residual, detail)``: the worst
     residual, NaN included, and the detail of the first failure."""
@@ -148,10 +154,12 @@ def dimension(backend: str, system: System):
 
 
 def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Does ``p`` send causal states to causal states, i.e. is it normalized?
+    """Is ``p`` a causal process of its backend's base category?
 
-    matr+: every joint-input column sums to 1.  cpm: tracing out all outputs
-    leaves the identity on the inputs.  rel: totality.
+    matr+: every joint-input column sums to 1 and no entry is negative (the
+    detail names the most negative), judged against one scale.  cpm: tracing
+    out all outputs leaves the identity on the inputs; :func:`is_positive`
+    checks complete positivity.  rel: totality.
     """
     if p.backend == REL:
         out_axes = tuple(range(len(p.out_wires)))
@@ -167,7 +175,11 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
 
     marg = core.discard_outputs(p, [w.label for w in p.out_wires])
     want = discard(p.backend, p.in_wires)
-    return _verdict(p, tol, [(core.distance(marg, want), "not normalized")])
+    scale = _scale(p)
+    conditions = [(core.distance(marg, want), "not normalized")]
+    if p.backend == MATR:
+        conditions.append(_condition(_positive(p, tol, scale)))
+    return _verdict(p, tol, conditions, scale)
 
 
 def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:

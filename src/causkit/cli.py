@@ -3,7 +3,7 @@
 Verdicts are written as JSON on stdout for scripting; a short human-readable
 account goes to stderr.  Exit status: 0 when the outcome matches the
 expectation (``--expect pass`` unless overridden), 1 when it does not, and
-2 for malformed inputs or usage errors.
+2 for malformed inputs, usage errors or an input too large for memory.
 
 Processes are given as JSON files, or as ``example:NAME`` to pull a gallery
 entry built with its default parameters.
@@ -86,20 +86,13 @@ def _verdict_exit(passed: bool, expect: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.totalise and args.poset is None:
-        raise CauskitError("--totalise requires --poset")
     p = _load_process(args.process)
     if args.type is not None:
         rep = checks.check_membership(p, args.type, tol=args.tol, budget=args.budget)
         mode = {"mode": "membership", "type": args.type}
     elif args.poset is not None:
-        poset = events.load_poset(args.poset)
-        if args.totalise:
-            rep = checks.check_via_totalisations(p, poset, tol=args.tol)
-            mode = {"mode": "totalisations", "poset": args.poset}
-        else:
-            rep = checks.check_order_consistency(p, poset, tol=args.tol)
-            mode = {"mode": "order-consistency", "poset": args.poset}
+        rep = checks.check_order_consistency(p, events.load_poset(args.poset), tol=args.tol)
+        mode = {"mode": "order-consistency", "poset": args.poset}
     else:
         rep = backends.is_causal(p, tol=args.tol)
         mode = {"mode": "causal"}
@@ -226,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--type", help="causal type, e.g. \"(A[2] -o A'[2]) (x) (B[2] -o B'[2])\"")
     mode.add_argument("--poset", help="event poset JSON file (events + order pairs)")
-    sp.add_argument(
-        "--totalise",
-        action="store_true",
-        help="with --poset: check the comb conditions of every linear extension instead of one peel per event",
-    )
     common(sp)
     sp.set_defaults(func=cmd_check)
 
@@ -266,8 +254,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CauskitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CauskitError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -32,6 +32,8 @@ compact-closed cup/cap semantics in all three backends.
 from __future__ import annotations
 
 import functools
+import gc
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -505,8 +507,9 @@ def from_json_dict(doc: Mapping) -> Process:
          "data": [...]}
 
     Wires must list every output before the first input (the canonical
-    order); ``data`` is the flat row-major array in that order.  For ``cpm``
-    each entry is a ``[re, im]`` pair of the row-major Choi matrix.
+    order); ``data`` is the flat row-major array in that order, of JSON
+    numbers.  For ``cpm`` each entry is a ``[re, im]`` pair of numbers of
+    the row-major Choi matrix.
     """
     try:
         backend = doc["backend"]
@@ -539,11 +542,15 @@ def from_json_dict(doc: Mapping) -> Process:
         if len(data) != size:
             raise FormatError(f"{backend} data must have {size} entries, got {len(data)}")
         if backend == CPM:
-            arr = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-        else:
-            arr = np.asarray(data, dtype=np.float64)
-        arr = arr.reshape(shape)
-    except (TypeError, ValueError) as e:
+            if set(map(len, data)) != {2}:
+                raise FormatError("cpm data entries must be [re, im] pairs")
+            data = list(itertools.chain.from_iterable(data))
+        kinds = set(map(type, data)) - {int, float}  # by type(): a JSON true is a bool, an int subclass
+        if kinds:
+            raise FormatError(f"data entries must be JSON numbers, not {kinds.pop().__name__}")
+        arr = np.fromiter(data, np.float64, len(data))
+        arr = (arr.view(np.complex128) if backend == CPM else arr).reshape(shape)
+    except (TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"malformed data payload: {e}") from e
     # json reads NaN and Infinity literals
     if not np.all(np.isfinite(arr)):
@@ -556,11 +563,16 @@ def from_json_dict(doc: Mapping) -> Process:
 
 
 def load_process(path) -> Process:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    collecting = gc.isenabled()
+    gc.disable()  # a parse makes a list per cpm entry and no cycle: a collection would free nothing
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: {e}") from e
+    finally:
+        if collecting:
+            gc.enable()
     return from_json_dict(doc)
 
 

@@ -190,22 +190,6 @@ def poset_from_json_dict(doc: Mapping) -> EventPoset:
     return EventPoset(events, order)
 
 
-def poset_to_json_dict(poset: EventPoset) -> dict:
-    events = []
-    for e in poset.events:
-        events.append(
-            {
-                "name": e.name,
-                "in": list(e.ins) if len(e.ins) != 1 else e.ins[0],
-                "out": list(e.outs) if len(e.outs) != 1 else e.outs[0],
-            }
-        )
-    order = sorted(
-        [b, a] for b in poset.names for a in poset._succ[b]
-    )
-    return {"events": events, "order": order}
-
-
 def load_poset(path) -> EventPoset:
     with open(path, "r", encoding="utf-8") as fh:
         try:

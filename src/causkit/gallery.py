@@ -134,6 +134,7 @@ def quantum_z_switch() -> ExampleInstance:
     w1 = core.permute(w1, [w.label for w in w0.out_wires], [w.label for w in w0.in_wires])
     summed = Process(CPM, w0.out_wires, w0.in_wires, w0.data + w1.data)
     p = core.permute(summed, ["A", "B", "C'"], ["X", "C", "A'", "B'"])
+    p = Process(CPM, p.out_wires, p.in_wires, np.ascontiguousarray(p.data))  # choi_matrix then needs no copy
     soc = "(X[2] (x) C[2]) -o (((A[2] -o A'[2]) (x) (B[2] -o B'[2])) -o C'[2])"
     comb_a = comb_type([("X[2] (x) C[2]", "A[2]"), ("A'[2]", "B[2]"), ("B'[2]", "C'[2]")])
     comb_b = comb_type([("X[2] (x) C[2]", "B[2]"), ("B'[2]", "A[2]"), ("A'[2]", "C'[2]")])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import causkit
-from causkit import backends, checks, core
+from causkit import backends, checks, core, gallery
 from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
 from causkit.errors import NotOneWay, UnsupportedBackend
 from causkit.events import Event
@@ -105,14 +105,15 @@ def test_is_positive_takes_one_choi_sized_temporary():
     qubits = tuple(System(f"A{k}", 2) for k in range(8))
     rng = np.random.default_rng(8)
     g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-    p = Process(CPM, qubits, (), (g @ g.conj().T).reshape((2,) * 16))
-    tracemalloc.start()
-    try:
-        rep = backends.is_positive(p, tol=TOL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep and peak <= 1.25 * p.data.nbytes
+    random_psd = Process(CPM, qubits, (), (g @ g.conj().T).reshape((2,) * 16))
+    for p in (random_psd, gallery.quantum_z_switch().process):
+        tracemalloc.start()
+        try:
+            rep = backends.is_positive(p, tol=TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep and peak <= 1.25 * p.data.nbytes
 
 
 def test_positivity_certificate_agrees_with_eigvalsh():

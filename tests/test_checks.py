@@ -192,6 +192,14 @@ def test_totalisations_event_limit():
     assert checks.check_via_totalisations(p, EventPoset(evs, chain))
 
 
+def test_totalisations_name_the_failing_extension():
+    """The swap process leaks from E2 back to E1, so E1 < E2 fails."""
+    poset = EventPoset([Event("E1", ins="A", outs="A'"), Event("E2", ins="B", outs="B'")], [("E1", "E2")])
+    rep = checks.check_via_totalisations(gallery.swap_process().process, poset, tol=TOL)
+    assert not rep
+    assert rep.detail == "not a comb for the extension ('E1', 'E2'): event 'E2' signals backwards to ['E1']"
+
+
 def _signalling_oracle(p, poset, groups, tol):
     """Causality, and for each group of events: discarding the group's
     outputs leaves a process independent of the group's inputs."""
@@ -683,9 +691,9 @@ def test_membership_first_order(rng):
     assert not checks.check_membership(inf, "A[2] -o A'[2]", tol=TOL)
     # a quasi-stochastic matrix: its columns sum to 1, but an entry is negative
     quasi = Process(MATR, (System("A'", 2),), (System("A", 2),), np.array([[1.5, 0.5], [-0.5, 0.5]]))
-    assert backends.is_causal(quasi, tol=TOL)
-    rep = checks.check_membership(quasi, "A[2] -o A'[2]", tol=TOL)
+    rep = backends.is_causal(quasi, tol=TOL)
     assert not rep and rep.residual == 0.5 and rep.detail == "negative entry -0.5 at index (1, 0)"
+    assert checks.check_membership(quasi, "A[2] -o A'[2]", tol=TOL) == rep
 
 
 def test_membership_tensor_vs_par(rng):
@@ -728,6 +736,7 @@ def _slots(*events):
 
 
 SWITCH_SLOTS = "((A[2] -o A'[2]) (x) (B[2] -o B'[2]))"
+SOC_PARTIES = _slots(("party0", "A'", "A"), ("party1", "B'", "B"), ("party2", "S", ""))
 
 DISPATCH = [
     # (backend, type, [(procedure, events or None), ...]); None: raises UnsupportedType
@@ -760,11 +769,9 @@ DISPATCH = [
         f"{SWITCH_SLOTS} -o I",
         [("check_soc", _slots(("party0", "A'", "A"), ("party1", "B'", "B")))],
     ),
-    (
-        REL,
-        "X[2] -o (((A[2] -o A'[2]) (x) (B[2] -o B'[2]) (x) S[2]) -o C[2])",
-        [("check_soc", _slots(("party0", "A'", "A"), ("party1", "B'", "B"), ("party2", "S", "")))],
-    ),
+    (REL, "X[2] -o (((A[2] -o A'[2]) (x) (B[2] -o B'[2]) (x) S[2]) -o C[2])", [("check_soc", SOC_PARTIES)]),
+    (REL, "X[2] -o ((((A[2] -o A'[2]) (x) (B[2] -o B'[2])) (x) S[2]) -o C[2])", [("check_soc", SOC_PARTIES)]),
+    (REL, "X[2] -o (((A[2] -o A'[2]) (x) ((B[2] -o B'[2]) (x) S[2])) -o C[2])", [("check_soc", SOC_PARTIES)]),
     (
         REL,
         "A[2]^* (x) B[2]",

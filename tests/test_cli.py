@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from causkit import core, gallery
 from causkit.cli import main
+from causkit.core import CPM, MATR, REL, Process, System
 
 
 def run(capsys, *argv):
@@ -52,8 +54,23 @@ def test_check_poset(capsys, tmp_path):
     }))
     code, doc, _ = run(capsys, "check", str(proc), "--poset", str(poset))
     assert code == 0 and doc["mode"] == "order-consistency" and doc["passed"]
-    code, doc, _ = run(capsys, "check", str(proc), "--poset", str(poset), "--totalise")
-    assert code == 0 and doc["mode"] == "totalisations" and doc["passed"]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(proc), "--poset", str(poset), "--totalise"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "unrecognized arguments: --totalise" in err
+
+
+def test_quasi_stochastic_fails_every_check_mode(capsys, tmp_path):
+    """Columns that sum to 1 around a negative entry: not a matr+ process."""
+    quasi = Process(MATR, (System("A'", 2),), (System("A", 2),), np.array([[1.5, 0.5], [-0.5, 0.5]]))
+    proc = tmp_path / "quasi.json"
+    core.dump_process(quasi, proc)
+    poset = tmp_path / "o.json"
+    poset.write_text(json.dumps({"events": [{"name": "E", "in": ["A"], "out": ["A'"]}]}))
+    for mode in ((), ("--poset", str(poset)), ("--type", "A[2] -o A'[2]")):
+        code, doc, _ = run(capsys, "check", str(proc), *mode)
+        assert code == 1 and doc["passed"] is False
+        assert doc["detail"] == "negative entry -0.5 at index (1, 0)"
 
 
 def test_prove_and_unprovable(capsys):
@@ -94,24 +111,6 @@ def test_examples_param_not_an_integer(capsys):
     code, out, err = run(capsys, "examples", "memory_comb", "--param", "events=--3")
     assert code == 2 and out is None
     assert err.startswith("error:") and "'--3'" in err
-
-
-def test_check_totalise_names_failing_extension(capsys, tmp_path):
-    """The swap process leaks from E2 back to E1, so E1 < E2 fails."""
-    poset = tmp_path / "o.json"
-    poset.write_text(json.dumps({
-        "events": [
-            {"name": "E1", "in": ["A"], "out": ["A'"]},
-            {"name": "E2", "in": ["B"], "out": ["B'"]},
-        ],
-        "order": [["E1", "E2"]],
-    }))
-    argv = ("check", "example:swap_process", "--poset", str(poset), "--totalise")
-    code, doc, _ = run(capsys, *argv)
-    assert code == 1 and doc["mode"] == "totalisations" and doc["passed"] is False
-    assert doc["detail"] == "not a comb for the extension ('E1', 'E2'): event 'E2' signals backwards to ['E1']"
-    code, doc, _ = run(capsys, *argv, "--expect", "fail")
-    assert code == 0 and doc["passed"] is False
 
 
 def test_convert_permutes_and_writes(capsys, tmp_path):
@@ -167,6 +166,34 @@ def test_non_finite_data_exits_2(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and out is None and "finite" in err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def build(name, **params):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000, 1000, 1000, 1000)")
+
+    monkeypatch.setattr(gallery, "build", build)
+    for argv in (("examples", "swap_process", "--param", "d=1000"), ("check", "example:swap_process")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None and err.startswith("error: Unable to allocate 7.28 TiB")
+
+
+def test_undocumented_data_layout_exits_2(capsys, tmp_path):
+    """``data`` is a flat list of JSON numbers, or of ``[re, im]`` number
+    pairs for cpm: strings, booleans and nested lists are rejected."""
+    for backend in (MATR, REL, CPM):
+        doc = core.to_json_dict(gallery.swap_process(backend).process)
+        if backend == CPM:
+            pairs = doc["data"]
+            bool_pairs = [[bool(x) for x in v] for v in pairs]
+            bad = (bool_pairs, [v + [0.0] for v in pairs], [pairs[0] + [0.0], [0.0], *pairs[2:]])
+        else:
+            bad = ([str(v) for v in doc["data"]], [bool(v) for v in doc["data"]], [[v] for v in doc["data"]])
+        for data in bad:
+            path = tmp_path / "layout.json"
+            path.write_text(json.dumps({**doc, "data": data}))
+            code, out, err = run(capsys, "check", str(path))
+            assert code == 2 and out is None and err.startswith("error:")
 
 
 def test_non_integer_dim_exits_2(capsys, tmp_path):

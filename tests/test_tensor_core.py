@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
 from causkit.errors import (
     CyclicWiring,
     DuplicateLabel,
+    FormatError,
     InvalidPermutation,
     NoSuchWire,
     ShapeMismatch,
@@ -215,6 +217,24 @@ def test_json_roundtrip_all_backends(rng, tmp_path):
         path = tmp_path / f"{backend.strip('+')}.json"
         core.dump_process(p, path)
         np.testing.assert_array_equal(core.load_process(path).data, p.data)
+
+
+def test_load_process_restores_garbage_collection(tmp_path):
+    """The loader pauses the collector while it parses, and leaves it as it found it."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    core.dump_process(core.scalar(MATR, 1.0), good)
+    bad.write_text("{")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            core.load_process(good)
+            with pytest.raises(FormatError):
+                core.load_process(bad)
+            with pytest.raises(OSError):
+                core.load_process(tmp_path / "missing.json")
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 def test_readme_process_example_loads():
