@@ -127,7 +127,7 @@ def discard(backend: str, systems: Sequence[System]) -> Process:
 def _discard(backend: str, systems: tuple[System, ...]) -> Process:
     dims = tuple(s.dim for s in systems)
     if backend == CPM:
-        data = np.eye(int(np.prod(dims, dtype=np.int64)), dtype=complex).reshape(dims + dims)
+        data = np.eye(math.prod(dims), dtype=complex).reshape(dims + dims)
     else:
         data = np.ones(dims, dtype=core._spec(backend).dtype)
     data.flags.writeable = False  # shared by every caller
@@ -320,8 +320,8 @@ def random_causal(
     out_systems, in_systems = tuple(out_systems), tuple(in_systems)
     out_dims = tuple(s.dim for s in out_systems)
     in_dims = tuple(s.dim for s in in_systems)
-    dout = int(np.prod(out_dims, dtype=np.int64)) if out_dims else 1
-    din = int(np.prod(in_dims, dtype=np.int64)) if in_dims else 1
+    dout = math.prod(out_dims)
+    din = math.prod(in_dims)
 
     if backend == MATR:
         m = rng.uniform(0.05, 1.0, size=(dout, din))
@@ -364,8 +364,8 @@ def random_state(backend: str, systems: Sequence[System], rng: np.random.Generat
 def channel_family_size(backend: str, out_systems: Sequence[System], in_systems: Sequence[System]) -> int:
     out_dims = [s.dim for s in out_systems]
     in_dims = [s.dim for s in in_systems]
-    dout = int(np.prod(out_dims, dtype=np.int64)) if out_dims else 1
-    din = int(np.prod(in_dims, dtype=np.int64)) if in_dims else 1
+    dout = math.prod(out_dims)
+    din = math.prod(in_dims)
     if backend == CPM:
         return 1 + (dout**2 - 1) * din**2
     core._spec(backend)  # an unknown backend raises
@@ -417,8 +417,8 @@ def causal_channel_family(
     out_systems, in_systems = tuple(out_systems), tuple(in_systems)
     out_dims = tuple(s.dim for s in out_systems)
     in_dims = tuple(s.dim for s in in_systems)
-    dout = int(np.prod(out_dims, dtype=np.int64)) if out_dims else 1
-    din = int(np.prod(in_dims, dtype=np.int64)) if in_dims else 1
+    dout = math.prod(out_dims)
+    din = math.prod(in_dims)
     shape = out_dims + in_dims
     members: list[Process] = []
 
@@ -482,10 +482,10 @@ def factorize_one_way(
     ldims = tuple(p.wire(lbl).dim for lbl in second.outs)
     idims = tuple(p.wire(lbl).dim for lbl in first.ins)
     jdims = tuple(p.wire(lbl).dim for lbl in second.ins)
-    K = int(np.prod(kdims, dtype=np.int64)) if kdims else 1
-    L = int(np.prod(ldims, dtype=np.int64)) if ldims else 1
-    I = int(np.prod(idims, dtype=np.int64)) if idims else 1
-    J = int(np.prod(jdims, dtype=np.int64)) if jdims else 1
+    K = math.prod(kdims)
+    L = math.prod(ldims)
+    I = math.prod(idims)
+    J = math.prod(jdims)
     m = data.reshape(K, L, I, J)
 
     marg = m.sum(axis=1, dtype=m.dtype)  # for rel: the join over l

@@ -178,14 +178,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
         outs = args.out_order.split(",") if args.out_order else [w.label for w in p.out_wires]
         ins = args.in_order.split(",") if args.in_order else [w.label for w in p.in_wires]
         p = core.permute(p, outs, ins)
-    doc = core.to_json_dict(p)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        core.dump_process(p, args.out)
         _say(f"wrote {args.out}")
     else:
-        _emit(doc)
+        _emit(core.to_json_dict(p))
     wires = ", ".join(f"{w.label}[{w.dim}]:{p.role(w.label)}" for w in p.wires)
     _say(f"{p.backend} process with wires {wires}")
     return 0

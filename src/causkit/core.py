@@ -27,6 +27,13 @@ Composing two wires always contracts like-with-like: a single axis pair for
 product).  A pleasant consequence is that bending a wire from input to output
 or back is pure relabeling — the stored array never changes, matching the
 compact-closed cup/cap semantics in all three backends.
+
+Every move that combines or removes wires is one ``np.einsum``, so one code
+path serves all three backends: :func:`plug`, :func:`compose_seq` and
+:func:`tensor_par` (plugging along no wires) are a contraction planned by
+:func:`_plan`, and :func:`discard_outputs` gives each discarded wire's axes
+one subscript that the result leaves out (a sum, a join or a partial trace).
+:func:`permute` and :func:`bend` only reorder axes.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -274,28 +282,14 @@ def rename(p: Process, mapping: Mapping[str, str]) -> Process:
 
 
 def tensor_par(f: Process, g: Process) -> Process:
-    """Place two processes side by side (monoidal product).
+    """Place two processes side by side (monoidal product): the contraction
+    along no wires.
 
     Result wires: ``f`` outputs, ``g`` outputs, ``f`` inputs, ``g`` inputs.
     """
     if f.backend != g.backend:
         raise BackendMismatch(f"{f.backend} vs {g.backend}")
-    overlap = {w.label for w in f.wires} & {w.label for w in g.wires}
-    if overlap:
-        raise DuplicateLabel(f"wire labels shared between the factors: {sorted(overlap)}")
-    out = f.out_wires + g.out_wires
-    ins = f.in_wires + g.in_wires
-    raw = np.multiply.outer(f.data, g.data)  # for rel: logical and
-    # raw axes: f's axis groups, then g's; each group lists the factor's wires
-    a = _spec(f.backend).axes_per_wire
-    nf, ng = f.n_wires, g.n_wires
-    fo, go = len(f.out_wires), len(g.out_wires)
-    perm = []
-    for k in range(a):
-        fk, gk = k * nf, a * nf + k * ng
-        perm += [fk + i for i in range(fo)] + [gk + i for i in range(go)]
-        perm += [fk + i for i in range(fo, nf)] + [gk + i for i in range(go, ng)]
-    return Process(f.backend, out, ins, raw.transpose(perm))
+    return _contract(f, g, ())
 
 
 def compose_seq(f: Process, g: Process) -> Process:
@@ -360,17 +354,11 @@ def discard_outputs(p: Process, labels: Iterable[str]) -> Process:
     if not labels:
         return p
     keep_out = tuple(w for w in p.out_wires if w.label not in labels)
-
-    a = _spec(p.backend).axes_per_wire
-    gone = [p.wire_pos(l) for l in labels]
-    if a == 1:
-        # for rel, a sum in the boolean dtype is the join
-        data = p.data.sum(axis=tuple(gone), dtype=p.data.dtype)
-    else:
-        # the axes of a discarded wire share one subscript: a partial trace
-        n = p.n_wires
-        subs = [ax % n if ax % n in gone else ax for ax in range(a * n)]
-        data = np.einsum(p.data, subs, [ax for ax in range(a * n) if ax % n not in gone])
+    # the axes of a discarded wire share one subscript that the result omits
+    n = p.n_wires
+    gone = {p.wire_pos(l) for l in labels}
+    subs = [ax % n if ax % n in gone else ax for ax in range(_spec(p.backend).axes_per_wire * n)]
+    data = np.einsum(p.data, subs, [ax for ax in subs if ax % n not in gone])
     return Process(p.backend, keep_out, p.in_wires, data)
 
 
@@ -467,8 +455,8 @@ def matrix(p: Process) -> np.ndarray:
     """matr+/rel process as a (prod out dims) x (prod in dims) matrix."""
     if p.backend == CPM:
         raise UnsupportedBackend("use choi_matrix() for cpm processes")
-    rows = int(np.prod([w.dim for w in p.out_wires], dtype=np.int64))
-    cols = int(np.prod([w.dim for w in p.in_wires], dtype=np.int64))
+    rows = math.prod([w.dim for w in p.out_wires])
+    cols = math.prod([w.dim for w in p.in_wires])
     return p.data.reshape(rows, cols)
 
 
@@ -476,7 +464,7 @@ def choi_matrix(p: Process) -> np.ndarray:
     """cpm process as its square Choi matrix over (⊗ outs) ⊗ (⊗ ins)."""
     if p.backend != CPM:
         raise UnsupportedBackend(f"{p.backend} processes have no Choi matrix")
-    d = int(np.prod([w.dim for w in p.wires], dtype=np.int64))
+    d = math.prod([w.dim for w in p.wires])
     return p.data.reshape(d, d)
 
 
@@ -495,6 +483,10 @@ def to_json_dict(p: Process) -> dict:
     else:
         data = [float(v) for v in p.data.ravel()]
     return {"backend": p.backend, "wires": wires, "data": data}
+
+
+#: JSON names of the values other than numbers that ``json`` parses.
+_JSON_TYPES = {type(None): "null", bool: "boolean", str: "string", list: "array", dict: "object"}
 
 
 def from_json_dict(doc: Mapping) -> Process:
@@ -537,17 +529,18 @@ def from_json_dict(doc: Mapping) -> Process:
             raise FormatError(f"wire role must be 'out' or 'in', got {role!r}")
 
     shape = Process.expected_shape(backend, outs, ins)
-    size = int(np.prod(shape, dtype=np.int64))
+    size = math.prod(shape)
     try:
         if len(data) != size:
             raise FormatError(f"{backend} data must have {size} entries, got {len(data)}")
         if backend == CPM:
-            if set(map(len, data)) != {2}:
+            if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
                 raise FormatError("cpm data entries must be [re, im] pairs")
             data = list(itertools.chain.from_iterable(data))
         kinds = set(map(type, data)) - {int, float}  # by type(): a JSON true is a bool, an int subclass
         if kinds:
-            raise FormatError(f"data entries must be JSON numbers, not {kinds.pop().__name__}")
+            kind = kinds.pop()
+            raise FormatError(f"data entries must be JSON numbers, not {_JSON_TYPES.get(kind, kind.__name__)}")
         arr = np.fromiter(data, np.float64, len(data))
         arr = (arr.view(np.complex128) if backend == CPM else arr).reshape(shape)
     except (TypeError, ValueError, OverflowError) as e:

@@ -122,6 +122,10 @@ def test_convert_permutes_and_writes(capsys, tmp_path):
     assert code == 0 and "wrote" in err
     p = core.load_process(out)
     assert [w.label for w in p.out_wires] == ["C'", "B", "A"]
+    want = tmp_path / "want.json"
+    sw = gallery.classical_switch().process
+    core.dump_process(core.permute(sw, ["C'", "B", "A"], [w.label for w in sw.in_wires]), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_error_paths_exit_2(capsys, tmp_path):
@@ -137,6 +141,14 @@ def test_error_paths_exit_2(capsys, tmp_path):
     bad.write_text("{\"backend\": \"matr+\"}")
     code, _, _ = run(capsys, "check", str(bad))
     assert code == 2
+    # the entry count is an exact integer: no int64 wrap-around on large dims
+    bad.write_text(json.dumps({
+        "backend": "matr+",
+        "wires": [{"name": "A", "dim": 2**62 + 1, "role": "out"}, {"name": "B", "dim": 4, "role": "in"}],
+        "data": [0.25] * 4,
+    }))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out is None and "must have 18446744073709551620 entries, got 4" in err
     for argv in (("check", "example:swap_process"), ("examples", "bw_process")):
         for tol in ("nan", "inf", "-0.5", "tiny"):
             with pytest.raises(SystemExit) as exc:
@@ -180,20 +192,34 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
 def test_undocumented_data_layout_exits_2(capsys, tmp_path):
     """``data`` is a flat list of JSON numbers, or of ``[re, im]`` number
-    pairs for cpm: strings, booleans and nested lists are rejected."""
+    pairs for cpm: anything else is rejected and named by its JSON type."""
+    numbers = "error: data entries must be JSON numbers, not "
+    pairs = "error: cpm data entries must be [re, im] pairs"
     for backend in (MATR, REL, CPM):
         doc = core.to_json_dict(gallery.swap_process(backend).process)
+        flat = doc["data"]
         if backend == CPM:
-            pairs = doc["data"]
-            bool_pairs = [[bool(x) for x in v] for v in pairs]
-            bad = (bool_pairs, [v + [0.0] for v in pairs], [pairs[0] + [0.0], [0.0], *pairs[2:]])
+            bad = [
+                (numbers + "boolean", [[bool(x) for x in v] for v in flat]),
+                (numbers + "null", [[None, 0.0]] * len(flat)),
+                (pairs, [v + [0.0] for v in flat]),
+                (pairs, [flat[0] + [0.0], [0.0], *flat[2:]]),
+                (pairs, [1.0] * len(flat)),
+                (pairs, [{"re": 1.0, "im": 0.0}] * len(flat)),
+            ]
         else:
-            bad = ([str(v) for v in doc["data"]], [bool(v) for v in doc["data"]], [[v] for v in doc["data"]])
-        for data in bad:
+            bad = [
+                (numbers + "string", [str(v) for v in flat]),
+                (numbers + "boolean", [bool(v) for v in flat]),
+                (numbers + "array", [[v] for v in flat]),
+                (numbers + "null", [None] * len(flat)),
+                (numbers + "object", [{}] * len(flat)),
+            ]
+        for message, data in bad:
             path = tmp_path / "layout.json"
             path.write_text(json.dumps({**doc, "data": data}))
             code, out, err = run(capsys, "check", str(path))
-            assert code == 2 and out is None and err.startswith("error:")
+            assert code == 2 and out is None and err.strip() == message
 
 
 def test_non_integer_dim_exits_2(capsys, tmp_path):

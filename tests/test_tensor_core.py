@@ -180,31 +180,52 @@ def test_permute_and_rename(rng):
         core.rename(p, {"missing": "Z"})
 
 
+def assert_data(backend, got, want):
+    if backend == REL:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, atol=CLOSE)
+
+
 def test_discard_outputs_marginalizes(rng):
-    p = rand_process(MATR, (System("A", 2), System("B", 3)), (System("C", 2),), rng)
-    q = core.discard_outputs(p, ["B"])
-    np.testing.assert_allclose(q.data, p.data.sum(axis=1), atol=CLOSE)
-    c = rand_process(CPM, (System("A", 2), System("B", 3)), (), rng)
-    qc = core.discard_outputs(c, ["B"])
-    np.testing.assert_allclose(qc.data, np.einsum("abAb->aA", c.data), atol=CLOSE)
+    """One output, then two non-adjacent ones, one of dimension 1: a sum on
+    matr+, a join on rel, a partial trace on cpm."""
+    outs = (System("A", 2), System("B", 1), System("C", 3), System("D", 2))
+    cases = {("B",): ((1,), "abcdeAbCDE->acdeACDE"), ("D", "B"): ((1, 3), "abcdeAbCdE->aceACE")}
+    for backend in BACKENDS:
+        p = rand_process(backend, outs, (System("E", 2),), rng)
+        for labels, (axes, trace) in cases.items():
+            q = core.discard_outputs(p, labels)
+            assert [w.label for w in q.out_wires] == [w.label for w in outs if w.label not in labels]
+            assert q.in_wires == p.in_wires
+            if backend == CPM:
+                want = np.einsum(trace, p.data)
+            elif backend == REL:
+                want = p.data.any(axis=axes)
+            else:
+                want = p.data.sum(axis=axes)
+            assert_data(backend, q.data, want)
 
 
 def test_tensor_par_shapes_and_order(rng):
+    """Outputs of both factors come before their inputs, so the wires of
+    factors with both interleave; a scalar factor only scales."""
     for backend in BACKENDS:
         f = rand_process(backend, (System("A", 2),), (System("B", 3),), rng)
-        g = rand_process(backend, (System("C", 4),), (), rng)
+        g = rand_process(backend, (System("C", 4), System("D", 1)), (System("E", 2),), rng)
         t = core.tensor_par(f, g)
-        assert [w.label for w in t.out_wires] == ["A", "C"]
-        assert [w.label for w in t.in_wires] == ["B"]
-        if backend == CPM:  # kets (a, c, b), then bras in the same wire order
-            want = np.einsum("abAB,cC->acbACB", f.data, g.data)
+        assert [w.label for w in t.out_wires] == ["A", "C", "D"]
+        assert [w.label for w in t.in_wires] == ["B", "E"]
+        if backend == CPM:  # kets (a, c, d, b, e), then bras in the same wire order
+            want = np.einsum("abAB,cdeCDE->acdbeACDBE", f.data, g.data)
         else:
-            want = np.einsum("ab,c->acb", f.data, g.data)
-        if backend == REL:
-            np.testing.assert_array_equal(t.data, want)
-        else:
-            np.testing.assert_allclose(t.data, want, atol=CLOSE)
-        with pytest.raises(DuplicateLabel):
+            want = np.einsum("ab,cde->acdbe", f.data, g.data)
+        assert_data(backend, t.data, want)
+        s = rand_process(backend, (), (), rng)
+        for u in (core.tensor_par(s, f), core.tensor_par(f, s)):
+            assert u.out_wires == f.out_wires and u.in_wires == f.in_wires
+            assert_data(backend, u.data, f.data * s.data)  # rel: and
+        with pytest.raises(DuplicateLabel, match=r"remaining wires share labels \['A', 'B'\]"):
             core.tensor_par(f, f)
 
 
