@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import core
-from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System, maxabs
+from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System
 from .errors import NotOneWay, UnsupportedBackend
 from .events import Event, check_partition
 
@@ -72,8 +72,27 @@ class CheckReport:
 
 def _scale(p: Process) -> float:
     """``max(1, |p|_max)``, or NaN when ``p`` has a NaN entry."""
-    m = maxabs(p)
-    return m if math.isnan(m) or m > 1.0 else 1.0
+    return float(_scales(p.data, 0))
+
+
+def _scales(data, batch: int):
+    """:func:`_scale` of each array behind the ``batch`` leading axes of
+    ``data``; ``np.maximum`` keeps a NaN."""
+    return np.maximum(core._maxabs(data, batch), 1.0)
+
+
+def _bound(backend: str, tol: float, scale):
+    """The largest residual that passes against a process of scale
+    ``scale``, a float or an array with one scale per batch index: 0 on
+    ``rel`` whatever ``tol`` is, else ``tol * scale``, and NaN where the scale
+    is not finite.  A residual passes iff it is ``<=`` its bound, so no
+    residual passes a NaN bound and no non-finite residual passes a finite
+    one."""
+    if core._spec(backend).exact:
+        return 0.0
+    if isinstance(scale, np.ndarray):
+        return tol * np.where(np.isfinite(scale), scale, np.nan)
+    return tol * scale if math.isfinite(scale) else math.nan
 
 
 def _verdict(
@@ -81,17 +100,16 @@ def _verdict(
 ) -> CheckReport:
     """The one verdict rule, for residuals measured against ``p``.
 
-    Each condition is ``(residual, detail if it fails)``.  A ``rel`` residual
-    passes iff it is 0, whatever ``tol`` is; any other passes iff it is at
-    most ``tol * _scale(p)``.  A non-finite residual or scale fails.  A caller
-    that has ``_scale(p)`` already passes it as ``scale``.
+    Each condition is ``(residual, detail if it fails)``, judged against
+    :func:`_bound`: a ``rel`` residual passes iff it is 0, whatever ``tol``
+    is; any other passes iff it is at most ``tol * _scale(p)``.  A
+    non-finite residual or scale fails.  A caller that has ``_scale(p)``
+    already passes it as ``scale``.
     """
-    if core._spec(p.backend).exact:
-        bound = 0.0
-    else:
-        scale = _scale(p) if scale is None else scale
-        bound = tol * scale if math.isfinite(scale) else math.nan  # nothing passes a NaN bound
-    return _conjunction([(math.isfinite(r) and r <= bound, r, detail) for r, detail in conditions], tol)
+    if scale is None and not core._spec(p.backend).exact:
+        scale = _scale(p)
+    bound = _bound(p.backend, tol, scale)
+    return _conjunction([(r <= bound, r, detail) for r, detail in conditions], tol)
 
 
 def _condition(rep: CheckReport) -> tuple[float, str]:
@@ -156,30 +174,48 @@ def dimension(backend: str, system: System):
 def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     """Is ``p`` a causal process of its backend's base category?
 
-    matr+: every joint-input column sums to 1 and no entry is negative (the
-    detail names the most negative), judged against one scale.  cpm: tracing
-    out all outputs leaves the identity on the inputs; :func:`is_positive`
-    checks complete positivity.  rel: totality.
+    Discarding every output must leave the discarding effect on the inputs:
+    matr+ columns sum to 1, cpm outputs trace out to the identity on the
+    inputs, a rel relation is total (the detail names an input related to
+    no output).  On matr+ no entry may be negative either (the detail names
+    the most negative); :func:`is_positive` checks cpm complete positivity.
+    The conditions are :func:`_causality`'s, judged against one scale.
     """
-    if p.backend == REL:
-        out_axes = tuple(range(len(p.out_wires)))
-        cols = p.data.any(axis=out_axes) if out_axes else p.data
-        ok = bool(np.all(cols))
-        detail = ""
-        if not ok and p.in_wires:
-            bad = np.argwhere(~cols)[0]
-            detail = f"no output related to input index {tuple(int(i) for i in bad)}"
-        elif not ok:
-            detail = "the relation is empty"
-        return _verdict(p, tol, [(0.0 if ok else 1.0, detail)])
+    residuals, scale = _causality(p.backend, p.out_wires, p.in_wires, p.data)
+    details = ["not normalized", ""]
+    if p.backend == REL and residuals[0]:
+        cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data
+        bad = tuple(int(i) for i in np.argwhere(~cols)[0])
+        details[0] = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
+    if p.backend == MATR and residuals[1]:
+        details[1] = _positive(p, tol, scale).detail
+    return _verdict(p, tol, [(float(r), d) for r, d in zip(residuals, details)], scale)
 
-    marg = core.discard_outputs(p, [w.label for w in p.out_wires])
-    want = discard(p.backend, p.in_wires)
-    scale = _scale(p)
-    conditions = [(core.distance(marg, want), "not normalized")]
-    if p.backend == MATR:
-        conditions.append(_condition(_positive(p, tol, scale)))
-    return _verdict(p, tol, conditions, scale)
+
+def _causality(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray):
+    """Causality's conditions on ``data``, the array of a process with the
+    wires ``outs``/``ins`` behind any number of leading batch axes: a list of
+    residuals, normalization and (matr+) negativity, and the scale they are
+    judged against.  Each is an array with one entry per batch index, or a
+    float (an array, for the residuals) without batch axes.  Scales are None
+    on rel, whose verdicts are exact."""
+    n = len(outs) + len(ins)
+    batch = data.ndim - core._spec(backend).axes_per_wire * n
+    marg = core._marginal(backend, data, n, range(len(outs)))
+    residuals = [core._maxdiff(marg, discard(backend, ins).data, batch)]
+    if backend == REL:
+        return residuals, None
+    scale = _scales(data, batch)
+    if backend == MATR:
+        residuals.append(_negativity(data, batch))
+    return residuals, scale
+
+
+def _negativity(data: np.ndarray, batch: int):
+    """``max(0, -min)`` over each array behind the ``batch`` leading axes of
+    ``data``: how negative its most negative entry is.  Subtracting from
+    ``0.0`` gives ``0.0``, never ``-0.0``, where the minimum is a zero."""
+    return 0.0 - np.minimum(data.min(axis=tuple(range(batch, data.ndim))), 0.0)
 
 
 def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -206,8 +242,8 @@ def _positive(p: Process, tol: float, scale: float) -> CheckReport:
         return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
     if p.backend != CPM:
         at = np.unravel_index(np.argmin(p.data), p.data.shape)
-        low = float(p.data[at])
-        return _verdict(p, tol, [(max(0.0, -low), f"negative entry {low:.3g} at index {tuple(map(int, at))}")], scale)
+        detail = f"negative entry {float(p.data[at]):.3g} at index {tuple(map(int, at))}"
+        return _verdict(p, tol, [(float(_negativity(p.data, 0)), detail)], scale)
     J = core.choi_matrix(p)
     skew = _certified_skew(J, tol, scale)
     neg = 0.0

@@ -19,8 +19,11 @@ Besides causality, three procedures ask for different steps:
   ``n * 2**(n - 1) - n`` peels on an ``n``-event antichain instead of
   ``(n - 1) * n!``.  The tests' oracle for order consistency.
 
-``check_soc``: plugging every member of a spanning family of causal
-channels into the marked slots always leaves a causal process.
+``check_soc``: plugging every tuple of causal channels, drawn from one
+spanning family per marked slot, leaves a causal process.  Each party's
+family is plugged into the remainders of all tuples so far at once
+(``core.plug_family``), and the remainders of all tuples are judged together
+by ``backends._causality``: no ``plug`` or ``is_causal`` call per tuple.
 
 Apart from these, ``check_projector`` decides any type built with tensor,
 par and duality on the affine backends (matr+, cpm) without enumerating
@@ -36,6 +39,7 @@ other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -76,16 +80,21 @@ from .typesys import (
 
 def _independence_residual(p: Process, in_labels: Sequence[str]) -> tuple[float, Process]:
     """Residual of ``p = p' (x) discard`` on ``in_labels``, and that ``p'``:
-    ``p`` with the uniform causal state plugged into those inputs."""
+    ``p`` with the uniform causal state plugged into those inputs.
+
+    ``p'`` keeps ``p``'s other axes in order, so ``p' (x) discard`` in
+    ``p``'s layout is ``p'`` expanded at the plugged wires' axes, times the
+    identity there on cpm (elsewhere discarding is all ones)."""
     if not in_labels:
         return 0.0, p
-    systems = tuple(p.wire(l) for l in in_labels)
+    systems = tuple(sorted((p.wire(l) for l in in_labels), key=lambda w: p.wire_pos(w.label)))
     extracted = core.plug(backends.uniform_state(p.backend, systems), p, [(l, l) for l in in_labels])
-    recon = core.tensor_par(extracted, backends.discard(p.backend, systems))
-    recon = core.permute(
-        recon, [w.label for w in p.out_wires], [w.label for w in p.in_wires]
-    )
-    return core.distance(recon, p), extracted
+    plugged = [ax for w in systems for ax in p.axes(w.label)]
+    recon = np.expand_dims(extracted.data, plugged)
+    if p.backend == CPM:
+        others = [ax for ax in range(p.data.ndim) if ax not in plugged]
+        recon = recon * np.expand_dims(backends.discard(CPM, systems).data, others)
+    return core._maxdiff(p.data, recon), extracted
 
 
 class _Peeling:
@@ -222,46 +231,45 @@ def check_soc(
     cpm) is plugged in; since plugging is affine per slot — monotone for rel
     — this decides the quantification over all causal channels.
 
-    Tuples are enumerated depth first, in ``itertools.product`` order: each
-    party's channel is plugged into the remainder left by the parties before
-    it, so every prefix of a tuple is plugged once.  The first failing tuple
-    is named in ``detail`` by each party's index into its family.
+    Each party's family is plugged into the remainders left by the parties
+    before it in one batched contraction (:func:`core.plug_family`), which
+    adds a batch axis indexed by the party's channel.  The remainders of all
+    tuples, one per index of the batch axes, are then judged at once by
+    :func:`backends._causality`, each against its own scale.  The residual
+    is the worst over all tuples, NaN included.  The first failing tuple in
+    ``itertools.product`` order, the C order of the batch axes, is named in
+    ``detail`` by each party's index into its family.
+
+    Memory: after ``k`` parties the remainder holds one entry per tuple of
+    their channels and per entry of a process on the wires left.  No family
+    of a rel or matr+ party with an output is smaller than the entries of
+    the wires it closes, so the last remainder, tuples x remainder entries,
+    is the largest, and the peak is at most twice that plus the host (the
+    remainder before a party and the one after it, beside ``p``).
     """
-    families = []
-    total = 1
+    families, tuples = [], 1
     for e in parties:
         outs = tuple(p.wire(l) for l in e.ins)
         ins = tuple(p.wire(l) for l in e.outs)
-        total *= backends.channel_family_size(p.backend, outs, ins)
-        if total > budget:
+        tuples *= backends.channel_family_size(p.backend, outs, ins)
+        if tuples > budget:
             raise CombinatorialBlowup(
                 f"spanning the parties needs more than {budget} channel tuples"
             )
         families.append(backends.causal_channel_family(p.backend, outs, ins))
-    wirings = [[(l, l) for l in e.outs] + [(l, l) for l in e.ins] for e in parties]
-
-    def remainders(q: Process, prefix: tuple[int, ...]):
-        """``(channel indices, is_causal report)`` of every tuple extending
-        ``prefix``, whose channels are already plugged into ``q``."""
-        k = len(prefix)
-        if k == len(parties):
-            yield prefix, backends.is_causal(q, tol)
-            return
-        for i, chan in enumerate(families[k]):
-            yield from remainders(core.plug(q, chan, wirings[k]), prefix + (i,))
-
-    def conditions():
-        witnessed = False
-        for index, rep in remainders(p, ()):
-            detail = ""
-            if not (rep.passed or witnessed):
-                witnessed = True
-                named = ", ".join(f"{e.name} #{i}" for e, i in zip(parties, index))
-                detail = f"the channel tuple {named} leaves a non-causal remainder"
-            yield rep.passed, rep.residual, detail
-
-    # each remainder is judged against its own scale, so the reports are conjoined
-    return _conjunction(conditions(), tol)
+    data, outs, ins = p.data, p.out_wires, p.in_wires
+    for e, family in zip(parties, families):
+        wiring = [(l, l) for l in e.outs + e.ins]
+        data, outs, ins = core.plug_family(p.backend, data, outs, ins, family, wiring)
+    residuals, scale = backends._causality(p.backend, outs, ins, data)
+    residual = functools.reduce(np.maximum, residuals)  # propagates NaN
+    failed = np.flatnonzero(~(residual <= backends._bound(p.backend, tol, scale)))
+    detail = ""
+    if failed.size:
+        index = np.unravel_index(failed[0], residual.shape)
+        named = ", ".join(f"{e.name} #{i}" for e, i in zip(parties, index))
+        detail = f"the channel tuple {named} leaves a non-causal remainder"
+    return CheckReport(not failed.size, float(residual.max()), tol, detail)
 
 
 # -- affine types: the allowed-terms projector -------------------------------------

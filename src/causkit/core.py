@@ -31,9 +31,12 @@ compact-closed cup/cap semantics in all three backends.
 Every move that combines or removes wires is one ``np.einsum``, so one code
 path serves all three backends: :func:`plug`, :func:`compose_seq` and
 :func:`tensor_par` (plugging along no wires) are a contraction planned by
-:func:`_plan`, and :func:`discard_outputs` gives each discarded wire's axes
-one subscript that the result leaves out (a sum, a join or a partial trace).
-:func:`permute` and :func:`bend` only reorder axes.
+:func:`_plan`, :func:`plug_family` is the same contraction for every member
+of a family at once, and :func:`discard_outputs` gives each discarded wire's
+axes one subscript that the result leaves out (a sum, a join or a partial
+trace).  Size-1 axes are squeezed out of every einsum, so only the larger
+axes count against the 52 subscripts it can name.  :func:`permute` and
+:func:`bend` only reorder axes.
 """
 
 from __future__ import annotations
@@ -197,9 +200,12 @@ class Process:
         return f"<Process {self.backend}: {ins} -> {outs}>"
 
 
-def _maxabs(a: np.ndarray) -> float:
-    """Largest absolute entry of an array (booleans count as 0 and 1)."""
-    return float(np.abs(a).max())
+def _maxabs(a: np.ndarray, batch: int = 0):
+    """Largest absolute entry of an array (booleans count as 0 and 1), as a
+    float; or, with ``batch`` leading axes, an array of the largest entry of
+    each array behind them."""
+    m = np.abs(a)
+    return m.max(axis=tuple(range(batch, a.ndim))) if batch else float(m.max())
 
 
 def maxabs(p: Process) -> float:
@@ -223,9 +229,10 @@ def _require_same_shape(f: Process, g: Process) -> None:
         )
 
 
-def _maxdiff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry of ``|a - b|``; booleans differ by their exclusive or."""
-    return _maxabs(a ^ b if a.dtype == np.bool_ else a - b)
+def _maxdiff(a: np.ndarray, b: np.ndarray, batch: int = 0):
+    """Largest entry of ``|a - b|``, per batch index as in :func:`_maxabs`;
+    booleans differ by their exclusive or."""
+    return _maxabs(a ^ b if a.dtype == np.bool_ else a - b, batch)
 
 
 def _reorder_data(p: Process, new_wires: Sequence[System]) -> np.ndarray:
@@ -354,12 +361,24 @@ def discard_outputs(p: Process, labels: Iterable[str]) -> Process:
     if not labels:
         return p
     keep_out = tuple(w for w in p.out_wires if w.label not in labels)
-    # the axes of a discarded wire share one subscript that the result omits
-    n = p.n_wires
-    gone = {p.wire_pos(l) for l in labels}
-    subs = [ax % n if ax % n in gone else ax for ax in range(_spec(p.backend).axes_per_wire * n)]
-    data = np.einsum(p.data, subs, [ax for ax in subs if ax % n not in gone])
+    data = _marginal(p.backend, p.data, p.n_wires, [p.wire_pos(l) for l in labels])
     return Process(p.backend, keep_out, p.in_wires, data)
+
+
+def _marginal(backend: str, data: np.ndarray, n: int, gone: Iterable[int]) -> np.ndarray:
+    """``data``, the array of an ``n``-wire process behind any leading batch
+    axes, with the wires at the positions ``gone`` discarded."""
+    return _einsum(_marginal_plan(backend, data.shape, n, tuple(sorted(gone))), data)
+
+
+@functools.lru_cache(maxsize=4096)
+def _marginal_plan(backend: str, shape: tuple[int, ...], n: int, gone: tuple[int, ...]):
+    """The einsum of :func:`_marginal`: a discarded wire's axes share one
+    subscript that the result omits."""
+    wire_axes = _spec(backend).axes_per_wire * n
+    batch = tuple(range(wire_axes, len(shape)))
+    subs = tuple(ax % n if ax % n in gone else ax for ax in range(wire_axes))
+    return _squeeze((shape,), (batch + subs,), batch + tuple(ax for ax in subs if ax % n not in gone))
 
 
 def plug(f: Process, g: Process, wiring: Sequence[tuple[str, str]]) -> Process:
@@ -385,10 +404,92 @@ def _contract(f: Process, g: Process, wiring: tuple[tuple[str, str], ...]) -> Pr
     """The one contraction: join wire ``fl`` of ``f`` to wire ``gl`` of ``g``
     for each pair ``(fl, gl)`` of ``wiring``, in one einsum planned by
     :func:`_plan`."""
-    f_sub, g_sub, out_sub, outs, ins = _plan(
-        f.backend, f.out_wires, f.in_wires, g.out_wires, g.in_wires, wiring
+    *_, outs, ins, plan = _plan(f.backend, f.out_wires, f.in_wires, g.out_wires, g.in_wires, wiring)
+    return Process(f.backend, outs, ins, _einsum(plan, f.data, g.data))
+
+
+def plug_family(
+    backend: str,
+    data: np.ndarray,
+    outs: tuple[System, ...],
+    ins: tuple[System, ...],
+    family: Sequence[Process],
+    wiring: Sequence[tuple[str, str]],
+) -> tuple[np.ndarray, tuple[System, ...], tuple[System, ...]]:
+    """:func:`plug` every member of ``family`` into every process of a batch.
+
+    The processes share the wires ``outs``/``ins``, and ``data`` holds their
+    arrays behind any number of leading batch axes; the members share their
+    wires too.  The result is ``(data, outs, ins)`` of the plugged processes,
+    with one more batch axis, after the others, indexed by the member:
+    plugging families one after another stacks the batch axes in
+    ``itertools.product`` order.
+
+    Each member is one einsum over the whole batch, planned once by
+    :func:`_plan`.  Each process's entries come out bit for bit as
+    :func:`plug` gives them: an einsum with both operands batched can sum
+    a contraction down to a scalar in another order.
+    """
+    g = family[0]
+    if any(h.backend != backend or h.out_wires != g.out_wires or h.in_wires != g.in_wires for h in family):
+        raise ShapeMismatch("the members of a family must share one backend and one wire layout")
+    f_sub, g_sub, out_sub, outs, ins, _ = _plan(backend, outs, ins, g.out_wires, g.in_wires, tuple(wiring))
+    top = len(f_sub) + len(g_sub)  # _plan numbers the wire axes below this
+    batch = tuple(range(top, top + data.ndim - len(f_sub)))
+    plan = _squeeze((data.shape, g.data.shape), (batch + f_sub, g_sub), batch + out_sub)
+
+    def plugged(h: Process) -> np.ndarray:
+        return _einsum(plan, data, h.data)
+
+    # np.stack keeps the layout einsum chose, which the next einsum's order of
+    # summation depends on; the other members overwrite their copies of the first
+    result = np.stack([plugged(g)] * len(family), axis=len(batch))
+    for i, h in enumerate(family[1:], 1):
+        result[(slice(None),) * len(batch) + (i,)] = plugged(h)
+    return result, outs, ins
+
+
+#: ``np.einsum`` names array axes by the integers below this.
+_SUBSCRIPTS = 52
+
+
+def _einsum(plan, *arrays: np.ndarray) -> np.ndarray:
+    """``np.einsum`` of ``arrays`` by a plan of :func:`_squeeze`."""
+    shapes, subs, out, shape = plan
+    args = []
+    for a, sh, sub in zip(arrays, shapes, subs):
+        args += (a if sh is None else a.reshape(sh), sub)
+    result = np.einsum(*args, out)
+    return result if shape is None else result.reshape(shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _squeeze(shapes: tuple[tuple[int, ...], ...], subs: tuple[tuple[int, ...], ...], out: tuple[int, ...]):
+    """The plan of an einsum of operands of the given ``shapes`` and
+    sublists ``subs`` into the sublist ``out``, for :func:`_einsum`: the
+    operands' shapes and sublists without their size-1 axes, the result's
+    sublist, and the result's full shape; a shape is None where it has no
+    size-1 axis.  So only the distinct subscripts of larger axes count
+    against the 52 that einsum can name; more raise :class:`ShapeMismatch`.
+    The subscripts left are renumbered from 0 in their order, which keeps
+    the order in which einsum sums.
+    """
+    size = {}
+    for shape, sub in zip(shapes, subs):
+        size.update(zip(sub, shape))
+    kept = sorted(s for s, n in size.items() if n != 1)
+    if len(kept) > _SUBSCRIPTS:
+        raise ShapeMismatch(
+            f"a contraction over {len(kept)} axes of size above 1; einsum names at most {_SUBSCRIPTS}"
+        )
+    number = {s: k for k, s in enumerate(kept)}
+    shape = tuple(size[s] for s in out)
+    return (
+        tuple(tuple(n for n in sh if n != 1) if 1 in sh else None for sh in shapes),
+        [[number[s] for s in sub if s in number] for sub in subs],
+        [number[s] for s in out if s in number],
+        shape if 1 in shape else None,
     )
-    return Process(f.backend, outs, ins, np.einsum(f.data, f_sub, g.data, g_sub, out_sub))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -399,11 +500,11 @@ def _plan(
     g_out: tuple[System, ...],
     g_in: tuple[System, ...],
     wiring: tuple[tuple[str, str], ...],
-) -> tuple[list[int], list[int], list[int], tuple[System, ...], tuple[System, ...]]:
+):
     """The wire bookkeeping of a contraction, which depends only on the two
     wire layouts and the wiring: it checks the pairs and returns the einsum
-    sublists of ``f``, ``g`` and the result, and the result's output and
-    input wires.
+    sublists of ``f``, ``g`` and the result, the result's output and input
+    wires, and the :func:`_squeeze` plan of the contraction.
 
     Remaining wires keep their order: ``f`` outputs, ``g`` outputs, ``f``
     inputs, ``g`` inputs.  A bad wiring raises here on every call, since the
@@ -439,12 +540,16 @@ def _plan(
     in_ids = [i for i in f_kept if i >= fo] + [nf + j for j in g_kept if j >= go]
     wires = f_wires + g_wires
     a, n = _spec(backend).axes_per_wire, nf + ng
+    f_sub, g_sub = tuple(_wire_axes(n, range(nf), a)), tuple(_wire_axes(n, g_ids, a))
+    out_sub = tuple(_wire_axes(n, out_ids + in_ids, a))
+    shapes = tuple(tuple(w.dim for w in ws) * a for ws in (f_wires, g_wires))
     return (
-        _wire_axes(n, range(nf), a),
-        _wire_axes(n, g_ids, a),
-        _wire_axes(n, out_ids + in_ids, a),
+        f_sub,
+        g_sub,
+        out_sub,
         tuple(wires[s] for s in out_ids),
         tuple(wires[s] for s in in_ids),
+        _squeeze(shapes, (f_sub, g_sub), out_sub),
     )
 
 

@@ -7,7 +7,10 @@ import contextlib
 import functools
 import io
 import itertools
+import math
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,20 +402,33 @@ def test_soc_single_party(rng):
     assert not checks.check_soc(tr, [party], tol=TOL)
 
 
-def _soc_host(backend, n, rng):
-    """An ``n``-party fixed-order chain: a state feeds party 0, party ``k``'s
-    output reaches party ``k + 1`` through a random channel with a memory,
-    and the last output is discarded."""
-    a = [System(f"A{k}", 2) for k in range(n)]
-    b = [System(f"A{k}'", 2) for k in range(n)]
-    host = backends.random_causal(backend, (a[0], System("M0", 2)), (), rng)
+def _soc_host(backend, n, rng, d=2, slot=False, past=0):
+    """An ``n``-party fixed-order chain on party wires of dimension ``d``: a
+    state feeds party 0, party ``k``'s output reaches party ``k + 1`` through
+    a random channel with a memory, and the last output is discarded.
+
+    With ``slot``, party 0's input also depends on a host input ``S``, a
+    first-order slot: one more party plugs a state into it.  With ``past``,
+    the chain starts from a global past ``G`` and ends in a global future
+    ``H``, both of that dimension, which stay open after every party is
+    plugged: a ``G -o (T -o H)`` host."""
+    a = [System(f"A{k}", d) for k in range(n)]
+    b = [System(f"A{k}'", d) for k in range(n)]
+    s = (System("S", d),) if slot else ()
+    g, h = ((System("G", past),), (System("H", past),)) if past else ((), ())
+    host = backends.random_causal(backend, (a[0], System("M0", 2)), s + g, rng)
     for k in range(1, n):
-        mem_out = (System(f"M{k}", 2),) if k < n - 1 else ()
+        mem_out = (System(f"M{k}", 2),) if k < n - 1 or past else ()
         step = backends.random_causal(backend, (a[k],) + mem_out, (System(f"M{k - 1}", 2), b[k - 1]), rng)
         host = core.plug(host, step, [(f"M{k - 1}", f"M{k - 1}")])
-    host = core.tensor_par(host, backends.discard(backend, (b[-1],)))
+    if past:
+        end = backends.random_causal(backend, h, (System(f"M{n - 1}", 2), b[-1]), rng)
+        host = core.plug(host, end, [(f"M{n - 1}", f"M{n - 1}")])
+    else:
+        host = core.tensor_par(host, backends.discard(backend, (b[-1],)))
     parties = [Event(f"party{k}", ins=x.label, outs=y.label) for k, (x, y) in enumerate(zip(b, a))]
-    return core.permute(host, [w.label for w in a], [w.label for w in b]), parties
+    parties += [Event(f"party{n}", ins="S")] if slot else []
+    return core.permute(host, [w.label for w in a + list(h)], [w.label for w in b + list(s + g)]), parties
 
 
 def _party_loop(host, party, rng):
@@ -447,23 +463,83 @@ def _soc_oracle(p, parties, tol):
     return reports
 
 
+SOC_HOSTS = {  # test id: (parties, options of _soc_host)
+    "2": (2, {}),
+    "3": (3, {}),
+    "2-d3": (2, {"d": 3}),
+    "2-slot": (2, {"slot": True}),
+    "2-past": (2, {"past": 2}),
+}
+
+
 @pytest.mark.parametrize("loop", [False, True])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n, shape", SOC_HOSTS.values(), ids=SOC_HOSTS)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_soc_matches_product_oracle(backend, n, loop, rng):
-    host, parties = _soc_host(backend, n, rng)
+def test_soc_matches_product_oracle(backend, n, shape, loop, rng):
+    host, parties = _soc_host(backend, n, rng, **shape)
     if loop:
         host = _party_loop(host, parties[int(rng.integers(n))], rng)
     rep = checks.check_soc(host, parties, tol=TOL)
     oracle = _soc_oracle(host, parties, TOL)
     assert rep.passed == all(r.passed for _, r in oracle) == (not loop)
     assert rep.residual == max(r.residual for _, r in oracle)
+    assert math.copysign(1.0, rep.residual) == 1.0
     if loop:
         named = tuple(int(i) for i in re.findall(r"party\d+ #(\d+)", rep.detail))
         first_failure = next(index for index, r in oracle if not r.passed)
         assert named == first_failure
     else:
         assert rep.detail == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_soc_non_finite_host_fails(backend, bad, rng):
+    """A NaN or inf entry fails every tuple it reaches, as the oracle's
+    ``is_causal`` verdicts decide, with a non-finite residual and no
+    warning; rel data cannot hold one."""
+    host, parties = _soc_host(backend, 2, rng)
+    data = host.data.copy()
+    data.flat[1] = bad
+    host = Process(backend, host.out_wires, host.in_wires, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = checks.check_soc(host, parties, tol=TOL)
+        oracle = _soc_oracle(host, parties, TOL)
+    assert not rep and not any(r.passed for _, r in oracle)
+    residuals = [r.residual for _, r in oracle]
+    if any(map(math.isnan, residuals)):  # NaN propagates, as in _conjunction
+        assert math.isnan(rep.residual)
+    else:
+        assert rep.residual == max(residuals) == math.inf
+    assert rep.detail == "the channel tuple party0 #0, party1 #0 leaves a non-causal remainder"
+
+
+@pytest.mark.parametrize("backend", [MATR, REL])
+def test_soc_reports_no_negative_zero(backend):
+    """The classical switch's remainders are exactly causal, with zero
+    entries: the worst residual is 0.0 and must not come out as -0.0."""
+    switch = gallery.classical_switch().process
+    switch = Process(backend, switch.out_wires, switch.in_wires, switch.data.astype(bool) if backend == REL else switch.data)
+    parties = [Event("PA", ins="A'", outs="A"), Event("PB", ins="B'", outs="B")]
+    rep = checks.check_soc(switch, parties, tol=TOL)
+    assert rep and rep.residual == 0.0 and math.copysign(1.0, rep.residual) == 1.0
+
+
+def test_soc_memory_is_twice_the_last_remainder_plus_the_host(rng):
+    """The bound of the ``check_soc`` docstring, on 64 tuples of matr+
+    channels whose remainders keep a 16-dimensional past and future open."""
+    host, parties = _soc_host(MATR, 3, rng, past=16)
+    tuples, remainder = 4**3, 16 * 16
+    bound = 2 * tuples * remainder * host.data.itemsize + host.data.nbytes
+    assert checks.check_soc(host, parties, tol=TOL)  # fills the caches first
+    tracemalloc.start()
+    try:
+        rep = checks.check_soc(host, parties, tol=TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep and peak <= bound
 
 
 def _soc_type(parties, d=2):

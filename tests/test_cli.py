@@ -169,6 +169,28 @@ def test_error_paths_exit_2(capsys, tmp_path):
     assert code == 2 and out is None and "unknown --param 'nodes'; memory_comb takes backend, events, d, seed" in err
 
 
+def test_dimension_one_wires_beyond_einsum_subscripts(capsys, tmp_path):
+    """27 events on dimension-1 wires: 54 array axes, more than the 52 that
+    einsum can name, all of size 1.  numpy 1 arrays have at most 32 axes,
+    so there the loader refuses the file with exit code 2."""
+    n = 27
+    wires = [{"name": f"A{k}'", "dim": 1, "role": "out"} for k in range(n)]
+    wires += [{"name": f"A{k}", "dim": 1, "role": "in"} for k in range(n)]
+    proc = tmp_path / "wide.json"
+    proc.write_text(json.dumps({"backend": "matr+", "wires": wires, "data": [1.0]}))
+    poset = tmp_path / "o.json"
+    poset.write_text(json.dumps({
+        "events": [{"name": f"E{k}", "in": [f"A{k}"], "out": [f"A{k}'"]} for k in range(n)],
+        "order": [["E0", "E1"], ["E1", "E2"]],
+    }))
+    for mode in ((), ("--poset", str(poset))):
+        code, doc, err = run(capsys, "check", str(proc), *mode)
+        if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+            assert code == 2 and doc is None and err.startswith("error: malformed data payload")
+        else:
+            assert code == 0 and doc["passed"] is True and doc["residual"] == 0.0
+
+
 def test_non_finite_data_exits_2(capsys, tmp_path):
     """json reads NaN and Infinity; the loader must reject them."""
     doc = core.to_json_dict(gallery.swap_process().process)

@@ -134,6 +134,19 @@ def test_plug_errors_raise_before_and_after_a_cached_plan(wiring, error, message
         core.plug(f, g, wiring)
 
 
+def test_einsum_plan_squeezes_size_one_axes():
+    """einsum names at most 52 axes: size-1 axes leave the plan, the other
+    subscripts are renumbered in order, and a contraction that still needs
+    more than 52 raises ShapeMismatch before any array is made."""
+    shapes = ((1,) * 50 + (2, 3), (3, 1, 2))
+    subs = (tuple(range(50)) + (60, 70), (70, 80, 90))
+    assert core._squeeze(shapes, subs, (90, 60, 80)) == (((2, 3), (3, 2)), [[0, 1], [1, 2]], [2, 0], (2, 2, 1))
+    assert core._squeeze(((2, 3), (3, 2)), ((5, 7), (7, 9)), (9, 5)) == ((None, None), [[0, 1], [1, 2]], [2, 0], None)
+    wide = ((2,) * 30, (2,) * 30)
+    with pytest.raises(ShapeMismatch, match="over 60 axes of size above 1; einsum names at most 52"):
+        core._squeeze(wide, (tuple(range(30)), tuple(range(30, 60))), tuple(range(60)))
+
+
 def test_cached_plan_result_matches_fresh_process(rng):
     for backend in BACKENDS:
         f = rand_process(backend, (System("C", 3), System("B", 2)), (System("A", 2),), rng)
