@@ -262,13 +262,13 @@ def _certified_skew(J: np.ndarray, tol: float, scale: float) -> float | None:
 
     With ``eps = tol * scale`` and ``s = eps / 2``, ``H + s I`` is factored in
     one 2x2 block split, so that no temporary exceeds a quarter of ``J``:
-    ``L_A = chol(A + s I)``, ``W = solve(L_A, B)`` and
+    ``L_A = chol(A + s I)``, ``W = L_A^-1 B`` (:func:`_forward_solve`) and
     ``L_C = chol(C + s I - W^H W)`` for ``H = [[A, B], [B^H, C]]``, each block
     read straight from ``J``.  The computed factor ``L = [[L_A, 0], [W^H, L_C]]``
     gives a positive semidefinite ``L L^H``, so by Weyl's inequality
     ``lambda_min(H) >= -s - |L L^H - (H + s I)|_2``.  That norm is bounded by
-    measured quantities: twice ``rho = |L_A W - B|_F`` (``solve`` pivots, so
-    its error is measured, not assumed), plus ``2 gamma_{4n+4} |L|_F^2`` for
+    measured quantities: twice ``rho = |L_A W - B|_F`` (measured, so the
+    bound holds however ``W`` was computed), plus ``2 gamma_{4n+4} |L|_F^2`` for
     the rounding of the Cholesky factorizations and of the products (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3 and Thm 10.3,
     with each complex inner product counted as real ones of twice the
@@ -290,7 +290,7 @@ def _certified_skew(J: np.ndarray, tol: float, scale: float) -> float | None:
         la = np.linalg.cholesky(a)
         del a  # each temporary goes before the next is made: at most J's size is alive
         b, skew_b = _hermitian_block(J, top, bottom, 0.0)
-        w = np.linalg.solve(la, b)
+        w = _forward_solve(la, b)
         r = la @ w
         r -= b
         rho = float(np.linalg.norm(r))
@@ -308,6 +308,20 @@ def _certified_skew(J: np.ndarray, tol: float, scale: float) -> float | None:
     bound = 2 * rho + 2 * gamma * norms + 4 * n * _U * (scale + s)
     skew = max(skew_a, skew_b, skew_c)
     return skew if skew <= eps / 4 and s + bound <= 3 * eps / 4 else None
+
+
+def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``L^-1 B`` for a lower-triangular ``L`` by forward substitution in
+    blocks: with ``L = [[L1, 0], [L2, L3]]``, ``X1 = L1^-1 B1`` and
+    ``X2 = L3^-1 (B2 - L2 X1)``, split again down to diagonal blocks of at
+    most 16 rows, whose inverses multiply their rows of ``B``.  Unlike
+    ``np.linalg.solve`` it runs no pivoted LU of the whole of ``L``."""
+    n = len(L)
+    if n <= 16:
+        return np.linalg.inv(L) @ B
+    k = n // 2
+    top = _forward_solve(L[:k, :k], B[:k])
+    return np.concatenate([top, _forward_solve(L[k:, k:], B[k:] - L[k:, :k] @ top)])
 
 
 def _hermitian_block(J: np.ndarray, rows: slice, cols: slice, shift: float) -> tuple[np.ndarray, float]:
@@ -448,32 +462,41 @@ def causal_channel_family(
     ``J0 + (G_m (x) F_n) / (2 d_out)`` over a traceless Hermitian basis
     ``{G_m}`` on the output factor and a full Hermitian basis ``{F_n}`` on
     the input factor; all are CPTP and they affinely span the
-    trace-preserving subspace.
+    trace-preserving subspace.  Each call returns new processes.
     """
-    out_systems, in_systems = tuple(out_systems), tuple(in_systems)
+    family = _channel_family(backend, tuple(out_systems), tuple(in_systems))
+    return [Process(backend, m.out_wires, m.in_wires, m.data.copy()) for m in family]
+
+
+@functools.lru_cache(maxsize=64)
+def _channel_family(
+    backend: str, out_systems: tuple[System, ...], in_systems: tuple[System, ...]
+) -> tuple[Process, ...]:
+    """:func:`causal_channel_family`, built once per shape for the callers
+    that only read it: every member's ``data`` is read-only.  The families
+    of the last 64 shapes are kept."""
     out_dims = tuple(s.dim for s in out_systems)
     in_dims = tuple(s.dim for s in in_systems)
     dout = math.prod(out_dims)
     din = math.prod(in_dims)
     shape = out_dims + in_dims
-    members: list[Process] = []
-
+    arrays = []
     if backend != CPM:
         dtype = core._spec(backend).dtype
         for g in itertools.product(range(dout), repeat=din):
             m = np.zeros((dout, din), dtype=dtype)
             m[g, range(din)] = 1
-            members.append(Process(backend, out_systems, in_systems, m.reshape(shape)))
-        return members
-
-    j0 = np.kron(np.eye(dout, dtype=complex) / dout, np.eye(din, dtype=complex))
-    eps = 1.0 / (2.0 * dout)
-    cpm_shape = shape + shape
-    members.append(Process(CPM, out_systems, in_systems, j0.reshape(cpm_shape)))
-    for g in _traceless_hermitian_basis(dout):
-        for f in _hermitian_basis(din):
-            j = j0 + eps * np.kron(g, f)
-            members.append(Process(CPM, out_systems, in_systems, j.reshape(cpm_shape)))
+            arrays.append(m.reshape(shape))
+    else:
+        j0 = np.kron(np.eye(dout, dtype=complex) / dout, np.eye(din, dtype=complex))
+        eps = 1.0 / (2.0 * dout)
+        arrays.append(j0.reshape(shape + shape))
+        for g in _traceless_hermitian_basis(dout):
+            for f in _hermitian_basis(din):
+                arrays.append((j0 + eps * np.kron(g, f)).reshape(shape + shape))
+    members = tuple(Process(backend, out_systems, in_systems, a) for a in arrays)
+    for m in members:
+        m.data.flags.writeable = False
     return members
 
 

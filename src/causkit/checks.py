@@ -35,12 +35,17 @@ contains no other term, has the type's total and is positive.
 event (its dualled atoms are inputs, its plain atoms outputs) to causality,
 combs and tensors of events to their procedures on every backend, every
 other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
+Each type is compiled once (``_compile``): its normal form, wire roles,
+procedure and events are kept for every later call with that type, and the
+projector's mask once per type and wire layout.  A cold call, such as every
+CLI call, does the parsing and dispatch work that every call did before.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -231,8 +236,9 @@ def check_soc(
     cpm) is plugged in; since plugging is affine per slot — monotone for rel
     — this decides the quantification over all causal channels.
 
-    Each party's family is plugged into the remainders left by the parties
-    before it in one batched contraction (:func:`core.plug_family`), which
+    A family is built once per backend and party shape and then shared,
+    read-only.  Each party's family is plugged into the remainders left by
+    the parties before it in one batched contraction (:func:`core.plug_family`), which
     adds a batch axis indexed by the party's channel.  The remainders of all
     tuples, one per index of the batch axes, are then judged at once by
     :func:`backends._causality`, each against its own scale.  The residual
@@ -256,7 +262,7 @@ def check_soc(
             raise CombinatorialBlowup(
                 f"spanning the parties needs more than {budget} channel tuples"
             )
-        families.append(backends.causal_channel_family(p.backend, outs, ins))
+        families.append(backends._channel_family(p.backend, outs, ins))
     data, outs, ins = p.data, p.out_wires, p.in_wires
     for e, family in zip(parties, families):
         wiring = [(l, l) for l in e.outs + e.ins]
@@ -365,17 +371,17 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
     """
     if p.backend not in (MATR, CPM):
         raise UnsupportedBackend(f"the projector needs an affine backend, not {p.backend}")
-    n = normalize(parse_type(t) if isinstance(t, str) else t)
-    _check_wires(p, n)
-    return _projector(p, n, tol)
+    compiled = _compile(t)
+    _check_wires(p, compiled)
+    return _projector(p, compiled, tol)
 
 
-def _projector(p: Process, n: Type, tol: float) -> CheckReport:
+def _projector(p: Process, compiled: _Compiled, tol: float) -> CheckReport:
     scale = backends._scale(p)
     positive = backends._positive(p, tol, scale)  # before any array of p's size is made here
     if not math.isfinite(scale):  # no coefficient of a non-finite process means anything
         return positive
-    allowed, gamma = _allowed_terms(n, p.wires)
+    allowed, gamma = compiled.allowed_terms(p.wires)
     c = _coefficients(p)
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
     forbidden = np.where(allowed, 0.0, _pattern_maxima(c))
@@ -391,15 +397,72 @@ def _projector(p: Process, n: Type, tol: float) -> CheckReport:
 # -- membership in a causal type ---------------------------------------------------
 
 
-def _check_wires(p: Process, t: Type) -> None:
+@dataclass(eq=False)
+class _Compiled:
+    """What deciding membership needs of a causal type and nothing else.
+
+    ``parsed`` is the type as given and ``normal`` its normal form; ``ins``
+    and ``outs`` map the labels of its dualled and plain atoms (the wire
+    roles) to their dims.  ``procedure`` is the one its shape selects:
+    ``"is_causal"``, ``"comb"`` or ``"nonsignalling"`` on ``events``;
+    ``"cap"``, the conjunction of ``branches``; or ``"higher"``, the
+    projector on matr+ and cpm and, on rel, ``check_soc`` on the parties in
+    ``events`` (None: no procedure).
+    """
+
+    parsed: Type
+    normal: Type
+    ins: dict[str, int | None]
+    outs: dict[str, int | None]
+    procedure: str
+    events: tuple[Event, ...] | None = None
+    branches: tuple["_Compiled", ...] = ()
+    masks: dict[tuple[System, ...], tuple[np.ndarray, float]] = field(default_factory=dict)
+
+    def allowed_terms(self, wires: tuple[System, ...]) -> tuple[np.ndarray, float]:
+        """:func:`_allowed_terms` of the normal form, built once per wire
+        layout; the mask is read-only."""
+        if wires not in self.masks:
+            mask, gamma = _allowed_terms(self.normal, wires)
+            mask.flags.writeable = False
+            self.masks[wires] = mask, gamma
+        return self.masks[wires]
+
+
+@functools.lru_cache(maxsize=4096)
+def _compile(t: Type | str) -> _Compiled:
+    """The record of the type ``t``, a type or its text, built on the first
+    call with ``t``; a bad type raises on every call (no exception is kept).
+
+    Of a ``cap`` the branches must share one ambient shape, and its wire
+    roles are its first branch's, which every branch has.
+    """
+    parsed = parse_type(t) if isinstance(t, str) else t
+    emb = fo_embedding(parsed)
+    n = emb.source
+    if isinstance(parsed, Cap):
+        branches = tuple(_compile(part) for part in parsed.parts)
+        return _Compiled(parsed, n, branches[0].ins, branches[0].outs, "cap", branches=branches)
+    roles = ({a.label: a.dim for a in emb.in_atoms}, {a.label: a.dim for a in emb.out_atoms})
+    seq = _comb_seq(parsed)
+    if _one_event(n):
+        procedure, events = "is_causal", None
+    elif seq is not None and len(seq) >= 4:
+        steps = [Lolli(seq[2 * k], seq[2 * k + 1]) for k in range(len(seq) // 2)]
+        procedure, events = "comb", tuple(_event(f"e{k}", s) for k, s in enumerate(steps))
+    elif isinstance(n, Tensor) and all(map(_one_event, n.parts)):
+        procedure, events = "nonsignalling", tuple(_event(f"e{k}", q) for k, q in enumerate(n.parts))
+    else:
+        procedure, events = "higher", _soc_parties(parsed)
+    return _Compiled(parsed, n, *roles, procedure, events)
+
+
+def _check_wires(p: Process, compiled: _Compiled) -> None:
     """The type's atoms must be exactly the process wires, with dual
     occurrences naming inputs and plain ones naming outputs."""
-    emb = fo_embedding(t)
-    want_in = {a.label: a.dim for a in emb.in_atoms}
-    want_out = {a.label: a.dim for a in emb.out_atoms}
     have_in = {w.label: w.dim for w in p.in_wires}
     have_out = {w.label: w.dim for w in p.out_wires}
-    for want, have, side in ((want_in, have_in, "input"), (want_out, have_out, "output")):
+    for want, have, side in ((compiled.ins, have_in, "input"), (compiled.outs, have_out, "output")):
         for label, dim in want.items():
             if label not in have:
                 other = "output" if side == "input" else "input"
@@ -450,7 +513,7 @@ def _comb_seq(t: Type) -> list[Type] | None:
     return None
 
 
-def _soc_parties(t: Type) -> list[Event] | None:
+def _soc_parties(t: Type) -> tuple[Event, ...] | None:
     """Match ``T -o H`` or ``G -o (T -o H)``, ``T`` a tensor of slots in any
     bracketing, each slot and ``H`` an arrow or first-order.  A party is the
     event of its slot's dual, seen from the host: an arrow slot ``A -o A'``
@@ -472,23 +535,7 @@ def _soc_parties(t: Type) -> list[Event] | None:
     slots = flat(t.left)
     if not all(map(slot, slots)):
         return None
-    return [_event(f"party{k}", Dual(f)) for k, f in enumerate(slots)]
-
-
-def _signalling_check(p: Process, t: Type, n: Type, tol: float) -> CheckReport | None:
-    """The one-event, comb and non-signalling shapes, which keep their own
-    procedures on every backend; None for any other shape."""
-    if _one_event(n):
-        return backends.is_causal(p, tol)
-
-    seq = _comb_seq(t)
-    if seq is not None and len(seq) >= 4:
-        steps = [Lolli(seq[2 * k], seq[2 * k + 1]) for k in range(len(seq) // 2)]
-        return check_comb(p, [_event(f"e{k}", s) for k, s in enumerate(steps)], tol)
-
-    if isinstance(n, Tensor) and all(map(_one_event, n.parts)):
-        return check_nonsignalling(p, [_event(f"e{k}", q) for k, q in enumerate(n.parts)], tol)
-    return None
+    return tuple(_event(f"party{k}", Dual(f)) for k, f in enumerate(slots))
 
 
 def check_membership(
@@ -511,26 +558,31 @@ def check_membership(
 
     The one-event, comb and tensor shapes keep their own procedures on
     matr+ and cpm because the projector, with the same verdicts, is slower:
-    2.4 times over the 34 matr+/cpm membership inputs of the ``signalling``
-    benchmark workload, 5 times on its 4-event cpm comb (best of 30, seed
-    1, 2-core x86-64).  They check matr+ non-negativity in
-    :func:`backends.is_causal`; on cpm only the projector checks positivity.
+    about 4 times over the 34 matr+/cpm membership inputs of the
+    ``signalling`` benchmark workload, about 8 times on its 4-event cpm comb
+    (best of 30 warm calls, seed 1, 2-core x86-64, one BLAS thread).  They
+    check matr+ non-negativity in :func:`backends.is_causal`; on cpm
+    only the projector checks positivity.
     """
-    if isinstance(t, str):
-        t = parse_type(t)
-    if isinstance(t, Cap):
-        fo_embedding(t)  # branches must share one ambient shape
-        reports = [check_membership(p, part, tol, budget) for part in t.parts]
-        return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
+    compiled = _compile(t)
+    _check_wires(p, compiled)
+    return _decide(p, compiled, tol, budget)
 
-    n = normalize(t)
-    _check_wires(p, n)
-    rep = _signalling_check(p, t, n, tol)
-    if rep is not None:
-        return rep
+
+def _decide(p: Process, compiled: _Compiled, tol: float, budget: int) -> CheckReport:
+    """Run the procedure of a compiled type whose wires ``p`` has."""
+    procedure, events = compiled.procedure, compiled.events
+    if procedure == "cap":
+        reports = [_decide(p, branch, tol, budget) for branch in compiled.branches]
+        return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
+    if procedure == "is_causal":
+        return backends.is_causal(p, tol)
+    if procedure == "comb":
+        return check_comb(p, events, tol)
+    if procedure == "nonsignalling":
+        return check_nonsignalling(p, events, tol)
     if p.backend != REL:
-        return _projector(p, n, tol)
-    parties = _soc_parties(t)
-    if parties is None:
-        raise UnsupportedType(f"no decision procedure for the shape of {render_type(t)} on rel")
-    return check_soc(p, parties, tol, budget)
+        return _projector(p, compiled, tol)
+    if events is None:
+        raise UnsupportedType(f"no decision procedure for the shape of {render_type(compiled.parsed)} on rel")
+    return check_soc(p, events, tol, budget)

@@ -58,13 +58,21 @@ class Dual:
     body: "Type"
 
 
+class _Parts:
+    """Coerces ``parts`` to a tuple, so every type is hashable and equality
+    does not depend on the sequence type it was built from."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+
+
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Parts):
     parts: tuple["Type", ...]
 
 
 @dataclass(frozen=True)
-class Par:
+class Par(_Parts):
     parts: tuple["Type", ...]
 
 
@@ -75,7 +83,7 @@ class Lolli:
 
 
 @dataclass(frozen=True)
-class Cap:
+class Cap(_Parts):
     """Intersection of types over a common ambient channel shape."""
 
     parts: tuple["Type", ...]

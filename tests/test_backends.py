@@ -146,6 +146,49 @@ def test_positivity_certificate_agrees_with_eigvalsh():
     assert certified >= total // 4
 
 
+def test_positivity_certificate_agrees_with_eigvalsh_on_qubit_choi_matrices():
+    """On Choi matrices of 1-8 qubits, positive semidefinite, near-singular
+    across the boundary and indefinite, a certified verdict is the verdict
+    that eigvalsh gives."""
+    rng = np.random.default_rng(1515)
+    certified = 0
+    for k in range(1, 9):
+        n = 2**k
+        qubits = tuple(System(f"A{i}", 2) for i in range(k))
+        for kind in ("psd", "near_singular", "indefinite"):
+            for _ in range(3):
+                rank = n if kind == "psd" else int(rng.integers(1, n + 1))
+                g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+                h = g @ g.conj().T
+                h /= np.abs(h).max()
+                if kind == "near_singular":
+                    h += rng.uniform(-3.0, 3.0) * TOL * np.eye(n)
+                elif kind == "indefinite":  # the least eigenvalue becomes -1.5 tol to -100 tol
+                    h -= (np.linalg.eigvalsh(h).min() + rng.uniform(1.5, 100.0) * TOL) * np.eye(n)
+                p = Process(CPM, qubits, (), h.reshape((2,) * 2 * k))
+                scale = backends._scale(p)
+                want = -np.linalg.eigvalsh(h).min() <= TOL * scale
+                assert want or kind != "psd"
+                assert backends.is_positive(p, tol=TOL).passed == want
+                if backends._certified_skew(h, TOL, scale) is not None:
+                    assert want
+                    certified += 1
+    assert certified >= 24
+
+
+def test_forward_solve_inverts_lower_triangular_factors():
+    """Block forward substitution solves ``L X = B`` on both sides of every
+    block split."""
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 15, 16, 17, 33, 64, 100, 128):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        low = np.linalg.cholesky(g @ g.conj().T + n * np.eye(n))
+        b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        x = backends._forward_solve(low, b)
+        assert x.shape == b.shape
+        assert np.abs(low @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+
 def test_positivity_certificate_declines_when_rounding_could_matter():
     """The identity factors at any shift, but at a tolerance just above the
     skip limit the certificate's rounding bound exceeds its margin."""
@@ -209,6 +252,23 @@ def test_channel_family_counts_and_causality(rng):
             assert backends.is_causal(f, tol=TOL)
             if backend == CPM:
                 assert backends.is_positive(f, tol=TOL)
+
+
+def test_channel_family_is_built_once_and_handed_out_fresh():
+    """``check_soc`` reads one shared, read-only family per shape; the public
+    function returns new processes that callers may change."""
+    a, b = System("A", 2), System("B", 2)
+    for backend in BACKENDS:
+        shared = backends._channel_family(backend, (b,), (a,))
+        assert shared is backends._channel_family(backend, (b,), (a,))
+        for m in shared:
+            with pytest.raises(ValueError):
+                m.data[(0,) * m.data.ndim] = 0
+        fresh = backends.causal_channel_family(backend, [b], [a])
+        for f, m in zip(fresh, shared, strict=True):
+            assert f.data.flags.writeable and not np.shares_memory(f.data, m.data)
+            assert (f.out_wires, f.in_wires) == (m.out_wires, m.in_wires) and core.distance(f, m) == 0.0
+            f.data[(0,) * f.data.ndim] = 0
 
 
 def test_cpm_family_spans_trace_preserving_affine_space():

@@ -21,16 +21,30 @@ from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
 from causkit.errors import (
     CombinatorialBlowup,
     CyclicOrder,
+    DuplicateLabel,
     EmbedMismatch,
     NoSuchWire,
     ShapeMismatch,
     TooManyEvents,
+    TypeSyntaxError,
     UnknownEvent,
     UnsupportedBackend,
     UnsupportedType,
 )
 from causkit.events import Event, EventPoset
-from causkit.typesys import atom_occurrences, fo_embedding, is_first_order, normalize, parse_type, render_type
+from causkit.typesys import (
+    Atom,
+    Cap,
+    Lolli,
+    Tensor,
+    Unit,
+    atom_occurrences,
+    fo_embedding,
+    is_first_order,
+    normalize,
+    parse_type,
+    render_type,
+)
 from conftest import _unshared_comb, rand_data, rand_process
 
 TOL = 1e-9
@@ -889,6 +903,108 @@ def test_membership_dispatch_table(backend, ty, want, rng, monkeypatch):
     else:
         assert checks.check_membership(p, ty, tol=TOL)
         assert calls == want
+
+
+def _reversed_wires(p):
+    """``p`` with the order of its outputs and of its inputs reversed."""
+    return core.permute(p, [w.label for w in p.out_wires][::-1], [w.label for w in p.in_wires][::-1])
+
+
+def _outcome(p, ty):
+    """``check_membership``'s report as a tuple, or the error it raised."""
+    try:
+        rep = checks.check_membership(p, ty, tol=TOL)
+    except UnsupportedType as e:
+        return "raise", type(e).__name__, str(e)
+    return rep.passed, repr(rep.residual), rep.detail
+
+
+def _cold_and_warm(p, ty):
+    """The outcome with the type memo cleared, then twice from the memo."""
+    checks._compile.cache_clear()
+    cold = _outcome(p, ty)
+    assert _outcome(p, ty) == _outcome(p, ty) == cold
+    return cold
+
+
+def _membership_cases():
+    rng = np.random.default_rng(15)
+    for backend, ty, _ in DISPATCH:
+        emb = fo_embedding(parse_type(ty))
+        outs, ins = (tuple(System(a.label, a.dim) for a in atoms) for atoms in (emb.out_atoms, emb.in_atoms))
+        yield f"{backend}:{ty}", rand_process(backend, outs, ins, rng), ty
+    for name in gallery.REGISTRY:
+        inst = gallery.build(name)
+        for ty, _ in inst.expectations:
+            yield f"{name}:{ty}", inst.process, ty
+
+
+@pytest.mark.parametrize("case", list(_membership_cases()), ids=lambda c: c[0])
+def test_membership_memo_is_transparent(case):
+    """Every dispatch row and gallery type decides the same on a cold call and
+    on warm ones, and so does a second process of the type with its wires in
+    another order, whose projector mask is built for that order."""
+    _, p, ty = case
+    cold = _cold_and_warm(p, ty)
+    q = _reversed_wires(p)
+    warm_record = _outcome(q, ty)  # compiled for p's layout, not q's
+    assert _cold_and_warm(q, ty) == warm_record
+    assert _outcome(p, ty) == cold
+
+
+@pytest.mark.parametrize(
+    "ty, error",
+    [
+        ("A[2] -o", TypeSyntaxError),
+        ("A[2] (x) (B[2] -o", TypeSyntaxError),
+        ("A[2] -o A[2]", DuplicateLabel),
+        ("cap(A[2] -o B[2], B[2] -o A[2])", EmbedMismatch),
+        ("A[2] -o C[2]", NoSuchWire),
+        ("A[2] -o B[4]", ShapeMismatch),
+        ("B[2] -o A[2]", EmbedMismatch),
+        ("cap(A[2] -o B[4], A[2]^* (+) B[4])", ShapeMismatch),
+    ],
+)
+def test_membership_memo_raises_every_time(ty, error, rng):
+    """No exception is memoized: a bad type, or a good one that does not fit
+    the process, raises the same error with the same message on every call."""
+    p = backends.random_causal(MATR, (System("B", 2),), (System("A", 2),), rng)
+    checks._compile.cache_clear()
+    messages = []
+    for _ in range(3):
+        for check in (checks.check_membership, checks.check_projector):
+            with pytest.raises(error) as info:
+                check(p, ty, tol=TOL)
+            messages.append((check.__name__, str(info.value)))
+    assert messages[:2] == messages[2:4] == messages[4:]
+
+
+def test_projector_mask_is_shared_and_read_only(rng):
+    """The projector's mask is built once per wire layout and cannot be
+    written to."""
+    ty = "((A[2] -o B[2]) -o C[2]) -o D[2]"
+    p = rand_process(MATR, (System("B", 2), System("D", 2)), (System("A", 2), System("C", 2)), rng)
+    q = _reversed_wires(p)
+    checks._compile.cache_clear()
+    for proc in (p, q, p, q):
+        checks.check_projector(proc, ty, tol=TOL)
+    compiled = checks._compile(ty)
+    assert set(compiled.masks) == {p.wires, q.wires}
+    mask, _ = compiled.allowed_terms(p.wires)
+    assert mask is compiled.allowed_terms(p.wires)[0]
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[(0,) * mask.ndim] = False
+
+
+def test_membership_accepts_types_built_with_lists():
+    """A type built by hand with list parts is hashable and decides as one
+    built with tuples."""
+    discard_a = backends.discard(MATR, (System("A", 2),))
+    listed = Lolli(Tensor([Atom("A", 2)]), Unit())
+    assert listed == Lolli(Tensor((Atom("A", 2),)), Unit())
+    assert checks.check_membership(discard_a, listed, tol=TOL)
+    assert checks.check_membership(discard_a, Cap([listed, listed]), tol=TOL)
 
 
 def test_readme_quick_tour_runs():
