@@ -7,17 +7,17 @@ distribution / maximally mixed state / full relation) into them, and the
 residual is the largest entrywise deviation between ``K`` and the
 reconstruction ``K' (x) discard``.
 
-One memo, ``_Peeling``, takes every signalling step: peeling an event after
-an up-set discards its outputs and asks for independence of its inputs.
-Besides causality, three procedures ask for different steps:
+One condition, ``_up_set_residual``, is every signalling condition: with
+an up-set's outputs discarded, ``p`` itself must be independent of its
+inputs.  Besides causality, three procedures ask it of different up-sets:
 
-* ``check_order_consistency``: each event whose up-set is not every event,
-  after the rest of its up-set; ``check_one_way`` (a two-event chain) and
+* ``check_order_consistency``: the up-set of each event, when it is not
+  every event; ``check_one_way`` (a two-event chain) and
   ``check_nonsignalling`` (an antichain) call it;
-* ``check_comb``: the same on a chain, peeling events off the back;
-* ``check_via_totalisations``: the comb steps of every linear extension:
-  ``n * 2**(n - 1) - n`` peels on an ``n``-event antichain instead of
-  ``(n - 1) * n!``.  The tests' oracle for order consistency.
+* ``check_comb``: the same on a chain, whose up-sets are its suffixes;
+* ``check_via_totalisations``: the proper suffixes of every linear
+  extension, each set once: ``2**n - 2`` on an ``n``-event antichain
+  instead of ``(n - 1) * n!``.  The tests' oracle for order consistency.
 
 ``check_soc``: plugging every tuple of causal channels, drawn from one
 spanning family per marked slot, leaves a causal process.  Each party's
@@ -102,46 +102,13 @@ def _independence_residual(p: Process, in_labels: Sequence[str]) -> tuple[float,
     return core._maxdiff(p.data, recon), extracted
 
 
-class _Peeling:
-    """The peel steps of one process along one poset, each taken once.
-
-    Peeling ``x`` after an up-set ``S`` discards ``x``'s outputs from the
-    remainder of ``S``, measures the marginal's dependence on ``x``'s inputs
-    and plugs the uniform state into them, leaving the remainder of
-    ``S | {x}``.  Steps on different wires commute, so a remainder depends
-    only on its set: the first one computed is kept, and a missing one is
-    built by peeling its events top first (every prefix is an up-set).
-    """
-
-    def __init__(self, p: Process, poset: EventPoset, tol: float):
-        self.poset = poset
-        self.up = {x: frozenset(n for n in poset.names if poset.leq(x, n)) for x in poset.names}
-        self.top_first = sorted(poset.names, key=lambda x: len(self.up[x]))
-        self.causal = _condition(backends.is_causal(p, tol))
-        self.remainders: dict[frozenset[str], Process] = {frozenset(): p}
-        self.residuals: dict[tuple[str, frozenset[str]], float] = {}
-
-    def remainder(self, peeled: frozenset[str]) -> Process:
-        """``p`` with the events ``peeled`` peeled."""
-        if peeled not in self.remainders:
-            *above, lowest = [x for x in self.top_first if x in peeled]
-            self.step(lowest, frozenset(above))
-        return self.remainders[peeled]
-
-    def step(self, x: str, peeled: frozenset[str]) -> float:
-        """Residual of peeling ``x`` once the events ``peeled`` are gone."""
-        key = (x, peeled)
-        if key not in self.residuals:
-            e = self.poset.event(x)
-            marg = core.discard_outputs(self.remainder(peeled), e.outs)
-            self.residuals[key], rest = _independence_residual(marg, e.ins)
-            self.remainders.setdefault(peeled | {x}, rest)
-        return self.residuals[key]
-
-    def condition(self, x: str, peeled: frozenset[str], order: Sequence[str]) -> tuple[float, str]:
-        """The step as a condition, naming the events of ``order`` still there."""
-        rest = [n for n in order if n != x and n not in peeled]
-        return self.step(x, peeled), f"event {x!r} signals backwards to {rest}"
+def _up_set_residual(p: Process, poset: EventPoset, up: frozenset[str]) -> float:
+    """How far the events ``up`` signal into the rest: with their outputs
+    discarded, ``p`` must be independent of their inputs.  Every signalling
+    condition below is this one, on an up-set."""
+    events = [poset.event(n) for n in poset.names if n in up]
+    marg = core.discard_outputs(p, [l for e in events for l in e.outs])
+    return _independence_residual(marg, [l for e in events for l in e.ins])[0]
 
 
 # -- signalling along a partial order --------------------------------------------
@@ -151,24 +118,22 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     """Is ``p`` causal and compatible with the partial order?
 
     For every event ``x`` whose up-set ``U`` (the events at or above ``x``)
-    is not every event, peeling ``x`` after ``U - {x}`` must pass; the first
+    is not every event, ``U`` must not signal into the rest; the first
     failing event, taken top first, is named.  Causality covers the rest.
 
     This says that no down-closed set is signalled into from its complement,
     a union of principal up-sets: discarding the outputs of ``U1 | U2``
     keeps the independence of ``U1``'s inputs and of ``U2``'s, and plugging
     the uniform state into one and then the other makes it independent of
-    both.  And once the events above ``x`` pass (induction up the order),
-    ``p`` without ``U``'s outputs is the remainder of ``U - {x}`` without
-    ``x``'s outputs, tensored with discarding the inputs of ``U - {x}``: it
-    is independent of ``U``'s inputs exactly when ``x``'s step passes.
+    both.
     """
     check_partition(poset.events, p)
-    peeling = _Peeling(p, poset, tol)
-    conditions = [peeling.causal]
-    for x in peeling.top_first:
-        if len(peeling.up[x]) < len(poset):
-            conditions.append(peeling.condition(x, peeling.up[x] - {x}, poset.names))
+    up = {x: frozenset(n for n in poset.names if poset.leq(x, n)) for x in poset.names}
+    conditions = [_condition(backends.is_causal(p, tol))]
+    for x in sorted(poset.names, key=lambda x: len(up[x])):
+        if len(up[x]) < len(poset):
+            rest = [n for n in poset.names if n not in up[x]]
+            conditions.append((_up_set_residual(p, poset, up[x]), f"event {x!r} signals backwards to {rest}"))
     return _verdict(p, tol, conditions)
 
 
@@ -184,7 +149,8 @@ def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAUL
 
 def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
     """Is ``p`` a comb with the given events in the given temporal order,
-    i.e. consistent with their chain (peeled off the back one at a time)?"""
+    i.e. consistent with their chain: no proper suffix of the events signals
+    into the events before it (Chiribella, D'Ariano & Perinotti 2009)?"""
     chain = [(a.name, b.name) for a, b in zip(events, events[1:])]
     return check_order_consistency(p, EventPoset(events, chain), tol)
 
@@ -195,26 +161,25 @@ MAX_TOTALISED_EVENTS = 8
 def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
     """Order consistency checked the expensive way, as the paper states it:
     ``p`` must be a comb for every linear extension of the partial order.
-    The extensions share one :class:`_Peeling` and one verdict, and a step
+    The extensions share one verdict, and a suffix set (:func:`check_comb`)
     met again in a later extension is left out: its residual is the same,
-    and the first failure is always a step's first occurrence."""
+    and the first failure is always a set's first occurrence."""
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
     check_partition(poset.events, p)
-    peeling = _Peeling(p, poset, tol)
     exts = list(poset.linear_extensions())
-    residual, detail = peeling.causal
+    residual, detail = _condition(backends.is_causal(p, tol))
     conditions = [(residual, f"not a comb for the extension {exts[0]}: {detail}")]
-    seen: set[tuple[str, frozenset[str]]] = set()
+    seen: set[frozenset[str]] = set()
     for ext in exts:
         for k in range(len(ext) - 1, 0, -1):
-            step = (ext[k], frozenset(ext[k + 1 :]))
-            if step not in seen:
-                seen.add(step)
-                residual, detail = peeling.condition(*step, ext)
-                conditions.append((residual, f"not a comb for the extension {ext}: {detail}"))
+            up = frozenset(ext[k:])
+            if up not in seen:
+                seen.add(up)
+                detail = f"event {ext[k]!r} signals backwards to {list(ext[:k])}"
+                conditions.append((_up_set_residual(p, poset, up), f"not a comb for the extension {ext}: {detail}"))
     return _verdict(p, tol, conditions)
 
 

@@ -3,7 +3,8 @@
 Verdicts are written as JSON on stdout for scripting; a short human-readable
 account goes to stderr.  Exit status: 0 when the outcome matches the
 expectation (``--expect pass`` unless overridden), 1 when it does not, and
-2 for malformed inputs, usage errors or an input too large for memory.
+2 for malformed inputs, usage errors or an input too large for memory or
+too deeply nested.
 
 Processes are given as JSON files, or as ``example:NAME`` to pull a gallery
 entry built with its default parameters.
@@ -251,8 +252,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CauskitError, OSError, MemoryError) as e:
-        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+    except (CauskitError, OSError, MemoryError, RecursionError) as e:
+        message = "input nested too deeply" if isinstance(e, RecursionError) else str(e) or type(e).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -615,6 +615,8 @@ def from_json_dict(doc: Mapping) -> Process:
     except (KeyError, TypeError) as e:
         raise FormatError(f"process document must have backend/wires/data: {e}") from e
     _spec(backend)  # an unknown backend raises
+    if not isinstance(wire_docs, list):
+        raise FormatError(f"wires must be an array, not {_JSON_TYPES.get(type(wire_docs), type(wire_docs).__name__)}")
 
     outs: list[System] = []
     ins: list[System] = []
@@ -666,7 +668,7 @@ def load_process(path) -> Process:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not UTF-8, not JSON, or a number too long to convert
         raise FormatError(f"{path}: {e}") from e
     finally:
         if collecting:

@@ -194,6 +194,6 @@ def load_poset(path) -> EventPoset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not UTF-8, not JSON, or a number too long to convert
             raise FormatError(f"{path}: {e}") from e
     return poset_from_json_dict(doc)

@@ -50,8 +50,9 @@ def rand_systems(
 
 
 def _unshared_comb(p, events, tol):
-    """The comb check peeling one remainder after another, sharing nothing:
-    an oracle for ``check_comb`` that does not go through its memo."""
+    """The comb check peeling one remainder after another: each event, from
+    the back, is checked with the events after it already averaged out.  An
+    oracle for the verdicts of ``check_comb``, which checks whole suffixes."""
     causal = backends.is_causal(p, tol)
     conditions = [(causal.residual, causal.detail)]
     q = p

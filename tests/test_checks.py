@@ -311,11 +311,17 @@ def _unshared_totalisations(p, poset, tol):
     return backends._conjunction(conditions, tol)
 
 
+def _suffix_sets(exts):
+    """The distinct proper suffix sets of the linear extensions ``exts``."""
+    return list(dict.fromkeys(frozenset(ext[k:]) for ext in exts for k in range(len(ext) - 1, 0, -1)))
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_totalisations_match_unshared_combs(backend):
-    """Sharing peel steps across extensions keeps every verdict and detail;
-    a remainder reached by another peel order may differ only by rounding.
-    A comb checked alone peels in one order and gives the same report."""
+    """Every verdict and detail is that of a fresh peeling comb check per
+    extension, and the residual is exactly that of the whole-up-set
+    oracle over the same suffix sets.  A comb checked alone gives the peeling
+    verdict and detail and the oracle's residual over its chain's suffixes."""
     gen = np.random.default_rng({MATR: 801, CPM: 802, REL: 803}[backend])
     verdicts = set()
     for k in range(20 if backend == CPM else 40):  # a 5-event cpm process has 16 MB of data
@@ -324,13 +330,14 @@ def test_totalisations_match_unshared_combs(backend):
         got = checks.check_via_totalisations(p, poset, tol=TOL)
         want = _unshared_totalisations(p, poset, TOL)
         assert (got.passed, got.detail) == (want.passed, want.detail), f"{backend} pair {k}, order {rels}"
-        if backend == REL:
-            assert got.residual == want.residual
-        else:
-            assert abs(got.residual - want.residual) <= 1e-12 * backends._scale(p)
+        exts = list(poset.linear_extensions())
+        assert got.residual == _signalling_oracle(p, poset, _suffix_sets(exts), TOL).residual
         verdicts.add(got.passed)
-        ext = [poset.event(name) for name in next(iter(poset.linear_extensions()))]
-        assert checks.check_comb(p, ext, tol=TOL) == _unshared_comb(p, ext, TOL)
+        ext = [poset.event(name) for name in exts[0]]
+        rep, peeled = checks.check_comb(p, ext, tol=TOL), _unshared_comb(p, ext, TOL)
+        assert (rep.passed, rep.detail) == (peeled.passed, peeled.detail)
+        chain = EventPoset(ext, list(zip(exts[0], exts[0][1:])))
+        assert rep.residual == _signalling_oracle(p, chain, _suffix_sets([exts[0]]), TOL).residual
     assert verdicts == {True, False}
 
 
@@ -353,47 +360,48 @@ def _channels(n, order=()):
 
 
 @pytest.mark.parametrize(
-    "n, order, peels",
-    [pytest.param(n, (), n * 2 ** (n - 1) - n, id=f"antichain{n}") for n in (3, 4, 5, 6)]
+    "n, order, conditions",
+    [pytest.param(n, (), 2**n - 2, id=f"antichain{n}") for n in (3, 4, 5, 6)]
     + [
-        pytest.param(4, (("E1", "E2"), ("E3", "E4"), ("E1", "E4")), 8, id="chains2+2"),
-        pytest.param(5, (("E1", "E2"), ("E2", "E3"), ("E4", "E5"), ("E1", "E5")), 13, id="chains3+2"),
+        pytest.param(4, (("E1", "E2"), ("E3", "E4"), ("E1", "E4")), 6, id="chains2+2"),
+        pytest.param(5, (("E1", "E2"), ("E2", "E3"), ("E4", "E5"), ("E1", "E5")), 9, id="chains3+2"),
     ],
 )
-def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, peels):
-    """One causality check, and one peel per event and up-set above it: on an
-    antichain ``n * 2**(n - 1) - n`` peels instead of ``(n - 1) * n!``; the
-    last two are the benchmark's two-chain poset shapes."""
+def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, conditions):
+    """One causality check, and one independence check per non-empty proper
+    up-set, each the suffix set of some linear extension: on an antichain
+    ``2**n - 2`` instead of ``(n - 1) * n!``; the last two are the
+    benchmark's two-chain poset shapes."""
     p, poset = _channels(n, order)
     counts = collections.Counter()
     _count_calls(monkeypatch, checks, "_independence_residual", counts)
     _count_calls(monkeypatch, backends, "is_causal", counts)
     assert checks.check_via_totalisations(p, poset, tol=TOL)
-    assert counts == {"_independence_residual": peels, "is_causal": 1}
+    assert counts == {"_independence_residual": conditions, "is_causal": 1}
 
 
 @pytest.mark.parametrize(
-    "n, order, peels",
+    "n, order, conditions",
     [pytest.param(n, (), n, id=f"antichain{n}") for n in (2, 4, 6)]
     + [
         pytest.param(n, [(f"E{k}", f"E{k + 1}") for k in range(1, n)], n - 1, id=f"chain{n}")
         for n in (2, 4, 6)
     ]
     + [
-        pytest.param(4, (("E1", "E2"), ("E3", "E4"), ("E1", "E4")), 5, id="chains2+2"),
-        pytest.param(5, (("E1", "E2"), ("E2", "E3"), ("E4", "E5"), ("E1", "E5")), 7, id="chains3+2"),
+        pytest.param(4, (("E1", "E2"), ("E3", "E4"), ("E1", "E4")), 4, id="chains2+2"),
+        pytest.param(5, (("E1", "E2"), ("E2", "E3"), ("E4", "E5"), ("E1", "E5")), 5, id="chains3+2"),
     ],
 )
-def test_order_consistency_peels_each_up_set_once(monkeypatch, n, order, peels):
-    """One causality check, and each event peeled after the rest of its
-    up-set, whose remainder is built from the peels above it: ``n`` peels on
-    an antichain, ``n - 1`` on a chain."""
+def test_order_consistency_peels_each_up_set_once(monkeypatch, n, order, conditions):
+    """One causality check, and one independence check per event whose
+    up-set is not every event, on that whole up-set: ``n`` on an antichain,
+    ``n - 1`` on a chain."""
     p, poset = _channels(n, order)
     counts = collections.Counter()
     _count_calls(monkeypatch, checks, "_independence_residual", counts)
     _count_calls(monkeypatch, backends, "is_causal", counts)
     assert checks.check_order_consistency(p, poset, tol=TOL)
-    assert counts == {"_independence_residual": peels, "is_causal": 1}
+    assert counts == {"_independence_residual": conditions, "is_causal": 1}
 
 
 def test_totalisations_scale_the_process_at_most_twice(monkeypatch):

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from causkit import core, gallery
+from causkit import core, events, gallery
 from causkit.cli import main
 from causkit.core import CPM, MATR, REL, Process, System
+from causkit.errors import FormatError
 
 
 def run(capsys, *argv):
@@ -149,6 +150,9 @@ def test_error_paths_exit_2(capsys, tmp_path):
     }))
     code, out, err = run(capsys, "check", str(bad))
     assert code == 2 and out is None and "must have 18446744073709551620 entries, got 4" in err
+    bad.write_text(json.dumps({"backend": "matr+", "wires": 5, "data": [1.0]}))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out is None and "error: wires must be an array, not int" in err
     for argv in (("check", "example:swap_process"), ("examples", "bw_process")):
         for tol in ("nan", "inf", "-0.5", "tiny"):
             with pytest.raises(SystemExit) as exc:
@@ -167,6 +171,43 @@ def test_error_paths_exit_2(capsys, tmp_path):
     assert code == 2 and out is None and "error: --param events expects an int, got 'abc'" in err
     code, out, err = run(capsys, "examples", "memory_comb", "--param", "nodes=3")
     assert code == 2 and out is None and "unknown --param 'nodes'; memory_comb takes backend, events, d, seed" in err
+
+
+def test_files_that_are_not_utf8_or_json_numbers_exit_2(capsys, tmp_path):
+    """A process or poset file that is not UTF-8, or holds an integer too
+    long to convert, is a format error naming the file."""
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{\x00}\x00")
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"backend": "matr+", "wires": [], "data": [' + "1" * 5000 + "]}")
+    for argv in (
+        ("check", str(undecodable)),
+        ("check", str(digits)),
+        ("check", "example:swap_process", "--poset", str(undecodable)),
+        ("convert", str(undecodable)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None and err.startswith(f"error: {tmp_path}"), argv
+    with pytest.raises(FormatError, match="utf16.json: 'utf-8' codec can't decode"):
+        core.load_process(undecodable)
+    with pytest.raises(FormatError, match="utf16.json: 'utf-8' codec can't decode"):
+        events.load_poset(undecodable)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("check", "example:bw_process", "--type", "(" * 3000 + "A" + ")" * 3000), id="type-parens"),
+        pytest.param(("prove", "(" * 3000 + "A" + ")" * 3000), id="sequent-parens"),
+        pytest.param(("check", "example:bw_process", "--type", " -o ".join(["A"] * 601)), id="arrow-chain"),
+    ],
+)
+def test_deeply_nested_input_exits_2(capsys, argv):
+    """Nesting deeper than Python recurses, in the parser or in ``normalize``
+    after a parse that succeeds, is bad input, not a crash."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out is None
+    assert err.strip() == "error: input nested too deeply"
 
 
 def test_dimension_one_wires_beyond_einsum_subscripts(capsys, tmp_path):
