@@ -244,7 +244,7 @@ def _c5(backend: str, cfg: HarnessConfig, rng: np.random.Generator) -> AxiomResu
             for vec in null:
                 # does the effect, with the states' wires (A, B) as inputs, depend on B?
                 effect = Process(backend, (), states[0].out_wires, vec.reshape(shape))
-                worst = max(worst, checks._independence_residual(effect, ["B"])[0])
+                worst = max(worst, checks._independence_residual(effect, (), ("B",)))
     return AxiomResult(
         "C5", backend, worst <= 1e-8, float(worst),
         "every normalizing effect is constant in the output factor "

@@ -2,10 +2,11 @@
 
 Everything here reduces to one primitive.  To say that a process ``K`` is
 independent of some of its inputs means ``K = K' (x) discard`` on those
-inputs; ``K'`` is recovered by plugging the uniform causal state (uniform
-distribution / maximally mixed state / full relation) into them, and the
-residual is the largest entrywise deviation between ``K`` and the
-reconstruction ``K' (x) discard``.
+inputs, ``K'`` being ``K`` with the uniform causal state (uniform
+distribution / maximally mixed state / full relation) plugged into them; the
+residual is the largest entrywise deviation of ``K`` from that.
+``_independence_residual`` computes it on arrays, ``K`` being ``p`` with
+some outputs discarded: two einsums and a max, planned once per wire layout.
 
 One condition, ``_up_set_residual``, is every signalling condition: with
 an up-set's outputs discarded, ``p`` itself must be independent of its
@@ -83,32 +84,52 @@ from .typesys import (
 # -- the independence primitive -------------------------------------------------
 
 
-def _independence_residual(p: Process, in_labels: Sequence[str]) -> tuple[float, Process]:
-    """Residual of ``p = p' (x) discard`` on ``in_labels``, and that ``p'``:
-    ``p`` with the uniform causal state plugged into those inputs.
+def _independence_residual(p: Process, gone: tuple[str, ...], plugged: tuple[str, ...]) -> float:
+    """Residual of ``q = q' (x) discard`` on the inputs ``plugged``, 0.0 if
+    there are none: ``q`` is ``p`` with the outputs ``gone`` discarded, ``q'``
+    is ``q`` with the uniform causal state plugged into ``plugged``.  In
+    ``q``'s layout ``q' (x) discard`` is ``q'`` with a size-1 axis at each
+    plugged axis, times the identity there on cpm (elsewhere discarding is
+    all ones).  Two einsums, planned by :func:`_independence_plan`."""
+    marginal, uniform, plug, shape, identity = _independence_plan(p.backend, p.out_wires, p.in_wires, gone, plugged)
+    if not plugged:
+        return 0.0
+    q = core._einsum(marginal, p.data)
+    recon = core._einsum(plug, uniform, q).reshape(shape)
+    return core._maxdiff(q, recon if identity is None else recon * identity)
 
-    ``p'`` keeps ``p``'s other axes in order, so ``p' (x) discard`` in
-    ``p``'s layout is ``p'`` expanded at the plugged wires' axes, times the
-    identity there on cpm (elsewhere discarding is all ones)."""
-    if not in_labels:
-        return 0.0, p
-    systems = tuple(sorted((p.wire(l) for l in in_labels), key=lambda w: p.wire_pos(w.label)))
-    extracted = core.plug(backends.uniform_state(p.backend, systems), p, [(l, l) for l in in_labels])
-    plugged = [ax for w in systems for ax in p.axes(w.label)]
-    recon = np.expand_dims(extracted.data, plugged)
-    if p.backend == CPM:
-        others = [ax for ax in range(p.data.ndim) if ax not in plugged]
-        recon = recon * np.expand_dims(backends.discard(CPM, systems).data, others)
-    return core._maxdiff(p.data, recon), extracted
+
+@functools.lru_cache(maxsize=4096)
+def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], gone: tuple, plugged: tuple):
+    """What :func:`_independence_residual` does to any ``p`` with these wires:
+    the :func:`core._marginal_plan` discarding ``gone``, the uniform state on
+    ``plugged`` and the :func:`core._plan` plugging it, the reconstruction's
+    shape, and on cpm the identity on the plugged wires (else None).  The
+    arrays are read-only.  A label that is not an output (``gone``) or an
+    input (``plugged``) raises on every call: the cache keeps only results."""
+    for labels, wires, role in ((gone, outs, "output"), (plugged, ins, "input")):
+        missing = set(labels) - {w.label for w in wires}
+        if missing:
+            raise NoSuchWire(f"no {role} wires {sorted(missing)} among {[w.label for w in wires]}")
+    kept = tuple(w for w in outs if w.label not in gone)
+    gone_at = tuple(i for i, w in enumerate(outs) if w.label in gone)
+    marginal = core._marginal_plan(backend, Process.expected_shape(backend, outs, ins), len(outs + ins), gone_at)
+    systems = tuple(w for w in ins if w.label in plugged)
+    *_, plug = core._plan(backend, systems, (), kept, ins, tuple((l, l) for l in plugged))
+    uniform = backends.uniform_state(backend, systems).data
+    uniform.flags.writeable = False
+    shape = tuple(1 if w in systems else w.dim for w in kept + ins) * core._spec(backend).axes_per_wire
+    dims = tuple(w.dim if w in systems else 1 for w in kept + ins)
+    identity = backends.discard(CPM, systems).data.reshape(dims * 2) if backend == CPM else None  # a read-only view
+    return marginal, uniform, plug, shape, identity
 
 
 def _up_set_residual(p: Process, poset: EventPoset, up: frozenset[str]) -> float:
     """How far the events ``up`` signal into the rest: with their outputs
     discarded, ``p`` must be independent of their inputs.  Every signalling
     condition below is this one, on an up-set."""
-    events = [poset.event(n) for n in poset.names if n in up]
-    marg = core.discard_outputs(p, [l for e in events for l in e.outs])
-    return _independence_residual(marg, [l for e in events for l in e.ins])[0]
+    events = [e for e in poset.events if e.name in up]
+    return _independence_residual(p, sum((e.outs for e in events), ()), sum((e.ins for e in events), ()))
 
 
 # -- signalling along a partial order --------------------------------------------
@@ -128,7 +149,7 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     both.
     """
     check_partition(poset.events, p)
-    up = {x: frozenset(n for n in poset.names if poset.leq(x, n)) for x in poset.names}
+    up = {x: frozenset(n for n in poset.names if x in poset._below[n]) for x in poset.names}
     conditions = [_condition(backends.is_causal(p, tol))]
     for x in sorted(poset.names, key=lambda x: len(up[x])):
         if len(up[x]) < len(poset):
@@ -523,8 +544,8 @@ def check_membership(
 
     The one-event, comb and tensor shapes keep their own procedures on
     matr+ and cpm because the projector, with the same verdicts, is slower:
-    about 4 times over the 34 matr+/cpm membership inputs of the
-    ``signalling`` benchmark workload, about 8 times on its 4-event cpm comb
+    about 6 times over the 34 matr+/cpm membership inputs of the
+    ``signalling`` benchmark workload, about 9 times on its 4-event cpm comb
     (best of 30 warm calls, seed 1, 2-core x86-64, one BLAS thread).  They
     check matr+ non-negativity in :func:`backends.is_causal`; on cpm
     only the projector checks positivity.

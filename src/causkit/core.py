@@ -622,7 +622,7 @@ def from_json_dict(doc: Mapping) -> Process:
     ins: list[System] = []
     for wd in wire_docs:
         try:
-            sysm = System(str(wd["name"]), wd["dim"])
+            sysm = System(wd["name"], wd["dim"])
             role = wd["role"]
         except (KeyError, TypeError, ShapeMismatch) as e:
             raise FormatError(f"bad wire entry {wd!r}: {e}") from e

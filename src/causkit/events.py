@@ -19,12 +19,13 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BadPartition, CyclicOrder, FormatError, UnknownEvent
 
 
-def _as_tuple(v) -> tuple[str, ...]:
-    if v is None:
-        return ()
-    if isinstance(v, str):
-        return (v,)
-    return tuple(str(x) for x in v)
+def _as_tuple(v, what: str = "wire labels") -> tuple[str, ...]:
+    """A string, a sequence of strings or None as a tuple (else TypeError)."""
+    labels = () if v is None else (v,) if isinstance(v, str) else tuple(v)
+    bad = [l for l in labels if not isinstance(l, str)]
+    if bad:
+        raise TypeError(f"{what} must be strings, not {bad[0]!r}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class Event:
     outs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _as_tuple((self.name,), "event names")
         object.__setattr__(self, "ins", _as_tuple(self.ins))
         object.__setattr__(self, "outs", _as_tuple(self.outs))
 
@@ -64,11 +66,11 @@ class EventPoset:
 
     def __init__(self, events: Sequence[Event], order: Iterable[tuple[str, str]] = ()):
         self.events: tuple[Event, ...] = tuple(events)
-        names = [e.name for e in self.events]
-        if len(set(names)) != len(names):
-            raise BadPartition(f"event names must be unique: {names}")
+        self.names: tuple[str, ...] = tuple(e.name for e in self.events)
+        if len(set(self.names)) != len(self.names):
+            raise BadPartition(f"event names must be unique: {list(self.names)}")
         self._by_name = {e.name: e for e in self.events}
-        self._succ: dict[str, set[str]] = {n: set() for n in names}
+        self._succ: dict[str, set[str]] = {n: set() for n in self.names}
         for below, above in order:
             if below not in self._by_name:
                 raise UnknownEvent(f"order mentions unknown event {below!r}")
@@ -81,8 +83,7 @@ class EventPoset:
     def _transitive_closure(self) -> dict[str, frozenset[str]]:
         # below[x] = all events <= x, computed by DFS; a back edge means the
         # declared order is cyclic.
-        names = [e.name for e in self.events]
-        pred: dict[str, set[str]] = {n: set() for n in names}
+        pred: dict[str, set[str]] = {n: set() for n in self.names}
         for b, succs in self._succ.items():
             for a in succs:
                 pred[a].add(b)
@@ -103,27 +104,18 @@ class EventPoset:
             below[n] = frozenset(acc)
             return below[n]
 
-        for n in names:
+        for n in self.names:
             visit(n)
         return below
 
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.events)
-
     def event(self, name: str) -> Event:
         try:
             return self._by_name[name]
         except KeyError:
             raise UnknownEvent(f"no event named {name!r}") from None
-
-    def leq(self, a: str, b: str) -> bool:
-        """a ⪯ b in the reflexive-transitive closure."""
-        self.event(a), self.event(b)
-        return a in self._below[b]
 
     def past(self, subset: Iterable[str]) -> frozenset[str]:
         """All events lying at-or-below some event of ``subset``."""
@@ -168,7 +160,7 @@ class EventPoset:
 
 def event_from_json_dict(doc: Mapping) -> Event:
     try:
-        return Event(str(doc["name"]), _as_tuple(doc.get("in")), _as_tuple(doc.get("out")))
+        return Event(doc["name"], doc.get("in"), doc.get("out"))
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad event entry {doc!r}: {e}") from e
 
@@ -184,7 +176,7 @@ def poset_from_json_dict(doc: Mapping) -> EventPoset:
     """
     try:
         events = [event_from_json_dict(e) for e in doc["events"]]
-        order = [(str(b), str(a)) for b, a in doc.get("order", [])]
+        order = [_as_tuple((b, a), "order pair entries") for b, a in doc.get("order", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"poset document must have events/order: {e}") from e
     return EventPoset(events, order)

@@ -7,8 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from causkit import backends, checks, core
-from causkit.core import MATR, REL, Process, System
+from causkit import backends, core
+from causkit.core import CPM, MATR, REL, Process, System
 from causkit.mll import FAtom, FBot, FOne, FPar, FTensor, Proof
 
 FUZZ_ATOMS = ("a", "b", "c")
@@ -49,6 +49,26 @@ def rand_systems(
     )
 
 
+def _independence_oracle(p: Process, in_labels) -> tuple[float, Process]:
+    """Residual of ``p = p' (x) discard`` on ``in_labels``, and that ``p'``:
+    ``p`` with the uniform causal state plugged into those inputs, built
+    from processes.  The oracle for ``checks._independence_residual``.
+
+    ``p'`` keeps ``p``'s other axes in order, so ``p' (x) discard`` in
+    ``p``'s layout is ``p'`` expanded at the plugged wires' axes, times the
+    identity there on cpm (elsewhere discarding is all ones)."""
+    if not in_labels:
+        return 0.0, p
+    systems = tuple(sorted((p.wire(l) for l in in_labels), key=lambda w: p.wire_pos(w.label)))
+    extracted = core.plug(backends.uniform_state(p.backend, systems), p, [(l, l) for l in in_labels])
+    plugged = [ax for w in systems for ax in p.axes(w.label)]
+    recon = np.expand_dims(extracted.data, plugged)
+    if p.backend == CPM:
+        others = [ax for ax in range(p.data.ndim) if ax not in plugged]
+        recon = recon * np.expand_dims(backends.discard(CPM, systems).data, others)
+    return core._maxdiff(p.data, recon), extracted
+
+
 def _unshared_comb(p, events, tol):
     """The comb check peeling one remainder after another: each event, from
     the back, is checked with the events after it already averaged out.  An
@@ -58,7 +78,7 @@ def _unshared_comb(p, events, tol):
     q = p
     for k in range(len(events) - 1, 0, -1):
         last = events[k]
-        residual, q = checks._independence_residual(core.discard_outputs(q, last.outs), last.ins)
+        residual, q = _independence_oracle(core.discard_outputs(q, last.outs), last.ins)
         conditions.append((residual, f"event {last.name!r} signals backwards to {[e.name for e in events[:k]]}"))
     return backends._verdict(p, tol, conditions)
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causkit import backends, checks, core, gallery
 from causkit.core import BACKENDS, CPM, MATR, REL, Process, System
@@ -45,7 +47,7 @@ from causkit.typesys import (
     parse_type,
     render_type,
 )
-from conftest import _unshared_comb, rand_data, rand_process
+from conftest import _independence_oracle, _unshared_comb, rand_data, rand_process
 
 TOL = 1e-9
 
@@ -217,6 +219,73 @@ def test_totalisations_name_the_failing_extension():
     assert rep.detail == "not a comb for the extension ('E1', 'E2'): event 'E2' signals backwards to ['E1']"
 
 
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), max_size=5),
+    n_out=st.integers(0, 5),
+    picks=st.integers(0, 2**5 - 1),
+    bad=st.sampled_from([None, np.nan, np.inf]),
+    seed=st.integers(0, 2**31),
+    backend=st.sampled_from(BACKENDS),
+)
+def test_independence_residual_matches_process_oracle(dims, n_out, picks, bad, seed, backend):
+    """The compiled condition gives the oracle's residual, built from
+    processes, bit for bit: wires in shuffled order, dimension-1 wires, no
+    output discarded or no input plugged (residual 0), a non-finite entry."""
+    gen = np.random.default_rng(seed)
+    systems = [System(f"W{k}", d) for k, d in enumerate(dims)]
+    gen.shuffle(systems)
+    n_out = min(n_out, len(systems))
+    p = rand_process(backend, tuple(systems[:n_out]), tuple(systems[n_out:]), gen)
+    if bad is not None and backend != REL:
+        data = p.data.copy()
+        data.flat[gen.integers(data.size)] = bad
+        p = Process(backend, p.out_wires, p.in_wires, data)
+    picked = [w.label for k, w in enumerate(p.wires) if picks >> k & 1]
+    gone = tuple(gen.permutation([l for l in picked if p.role(l) == "out"]).tolist())
+    plugged = tuple(gen.permutation([l for l in picked if p.role(l) == "in"]).tolist())
+    with np.errstate(invalid="ignore"):  # inf - inf, in both
+        want, _ = _independence_oracle(core.discard_outputs(p, gone), plugged)
+        assert _same_float(checks._independence_residual(p, gone, plugged), want)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 arrays have at most 32 axes")
+@pytest.mark.parametrize("backend", [MATR, REL])
+def test_independence_residual_beyond_einsum_subscripts(backend, rng):
+    """55 wires, 53 of dimension 1: more axes than the 52 einsum can name."""
+    outs = (System("X", 2),) + tuple(System(f"O{k}", 1) for k in range(27))
+    ins = tuple(System(f"I{k}", 1) for k in range(26)) + (System("Y", 2),)
+    p = rand_process(backend, outs, ins, rng)
+    for gone, plugged in [(("X", "O3", "O20"), ("Y", "I0", "I25")), (("O1",), ("Y",)), (("X",), ("I7",))]:
+        want, _ = _independence_oracle(core.discard_outputs(p, gone), plugged)
+        assert _same_float(checks._independence_residual(p, gone, plugged), want)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_independence_plan_is_shared_and_read_only(backend, rng):
+    """A plan is built once per backend, wires and labels and shared: its
+    uniform state and (cpm) identity cannot be written.  A label the
+    process lacks raises on every call."""
+    p = rand_process(backend, (System("A'", 2), System("B'", 3)), (System("A", 2), System("B", 3)), rng)
+    key = (backend, p.out_wires, p.in_wires, ("B'",), ("B",))
+    checks._independence_residual(p, ("B'",), ("B",))
+    plan = checks._independence_plan(*key)
+    assert checks._independence_plan(*key) is plan
+    _, uniform, _, _, identity = plan
+    assert not uniform.flags.writeable
+    assert (identity is None) == (backend != CPM)
+    if identity is not None:
+        assert not identity.flags.writeable
+    for _ in range(2):
+        for gone, plugged in [(("Z",), ("B",)), (("B'",), ("Z",)), (("B",), ()), ((), ("B'",))]:
+            with pytest.raises(NoSuchWire):
+                checks._independence_residual(p, gone, plugged)
+
+
 def _signalling_oracle(p, poset, groups, tol):
     """Causality, and for each group of events: discarding the group's
     outputs leaves a process independent of the group's inputs."""
@@ -224,7 +293,7 @@ def _signalling_oracle(p, poset, groups, tol):
     for group in groups:
         up = [poset.event(n) for n in poset.names if n in group]
         marg = core.discard_outputs(p, [l for e in up for l in e.outs])
-        residual, _ = checks._independence_residual(marg, [l for e in up for l in e.ins])
+        residual, _ = _independence_oracle(marg, [l for e in up for l in e.ins])
         conditions.append((residual, ""))
     return backends._verdict(p, tol, conditions)
 

@@ -153,6 +153,25 @@ def test_error_paths_exit_2(capsys, tmp_path):
     bad.write_text(json.dumps({"backend": "matr+", "wires": 5, "data": [1.0]}))
     code, out, err = run(capsys, "check", str(bad))
     assert code == 2 and out is None and "error: wires must be an array, not int" in err
+    # wire names, event names, event in/out entries and order pairs are JSON strings
+    bad.write_text(json.dumps({"backend": "matr+", "wires": [{"name": ["x"], "dim": 1, "role": "out"}], "data": [1.0]}))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out is None and "system label must be a non-empty string, got ['x']" in err
+    with pytest.raises(FormatError):
+        core.load_process(bad)
+    second = {"name": "E2", "in": "B", "out": "B'"}
+    for doc, message in (
+        ({"events": [{"name": 7, "in": "A", "out": "A'"}, second]}, "event names must be strings, not 7"),
+        ({"events": [{"name": "E1", "in": [7], "out": "A'"}, second]}, "wire labels must be strings, not 7"),
+        ({"events": [{"name": "E1", "in": "A", "out": [["A'"]]}, second]}, "wire labels must be strings, not [\"A'\"]"),
+        ({"events": [{"name": "E1", "in": "A", "out": "A'"}, second], "order": [["E1", 2]]},
+         "order pair entries must be strings, not 2"),
+    ):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "example:swap_process", "--poset", str(bad))
+        assert code == 2 and out is None and message in err, doc
+        with pytest.raises(FormatError):
+            events.load_poset(bad)
     for argv in (("check", "example:swap_process"), ("examples", "bw_process")):
         for tol in ("nan", "inf", "-0.5", "tiny"):
             with pytest.raises(SystemExit) as exc:
