@@ -179,9 +179,13 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     inputs, a rel relation is total (the detail names an input related to
     no output).  On matr+ no entry may be negative either (the detail names
     the most negative); :func:`is_positive` checks cpm complete positivity.
-    The conditions are :func:`_causality`'s, judged against one scale.
+    The conditions are :func:`_causality`'s, judged against one scale.  A
+    process with a non-finite entry fails, with that NaN or inf as its
+    residual, as in :func:`is_positive`.
     """
     residuals, scale = _causality(p.backend, p.out_wires, p.in_wires, p.data)
+    if scale is not None and not math.isfinite(scale):
+        return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
     details = ["not normalized", ""]
     if p.backend == REL and residuals[0]:
         cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data

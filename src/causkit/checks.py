@@ -149,8 +149,11 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     both.
     """
     check_partition(poset.events, p)
+    causal = backends.is_causal(p, tol)
+    if not math.isfinite(causal.residual):  # no up-set condition on such data means anything
+        return causal
     up = {x: frozenset(n for n in poset.names if x in poset._below[n]) for x in poset.names}
-    conditions = [_condition(backends.is_causal(p, tol))]
+    conditions = [_condition(causal)]
     for x in sorted(poset.names, key=lambda x: len(up[x])):
         if len(up[x]) < len(poset):
             rest = [n for n in poset.names if n not in up[x]]
@@ -193,6 +196,8 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
     exts = list(poset.linear_extensions())
     residual, detail = _condition(backends.is_causal(p, tol))
     conditions = [(residual, f"not a comb for the extension {exts[0]}: {detail}")]
+    if not math.isfinite(residual):
+        return _verdict(p, tol, conditions)
     seen: set[frozenset[str]] = set()
     for ext in exts:
         for k in range(len(ext) - 1, 0, -1):
@@ -308,29 +313,51 @@ def _allowed_terms(n: Type, wires: Sequence[System]) -> tuple[np.ndarray, float]
     return mask, gamma
 
 
+@functools.lru_cache(maxsize=256)
+def _basis(backend: str, dim: int) -> np.ndarray:
+    """The change of basis on one wire of dimension ``dim``: a real symmetric
+    orthogonal matrix whose row 0 is the identity direction, the unit vector
+    ``u`` along the wire's discarding effect (the uniform vector, or
+    ``I/sqrt(d)`` with its ket and bra axes merged).  It is the reflection
+    ``I - 2 v v^T / (v.v)`` with ``v = u - e_0``, which swaps ``u`` and
+    ``e_0``; on a dimension-1 wire ``u`` is ``e_0`` and the identity is the
+    whole wire.  Built once per backend and dimension; read-only."""
+    u = backends.discard(backend, (System("u", dim),)).data.real.ravel() / math.sqrt(dim)
+    q = np.eye(u.size)
+    if dim > 1:
+        v = u - q[0]
+        q -= np.outer(v, v) * (2.0 / (v @ v))
+    q.flags.writeable = False
+    return q
+
+
 def _coefficients(p: Process) -> np.ndarray:
     """``p``'s data with one axis per wire (a cpm wire's ket and bra axes
-    merged), changed on each wire to an orthonormal basis whose element 0 is
-    the identity direction: the unit vector ``u`` along the wire's discarding
-    effect (the uniform vector, or ``I/sqrt(d)``).
+    merged), changed on each wire to the orthonormal basis of
+    :func:`_basis`, whose element 0 is the identity direction.
 
-    The change is the reflection ``x -> x - 2 v (v.x) / (v.v)`` with
-    ``v = u - e_0``, which swaps ``u`` and ``e_0``.  It works in place on one
-    copy of the data and touches only the entries where ``v`` is non-zero.
+    One matrix product per wire.  With the wire's axis leading, the data is
+    a matrix whose rows that axis indexes; its transpose times the wire's
+    basis contracts the axis and moves it last, so after the last wire the
+    axes are back in order.  The bases are real, so cpm data runs as its
+    float64 view, each re/im pair on a trailing axis; the products carry
+    that axis to the front, and two strided copies interleave the real and
+    imaginary parts again.  The products alternate between two arrays of
+    the data's size, a copy of the data in wire order and one more.
     """
     a, n = core._spec(p.backend).axes_per_wire, p.n_wires
-    c = p.data.transpose([i + k * n for i in range(n) for k in range(a)]).copy()
-    c = c.reshape(tuple(w.dim**a for w in p.wires))
+    dims = tuple(w.dim**a for w in p.wires)
+    wire_order = p.data.transpose([i + k * n for i in range(n) for k in range(a)])
+    x = np.array(wire_order, order="C").reshape(-1).view(np.float64)
+    y = np.empty_like(x)
     for i, w in enumerate(p.wires):
-        if w.dim == 1:  # the identity is the whole wire
-            continue
-        u = backends.discard(p.backend, (w,)).data.real.ravel() / math.sqrt(w.dim)
-        v = u - np.eye(1, u.size)[0]
-        sites = [((slice(None),) * i + (k,), v[k]) for k in np.flatnonzero(v)]
-        dot = sum(vk * c[site] for site, vk in sites) * (2.0 / (v @ v))
-        for site, vk in sites:
-            c[site] -= vk * dot
-    return c
+        np.matmul(x.reshape(dims[i], -1).T, _basis(p.backend, w.dim), out=y.reshape(-1, dims[i]))
+        x, y = y, x
+    if p.backend == CPM:  # x holds the real parts, then the imaginary ones
+        c = y.view(complex)
+        c.real, c.imag = x.reshape(2, -1)
+        x = c
+    return x.reshape(dims)
 
 
 def _pattern_maxima(c: np.ndarray) -> np.ndarray:

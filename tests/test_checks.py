@@ -286,6 +286,40 @@ def test_independence_plan_is_shared_and_read_only(backend, rng):
                 checks._independence_residual(p, gone, plugged)
 
 
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_signalling_non_finite_entry_fails_without_warning(backend):
+    """A NaN or inf entry anywhere fails causality with a non-finite
+    residual, and every procedure built on up-set conditions returns that
+    report before running any: on such data they would compute ``inf - inf``
+    or ``inf * 0``."""
+    p = gallery.swap_process(backend=backend).process
+    e1, e2 = Event("E1", ins="A", outs="A'"), Event("E2", ins="B", outs="B'")
+    poset = EventPoset([e1, e2], [("E1", "E2")])
+    tensor = "(A[2] -o A'[2]) (x) (B[2] -o B'[2])"
+    bads = [np.nan, np.inf, -np.inf] + ([complex(0, np.inf)] if backend == CPM else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(p.data.size):
+            for bad in bads:
+                data = p.data.copy()
+                data.flat[k] = bad
+                q = Process(backend, p.out_wires, p.in_wires, data)
+                reports = [
+                    backends.is_causal(q, TOL),
+                    checks.check_order_consistency(q, poset, TOL),
+                    checks.check_one_way(q, e1, e2, TOL),
+                    checks.check_nonsignalling(q, [e1, e2], TOL),
+                    checks.check_comb(q, [e2, e1], TOL),
+                    checks.check_membership(q, tensor, TOL),
+                ]
+                totalised = checks.check_via_totalisations(q, poset, TOL)
+                for rep in reports + [totalised]:
+                    assert not rep and math.isnan(rep.residual) == (bad is np.nan)
+                    assert not math.isfinite(rep.residual)
+                assert {rep.detail for rep in reports} == {"an entry is not finite"}
+                assert totalised.detail == "not a comb for the extension ('E1', 'E2'): an entry is not finite"
+
+
 def _signalling_oracle(p, poset, groups, tol):
     """Causality, and for each group of events: discarding the group's
     outputs leaves a process independent of the group's inputs."""
@@ -762,6 +796,86 @@ def test_projector_decides_what_enumeration_refuses():
         checks.check_soc(big.process, parties, tol=TOL)
     host, parties = _soc_host(CPM, 4, np.random.default_rng(4))
     assert checks.check_membership(host, _soc_type(parties), tol=TOL)
+
+
+def _coefficients_oracle(p):
+    """``checks._coefficients`` from the definition: on each wire, the dense
+    reflection that swaps ``e_0`` and the unit vector ``u`` along the
+    discarding effect (the uniform vector, or ``I/sqrt(d)`` flattened),
+    applied to that wire's axis by einsum."""
+    a, n = (2, p.n_wires) if p.backend == CPM else (1, p.n_wires)
+    c = p.data.transpose([i + k * n for i in range(n) for k in range(a)])
+    c = c.reshape([w.dim**a for w in p.wires])
+    for i, w in enumerate(p.wires):
+        u = (np.eye(w.dim) if p.backend == CPM else np.ones(w.dim)).ravel() / np.sqrt(w.dim)
+        v = u - np.eye(u.size)[0]
+        h = np.eye(u.size) - (2 * np.outer(v, v) / (v @ v) if w.dim > 1 else 0.0)
+        c = np.einsum(h, [n, i], c, list(range(n)), [n if k == i else k for k in range(n)])
+    return c
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_coefficients_match_definition(backend, rng):
+    """The memoized per-wire products give the definition's coefficients on
+    wires of dimension 1, 2 and 3 in shuffled orders; the change of basis
+    is orthogonal, and coefficient 0 is the total over the square root of
+    the product of the dimensions."""
+    for n in [0, 1, 2, 3, 4] * 3:
+        systems = [System(f"W{k}", int(rng.integers(1, 4))) for k in range(n)]
+        rng.shuffle(systems)
+        n_out = int(rng.integers(len(systems) + 1))
+        p = rand_process(backend, tuple(systems[:n_out]), tuple(systems[n_out:]), rng)
+        c = checks._coefficients(p)
+        np.testing.assert_allclose(c, _coefficients_oracle(p), rtol=0, atol=1e-12)
+        assert c.dtype == p.data.dtype and c.shape == tuple(w.dim ** (1 + (backend == CPM)) for w in p.wires)
+        assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(p.data), rel=1e-12)
+        size = math.prod(w.dim for w in p.wires)
+        total = p.data.sum() if backend == MATR else np.trace(p.data.reshape(size, size))
+        assert c[(0,) * c.ndim] == pytest.approx(total / math.sqrt(size), rel=1e-12)
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_basis_is_shared_and_read_only(backend):
+    """One basis per backend and dimension, built once and shared; it cannot
+    be written to, and on a dimension-1 wire it is the identity."""
+    for dim in (1, 2, 3):
+        q = checks._basis(backend, dim)
+        assert checks._basis(backend, dim) is q
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 0.0
+        np.testing.assert_allclose(q @ q, np.eye(q.shape[0]), atol=1e-15)
+    assert checks._basis(backend, 1).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_projector_dimension_one_wire(backend, rng):
+    """A dimension-1 wire is all identity: a causal process passes a type
+    with one, and no warning is raised (its reflection vector is 0)."""
+    p = backends.random_causal(backend, (System("B", 2), System("C", 1)), (System("A", 3),), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert checks.check_projector(p, "A[3] -o (B[2] (x) C[1])", tol=TOL)
+
+
+def _pattern_maxima_oracle(c):
+    """The largest ``|c|`` over the entries of each pattern, pattern by
+    pattern: bit 1 of an axis takes its indices from 1 on, bit 0 index 0."""
+    m = np.zeros((2,) * c.ndim)
+    for bits in itertools.product((0, 1), repeat=c.ndim):
+        block = np.abs(c[tuple(slice(1, None) if b else slice(0, 1) for b in bits)])
+        m[bits] = block.max(initial=0.0)
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pattern_maxima_match_every_pattern(dtype, rng):
+    """Each pattern's maximum against a loop over the ``2**n`` patterns, with
+    dimension-1 axes, whose patterns with bit 1 are empty and give 0."""
+    for shape in [(), (1,), (3, 1, 4), (1, 2, 1, 3), (4, 4, 2, 1, 3)]:
+        c = np.asarray(rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0))
+        want = _pattern_maxima_oracle(c)
+        assert np.array_equal(checks._pattern_maxima(c.copy()), want)
 
 
 # -- the paper's definition of X -o Y, as an oracle for higher-order types ---------
