@@ -9,213 +9,68 @@ harness re-verifies the structural assumptions each backend is supposed to
 satisfy.
 """
 
-from .axioms import AXIOMS, AxiomResult, HarnessConfig, run_all, run_axiom
-from .backends import (
-    CheckReport,
-    causal_basis,
-    causal_channel_family,
-    channel_family_size,
-    dimension,
-    discard,
-    factorize_one_way,
-    is_causal,
-    is_positive,
-    random_causal,
-    random_state,
-    uniform_state,
-)
-from .checks import (
-    check_comb,
-    check_membership,
-    check_nonsignalling,
-    check_one_way,
-    check_order_consistency,
-    check_projector,
-    check_soc,
-    check_via_totalisations,
-)
-from .core import (
-    BACKENDS,
-    CPM,
-    DEFAULT_TOL,
-    MATR,
-    REL,
-    Process,
-    System,
-    bend,
-    cap,
-    compose_seq,
-    cup,
-    discard_outputs,
-    distance,
-    dump_process,
-    from_json_dict,
-    identity,
-    load_process,
-    maxabs,
-    permute,
-    plug,
-    rename,
-    scalar,
-    tensor_par,
-    to_json_dict,
-)
-from .errors import (
-    BackendMismatch,
-    BadPartition,
-    CauskitError,
-    CombinatorialBlowup,
-    CyclicOrder,
-    CyclicWiring,
-    DuplicateLabel,
-    EmbedMismatch,
-    FormatError,
-    InvalidPermutation,
-    MalformedProof,
-    NoSuchWire,
-    NotOneWay,
-    ShapeMismatch,
-    TooManyEvents,
-    TypeSyntaxError,
-    UnknownEvent,
-    UnsupportedBackend,
-    UnsupportedConnective,
-    UnsupportedType,
-)
-from .events import Event, EventPoset, check_partition, load_poset
-from .gallery import REGISTRY, ExampleInstance, build, comb_type, load_golden
-from .mll import (
-    Proof,
-    formula_of_type,
-    parse_proof,
-    parse_sequent,
-    prove,
-    provable,
-    render_proof,
-    render_sequent,
-    verify_proof,
-)
-from .typesys import (
-    Atom,
-    Cap,
-    Dual,
-    Embedding,
-    Lolli,
-    Par,
-    Tensor,
-    Type,
-    Unit,
-    fo_embedding,
-    intersect,
-    is_first_order,
-    normalize,
-    parse_type,
-    render_type,
-)
+import importlib
+
+MATR = "matr+"
+CPM = "cpm"
+REL = "rel"
+BACKENDS = (MATR, CPM, REL)
+
+#: Default numerical tolerance for every check in the package.
+DEFAULT_TOL = 1e-9
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIOMS",
-    "AxiomResult",
-    "Atom",
-    "BACKENDS",
-    "BackendMismatch",
-    "BadPartition",
-    "CPM",
-    "Cap",
-    "CauskitError",
-    "CheckReport",
-    "CombinatorialBlowup",
-    "CyclicOrder",
-    "CyclicWiring",
-    "DEFAULT_TOL",
-    "Dual",
-    "DuplicateLabel",
-    "EmbedMismatch",
-    "Embedding",
-    "Event",
-    "EventPoset",
-    "ExampleInstance",
-    "FormatError",
-    "HarnessConfig",
-    "InvalidPermutation",
-    "Lolli",
-    "MATR",
-    "MalformedProof",
-    "NoSuchWire",
-    "NotOneWay",
-    "Par",
-    "Process",
-    "Proof",
-    "REGISTRY",
-    "REL",
-    "ShapeMismatch",
-    "System",
-    "Tensor",
-    "TooManyEvents",
-    "Type",
-    "TypeSyntaxError",
-    "UnknownEvent",
-    "Unit",
-    "UnsupportedBackend",
-    "UnsupportedConnective",
-    "UnsupportedType",
-    "bend",
-    "build",
-    "cap",
-    "causal_basis",
-    "causal_channel_family",
-    "channel_family_size",
-    "check_comb",
-    "check_membership",
-    "check_nonsignalling",
-    "check_one_way",
-    "check_order_consistency",
-    "check_partition",
-    "check_projector",
-    "check_soc",
-    "check_via_totalisations",
-    "comb_type",
-    "compose_seq",
-    "cup",
-    "dimension",
-    "discard",
-    "discard_outputs",
-    "distance",
-    "dump_process",
-    "factorize_one_way",
-    "fo_embedding",
-    "formula_of_type",
-    "from_json_dict",
-    "identity",
-    "intersect",
-    "is_causal",
-    "is_first_order",
-    "is_positive",
-    "load_golden",
-    "load_poset",
-    "load_process",
-    "maxabs",
-    "normalize",
-    "parse_proof",
-    "parse_sequent",
-    "parse_type",
-    "permute",
-    "plug",
-    "prove",
-    "provable",
-    "random_causal",
-    "random_state",
-    "rename",
-    "render_proof",
-    "render_sequent",
-    "render_type",
-    "run_all",
-    "run_axiom",
-    "scalar",
-    "tensor_par",
-    "to_json_dict",
-    "uniform_state",
-    "verify_proof",
-]
+# Each public name, under the module that defines it.  That module is imported
+# the first time the name or the module is asked for (PEP 562), so neither
+# ``import causkit`` nor the prover (``mll``, ``typesys``, ``errors``) loads numpy.
+_EXPORTS = {
+    "axioms": ["AXIOMS", "AxiomResult", "HarnessConfig", "run_all", "run_axiom"],
+    "backends": [
+        "CheckReport", "causal_basis", "causal_channel_family", "channel_family_size", "dimension", "discard",
+        "factorize_one_way", "is_causal", "is_positive", "random_causal", "random_state", "uniform_state",
+    ],
+    "checks": [
+        "check_comb", "check_membership", "check_nonsignalling", "check_one_way", "check_order_consistency",
+        "check_projector", "check_soc", "check_via_totalisations",
+    ],
+    "core": [
+        "Process", "System", "bend", "cap", "compose_seq", "cup", "discard_outputs", "distance", "dump_process",
+        "from_json_dict", "identity", "load_process", "maxabs", "permute", "plug", "rename", "scalar",
+        "tensor_par", "to_json_dict",
+    ],
+    "errors": [
+        "BackendMismatch", "BadPartition", "CauskitError", "CombinatorialBlowup", "CyclicOrder", "CyclicWiring",
+        "DuplicateLabel", "EmbedMismatch", "FormatError", "InvalidPermutation", "MalformedProof", "NoSuchWire",
+        "NotOneWay", "ShapeMismatch", "TooManyEvents", "TypeSyntaxError", "UnknownEvent", "UnsupportedBackend",
+        "UnsupportedConnective", "UnsupportedType",
+    ],
+    "events": ["Event", "EventPoset", "check_partition", "load_poset"],
+    "gallery": ["REGISTRY", "ExampleInstance", "build", "comb_type", "load_golden"],
+    "mll": [
+        "Proof", "formula_of_type", "parse_proof", "parse_sequent", "prove", "provable", "render_proof",
+        "render_sequent", "verify_proof",
+    ],
+    "typesys": [
+        "Atom", "Cap", "Dual", "Embedding", "Lolli", "Par", "Tensor", "Type", "Unit", "fo_embedding", "intersect",
+        "is_first_order", "normalize", "parse_type", "render_type",
+    ],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["BACKENDS", "CPM", "DEFAULT_TOL", "MATR", "REL", *_HOME]
+
+
+def __getattr__(name: str):
+    # Nothing resolved here is stored in the package, so ``causkit.NAME`` is
+    # always the defining module's current binding, also after a tracer or a
+    # test has rebound it there and restored it.
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_HOME]

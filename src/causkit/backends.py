@@ -512,10 +512,10 @@ def factorize_one_way(
     first: Event,
     second: Event,
     tol: float = DEFAULT_TOL,
-    mem_label: str | None = None,
 ) -> tuple[Process, Process]:
     """Split a one-way process into ``first`` followed by ``second`` through
-    an explicit classical memory wire.
+    an explicit classical memory wire, labelled ``M`` or, if ``p`` has that
+    label, the first free ``M<n>``.
 
     Writing ``Phi[k, l | i, j]`` for the process with first-event input ``i``,
     first-event output ``k``, second-event input ``j``, second-event output
@@ -570,7 +570,7 @@ def factorize_one_way(
                 phi2[0, i * K + k, :] = 1.0
 
     taken = {w.label for w in p.wires}
-    mem = mem_label if mem_label is not None else "M"
+    mem = "M"
     n = 0
     while mem in taken:
         mem = f"M{n}"

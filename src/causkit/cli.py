@@ -8,6 +8,9 @@ too deeply nested.
 
 Processes are given as JSON files, or as ``example:NAME`` to pull a gallery
 entry built with its default parameters.
+
+Each subcommand imports only the modules it uses, so ``causkit prove`` (the
+prover: ``mll``, ``typesys`` and ``errors``) starts without importing numpy.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import math
 import sys
 from typing import Sequence
 
-from . import axioms, backends, checks, core, events, gallery, mll
-from .core import DEFAULT_TOL, Process
+from . import BACKENDS, DEFAULT_TOL
 from .errors import CauskitError
 
 
-def _load_process(spec: str) -> Process:
+def _load_process(spec: str):
+    from . import core, gallery
+
     if spec.startswith("example:"):
         return gallery.build(spec[len("example:") :]).process
     return core.load_process(spec)
@@ -87,6 +91,8 @@ def _verdict_exit(passed: bool, expect: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import backends, checks, events
+
     p = _load_process(args.process)
     if args.type is not None:
         rep = checks.check_membership(p, args.type, tol=args.tol, budget=args.budget)
@@ -113,6 +119,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
+    from . import mll
+
     proof = mll.prove(args.sequent, budget=args.budget)
     rendered = mll.render_proof(proof) if proof is not None else None
     _emit({"sequent": args.sequent, "provable": proof is not None, "proof": rendered})
@@ -124,7 +132,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
-    which = tuple(args.backend) if args.backend else core.BACKENDS
+    from . import axioms
+
+    which = tuple(args.backend) if args.backend else BACKENDS
     results = axioms.run_all(which)
     _emit({"results": [r.to_dict() for r in results]})
     ok = True
@@ -139,6 +149,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_examples(args: argparse.Namespace) -> int:
+    from . import checks, gallery
+
     if args.name is None:
         listing = []
         for name in sorted(gallery.REGISTRY):
@@ -174,6 +186,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from . import core
+
     p = _load_process(args.process)
     if args.out_order or args.in_order:
         outs = args.out_order.split(",") if args.out_order else [w.label for w in p.out_wires]
@@ -227,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_prove)
 
     sp = sub.add_parser("axioms", help="run the backend axiom harness")
-    sp.add_argument("--backend", action="append", choices=core.BACKENDS, help="restrict to a backend")
+    sp.add_argument("--backend", action="append", choices=BACKENDS, help="restrict to a backend")
     sp.set_defaults(func=cmd_axioms)
 
     sp = sub.add_parser("examples", help="list gallery examples or re-verify one")

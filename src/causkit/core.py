@@ -51,6 +51,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import BACKENDS, CPM, DEFAULT_TOL, MATR, REL  # defined in the package, which loads no numpy
 from .errors import (
     BackendMismatch,
     CyclicWiring,
@@ -61,14 +62,6 @@ from .errors import (
     ShapeMismatch,
     UnsupportedBackend,
 )
-
-MATR = "matr+"
-CPM = "cpm"
-REL = "rel"
-BACKENDS = (MATR, CPM, REL)
-
-#: Default numerical tolerance for every check in the package.
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,15 @@ def test_factorize_one_way_reconstructs(backend, rng):
             assert core.distance(back, p) <= RECONSTRUCT_TOL
 
 
+def test_factorize_one_way_memory_wire_is_m_or_first_free_mn(rng):
+    p = _one_way_pair(MATR, rng)
+    p1, p2 = backends.factorize_one_way(p, Event("P1", ins="I", outs="K"), Event("P2", ins="J", outs="L"))
+    assert [w.label for w in p1.out_wires] == ["K", "M"] and p2.in_wires[0].label == "M"
+    q = core.rename(p, {"K": "M", "L": "M0"})
+    q1, q2 = backends.factorize_one_way(q, Event("P1", ins="I", outs="M"), Event("P2", ins="J", outs="M0"))
+    assert [w.label for w in q1.out_wires] == ["M", "M1"] and q2.in_wires[0].label == "M1"
+
+
 def test_factorize_one_way_rejects_wrong_direction(rng):
     p = _one_way_pair(MATR, rng)
     with pytest.raises(NotOneWay):
