@@ -70,9 +70,10 @@ class CheckReport:
         return f"{msg}: {self.detail}" if self.detail else msg
 
 
-def _scale(p: Process) -> float:
-    """``max(1, |p|_max)``, or NaN when ``p`` has a NaN entry."""
-    return float(_scales(p.data, 0))
+def _scale(p: Process) -> float | None:
+    """``max(1, |p|_max)``, or NaN when ``p`` has a NaN entry; None on rel,
+    whose verdicts are exact."""
+    return None if core._spec(p.backend).exact else float(_scales(p.data, 0))
 
 
 def _scales(data, batch: int):
@@ -106,7 +107,7 @@ def _verdict(
     non-finite residual or scale fails.  A caller that has ``_scale(p)``
     already passes it as ``scale``.
     """
-    if scale is None and not core._spec(p.backend).exact:
+    if scale is None:
         scale = _scale(p)
     bound = _bound(p.backend, tol, scale)
     return _conjunction([(r <= bound, r, detail) for r, detail in conditions], tol)
@@ -183,9 +184,14 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     process with a non-finite entry fails, with that NaN or inf as its
     residual, as in :func:`is_positive`.
     """
-    residuals, scale = _causality(p.backend, p.out_wires, p.in_wires, p.data)
+    return _causal(p, tol, _scale(p))
+
+
+def _causal(p: Process, tol: float, scale: float | None) -> CheckReport:
+    """:func:`is_causal` with ``scale = _scale(p)`` given."""
     if scale is not None and not math.isfinite(scale):
         return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
+    residuals = _causality(p.backend, p.out_wires, p.in_wires, p.data)
     details = ["not normalized", ""]
     if p.backend == REL and residuals[0]:
         cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data
@@ -199,20 +205,15 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
 def _causality(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray):
     """Causality's conditions on ``data``, the array of a process with the
     wires ``outs``/``ins`` behind any number of leading batch axes: a list of
-    residuals, normalization and (matr+) negativity, and the scale they are
-    judged against.  Each is an array with one entry per batch index, or a
-    float (an array, for the residuals) without batch axes.  Scales are None
-    on rel, whose verdicts are exact."""
+    residuals, normalization and (matr+) negativity, each an array with one
+    entry per batch index, or a scalar without batch axes."""
     n = len(outs) + len(ins)
     batch = data.ndim - core._spec(backend).axes_per_wire * n
     marg = core._marginal(backend, data, n, range(len(outs)))
     residuals = [core._maxdiff(marg, discard(backend, ins).data, batch)]
-    if backend == REL:
-        return residuals, None
-    scale = _scales(data, batch)
     if backend == MATR:
         residuals.append(_negativity(data, batch))
-    return residuals, scale
+    return residuals
 
 
 def _negativity(data: np.ndarray, batch: int):
@@ -240,9 +241,9 @@ def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     return _positive(p, tol, _scale(p))
 
 
-def _positive(p: Process, tol: float, scale: float) -> CheckReport:
+def _positive(p: Process, tol: float, scale: float | None) -> CheckReport:
     """:func:`is_positive` with ``scale = _scale(p)`` given."""
-    if not math.isfinite(scale):
+    if scale is not None and not math.isfinite(scale):
         return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
     if p.backend != CPM:
         at = np.unravel_index(np.argmin(p.data), p.data.shape)

@@ -6,15 +6,19 @@ inputs, ``K'`` being ``K`` with the uniform causal state (uniform
 distribution / maximally mixed state / full relation) plugged into them; the
 residual is the largest entrywise deviation of ``K`` from that.
 ``_independence_residual`` computes it on arrays, ``K`` being ``p`` with
-some outputs discarded: two einsums and a max, planned once per wire layout.
+some outputs discarded: the marginal, its plugged diagonal as a view, the
+weighted sum of that diagonal subtracted there in place, and a max; planned
+once per wire layout.
 
-One condition, ``_up_set_residual``, is every signalling condition: with
-an up-set's outputs discarded, ``p`` itself must be independent of its
-inputs.  Besides causality, three procedures ask it of different up-sets:
+One condition, ``_up_set_plan``, is every signalling condition: with an
+up-set's outputs discarded, ``p`` itself must be independent of its inputs.
+Besides causality, three procedures ask it of different up-sets, each
+verdict against one scale of ``p``:
 
 * ``check_order_consistency``: the up-set of each event, when it is not
-  every event; ``check_one_way`` (a two-event chain) and
-  ``check_nonsignalling`` (an antichain) call it;
+  every event, its plans and details compiled once per poset and wire
+  layout; ``check_one_way`` (a two-event chain) and ``check_nonsignalling``
+  (an antichain) call it, on a poset built once per events;
 * ``check_comb``: the same on a chain, whose up-sets are its suffixes;
 * ``check_via_totalisations``: the proper suffixes of every linear
   extension, each set once: ``2**n - 2`` on an ``n``-event antichain
@@ -87,49 +91,84 @@ from .typesys import (
 def _independence_residual(p: Process, gone: tuple[str, ...], plugged: tuple[str, ...]) -> float:
     """Residual of ``q = q' (x) discard`` on the inputs ``plugged``, 0.0 if
     there are none: ``q`` is ``p`` with the outputs ``gone`` discarded, ``q'``
-    is ``q`` with the uniform causal state plugged into ``plugged``.  In
-    ``q``'s layout ``q' (x) discard`` is ``q'`` with a size-1 axis at each
-    plugged axis, times the identity there on cpm (elsewhere discarding is
-    all ones).  Two einsums, planned by :func:`_independence_plan`."""
-    marginal, uniform, plug, shape, identity = _independence_plan(p.backend, p.out_wires, p.in_wires, gone, plugged)
-    if not plugged:
+    is ``q`` with the uniform causal state plugged into ``plugged``.  Run by
+    :func:`_planned_residual` on the plan of :func:`_independence_plan`."""
+    return _planned_residual(_independence_plan(p.backend, p.out_wires, p.in_wires, gone, plugged), p.data)
+
+
+def _planned_residual(plan, data: np.ndarray) -> float:
+    """:func:`_independence_residual` by its plan (None: nothing plugged) on
+    ``data``, the array of a process with the plan's wires.
+
+    In ``q``'s layout ``q' (x) discard`` is ``q'`` on the plugged diagonal
+    (ket = bra on each plugged cpm wire; all of ``q`` elsewhere) and 0 off
+    it.  So ``q'``, the diagonal weighted by the uniform state's, is
+    subtracted (on rel: xor-ed) in place on an einsum view of the diagonal,
+    and the residual is ``max |q|``; ``data`` is never written.  A
+    non-finite residual, which any non-finite entry of ``q`` gives, is NaN."""
+    if plan is None:
         return 0.0
-    q = core._einsum(marginal, p.data)
-    recon = core._einsum(plug, uniform, q).reshape(shape)
-    return core._maxdiff(q, recon if identity is None else recon * identity)
+    marginal, diagonal, uniform, weigh, shape = plan
+    q = core._einsum(marginal, data)
+    if np.may_share_memory(q, data):  # nothing was summed: a view of data
+        q = q.copy(order="K")  # the same layout, so the same order of summation
+    d = q if diagonal is None else core._einsum(diagonal, q)
+    recon = core._einsum(weigh, uniform, d).reshape(shape)
+    if q.dtype == np.bool_:
+        d ^= recon
+    else:
+        d -= recon
+    residual = core._maxabs(q)
+    return residual if math.isfinite(residual) else math.nan
 
 
 @functools.lru_cache(maxsize=4096)
 def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], gone: tuple, plugged: tuple):
-    """What :func:`_independence_residual` does to any ``p`` with these wires:
-    the :func:`core._marginal_plan` discarding ``gone``, the uniform state on
-    ``plugged`` and the :func:`core._plan` plugging it, the reconstruction's
-    shape, and on cpm the identity on the plugged wires (else None).  The
-    arrays are read-only.  A label that is not an output (``gone``) or an
-    input (``plugged``) raises on every call: the cache keeps only results."""
+    """The plan of :func:`_planned_residual` for any ``p`` with these wires,
+    None if ``plugged`` is empty: the :func:`core._marginal_plan` discarding
+    ``gone``; the einsum view of the marginal's plugged diagonal, None where
+    that is all of it (off cpm, or plugged wires of dimension 1); the
+    uniform state's diagonal, read-only; the einsum weighing the one by the
+    other, numbered as :func:`core._plan` numbers plugging the uniform state,
+    so that it sums in the same order; and the shape of the weighted sum
+    with size-1 axes where it was plugged.  A label that is not an output
+    (``gone``) or an input (``plugged``) raises on every call: the cache
+    keeps only results."""
     for labels, wires, role in ((gone, outs, "output"), (plugged, ins, "input")):
         missing = set(labels) - {w.label for w in wires}
         if missing:
             raise NoSuchWire(f"no {role} wires {sorted(missing)} among {[w.label for w in wires]}")
+    if not plugged:
+        return None
     kept = tuple(w for w in outs if w.label not in gone)
     gone_at = tuple(i for i, w in enumerate(outs) if w.label in gone)
     marginal = core._marginal_plan(backend, Process.expected_shape(backend, outs, ins), len(outs + ins), gone_at)
     systems = tuple(w for w in ins if w.label in plugged)
-    *_, plug = core._plan(backend, systems, (), kept, ins, tuple((l, l) for l in plugged))
+    u_sub, q_sub, out_sub, *_ = core._plan(backend, systems, (), kept, ins, tuple((l, l) for l in plugged))
+    q_shape = Process.expected_shape(backend, kept, ins)
+    size = dict(zip(q_sub, q_shape))
+    # on cpm the uniform state's bra subscripts follow its kets, each a ket's plus n
+    n, kets = len(systems + kept + ins), u_sub[: len(systems)]
+    bras = tuple(s for s in u_sub[len(systems) :] if size[s] > 1)
+    diag_sub = tuple(s for s in q_sub if s not in bras)
+    diagonal = core._squeeze((q_shape,), (tuple(s - n if s in bras else s for s in q_sub),), diag_sub) if bras else None
     uniform = backends.uniform_state(backend, systems).data
+    if backend == CPM:
+        total = math.prod(w.dim for w in systems)
+        uniform = uniform.reshape(total, total).diagonal().reshape(tuple(w.dim for w in systems)).copy()
     uniform.flags.writeable = False
-    shape = tuple(1 if w in systems else w.dim for w in kept + ins) * core._spec(backend).axes_per_wire
-    dims = tuple(w.dim if w in systems else 1 for w in kept + ins)
-    identity = backends.discard(CPM, systems).data.reshape(dims * 2) if backend == CPM else None  # a read-only view
-    return marginal, uniform, plug, shape, identity
+    weigh = core._squeeze((uniform.shape, tuple(size[s] for s in diag_sub)), (kets, diag_sub), out_sub)
+    shape = tuple(1 if s in u_sub else size[s] for s in diag_sub)
+    return marginal, diagonal, uniform, weigh, shape
 
 
-def _up_set_residual(p: Process, poset: EventPoset, up: frozenset[str]) -> float:
-    """How far the events ``up`` signal into the rest: with their outputs
-    discarded, ``p`` must be independent of their inputs.  Every signalling
-    condition below is this one, on an up-set."""
+def _up_set_plan(poset: EventPoset, up: frozenset[str], backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
+    """The plan of the condition that the events ``up`` do not signal into
+    the rest: with their outputs discarded, ``p`` must be independent of
+    their inputs.  Every signalling condition below is this one, on an
+    up-set."""
     events = [e for e in poset.events if e.name in up]
-    return _independence_residual(p, sum((e.outs for e in events), ()), sum((e.ins for e in events), ()))
+    return _independence_plan(backend, outs, ins, sum((e.outs for e in events), ()), sum((e.ins for e in events), ()))
 
 
 # -- signalling along a partial order --------------------------------------------
@@ -146,37 +185,58 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     a union of principal up-sets: discarding the outputs of ``U1 | U2``
     keeps the independence of ``U1``'s inputs and of ``U2``'s, and plugging
     the uniform state into one and then the other makes it independent of
-    both.
+    both.  The conditions are compiled once per poset and wire layout
+    (:func:`_order_conditions`), and every condition and causality are
+    judged against one scale of ``p``.
     """
     check_partition(poset.events, p)
-    causal = backends.is_causal(p, tol)
+    scale = backends._scale(p)
+    causal = backends._causal(p, tol, scale)
     if not math.isfinite(causal.residual):  # no up-set condition on such data means anything
         return causal
-    up = {x: frozenset(n for n in poset.names if x in poset._below[n]) for x in poset.names}
     conditions = [_condition(causal)]
-    for x in sorted(poset.names, key=lambda x: len(up[x])):
-        if len(up[x]) < len(poset):
-            rest = [n for n in poset.names if n not in up[x]]
-            conditions.append((_up_set_residual(p, poset, up[x]), f"event {x!r} signals backwards to {rest}"))
-    return _verdict(p, tol, conditions)
+    for plan, detail in _order_conditions(poset, p.backend, p.out_wires, p.in_wires):
+        conditions.append((_planned_residual(plan, p.data), detail))
+    return _verdict(p, tol, conditions, scale)
+
+
+@functools.lru_cache(maxsize=1024)
+def _order_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
+    """The up-set conditions of :func:`check_order_consistency` on processes
+    with these wires: for each event whose up-set is not every event, top
+    first, the up-set's plan and the detail if it fails."""
+    up = {x: frozenset(n for n in poset.names if x in poset._below[n]) for x in poset.names}
+    return tuple(
+        (
+            _up_set_plan(poset, up[x], backend, outs, ins),
+            f"event {x!r} signals backwards to {[n for n in poset.names if n not in up[x]]}",
+        )
+        for x in sorted(poset.names, key=lambda x: len(up[x]))
+        if len(up[x]) < len(poset)
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _poset(events: tuple[Event, ...], chain: bool) -> EventPoset:
+    """``events`` as a chain in their order, or unordered; built once."""
+    return EventPoset(events, [(a.name, b.name) for a, b in zip(events, events[1:])] if chain else ())
 
 
 def check_one_way(p: Process, first: Event, second: Event, tol: float = DEFAULT_TOL) -> CheckReport:
     """Is ``p`` causal and signalling at most from ``first`` to ``second``?"""
-    return check_order_consistency(p, EventPoset([first, second], [(first.name, second.name)]), tol)
+    return check_order_consistency(p, _poset((first, second), True), tol)
 
 
 def check_nonsignalling(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
     """Is ``p`` causal with no event signalling to the others?"""
-    return check_order_consistency(p, EventPoset(events), tol)
+    return check_order_consistency(p, _poset(tuple(events), False), tol)
 
 
 def check_comb(p: Process, events: Sequence[Event], tol: float = DEFAULT_TOL) -> CheckReport:
     """Is ``p`` a comb with the given events in the given temporal order,
     i.e. consistent with their chain: no proper suffix of the events signals
     into the events before it (Chiribella, D'Ariano & Perinotti 2009)?"""
-    chain = [(a.name, b.name) for a, b in zip(events, events[1:])]
-    return check_order_consistency(p, EventPoset(events, chain), tol)
+    return check_order_consistency(p, _poset(tuple(events), True), tol)
 
 
 MAX_TOTALISED_EVENTS = 8
@@ -185,28 +245,41 @@ MAX_TOTALISED_EVENTS = 8
 def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
     """Order consistency checked the expensive way, as the paper states it:
     ``p`` must be a comb for every linear extension of the partial order.
-    The extensions share one verdict, and a suffix set (:func:`check_comb`)
-    met again in a later extension is left out: its residual is the same,
-    and the first failure is always a set's first occurrence."""
+    The extensions share one verdict and one scale, and a suffix set
+    (:func:`check_comb`) met again in a later extension is left out: its
+    residual is the same, and the first failure is always a set's first
+    occurrence.  The conditions are compiled once per poset and wire layout
+    (:func:`_suffix_conditions`)."""
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
     check_partition(poset.events, p)
-    exts = list(poset.linear_extensions())
-    residual, detail = _condition(backends.is_causal(p, tol))
-    conditions = [(residual, f"not a comb for the extension {exts[0]}: {detail}")]
+    scale = backends._scale(p)
+    residual, detail = _condition(backends._causal(p, tol, scale))
+    first = next(iter(poset.linear_extensions()))
+    conditions = [(residual, f"not a comb for the extension {first}: {detail}")]
     if not math.isfinite(residual):
-        return _verdict(p, tol, conditions)
-    seen: set[frozenset[str]] = set()
-    for ext in exts:
+        return _verdict(p, tol, conditions, scale)
+    for plan, detail in _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires):
+        conditions.append((_planned_residual(plan, p.data), detail))
+    return _verdict(p, tol, conditions, scale)
+
+
+@functools.lru_cache(maxsize=1024)
+def _suffix_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
+    """The conditions of :func:`check_via_totalisations` on processes with
+    these wires: each proper suffix set of a linear extension at its first
+    occurrence, with its plan and the detail if it fails."""
+    conditions = {}
+    for ext in poset.linear_extensions():
         for k in range(len(ext) - 1, 0, -1):
             up = frozenset(ext[k:])
-            if up not in seen:
-                seen.add(up)
+            if up not in conditions:
                 detail = f"event {ext[k]!r} signals backwards to {list(ext[:k])}"
-                conditions.append((_up_set_residual(p, poset, up), f"not a comb for the extension {ext}: {detail}"))
-    return _verdict(p, tol, conditions)
+                plan = _up_set_plan(poset, up, backend, outs, ins)
+                conditions[up] = plan, f"not a comb for the extension {ext}: {detail}"
+    return tuple(conditions.values())
 
 
 # -- second-order causal processes ------------------------------------------------
@@ -258,7 +331,8 @@ def check_soc(
     for e, family in zip(parties, families):
         wiring = [(l, l) for l in e.outs + e.ins]
         data, outs, ins = core.plug_family(p.backend, data, outs, ins, family, wiring)
-    residuals, scale = backends._causality(p.backend, outs, ins, data)
+    residuals = backends._causality(p.backend, outs, ins, data)
+    scale = None if p.backend == REL else backends._scales(data, len(parties))
     residual = functools.reduce(np.maximum, residuals)  # propagates NaN
     failed = np.flatnonzero(~(residual <= backends._bound(p.backend, tol, scale)))
     detail = ""
