@@ -202,7 +202,7 @@ def _channel_states(backend: str, dA: int, dB: int) -> list[Process]:
     correlated pair through each member of the spanning channel family."""
     A, A0, B = System("A", dA), System("A0", dA), System("B", dB)
     cup = core.cup(backend, dA, "A", "A0")
-    cup = Process(backend, cup.out_wires, (), cup.data / dA)
+    cup = Process(backend, cup.out_wires, (), core._own(cup.data / dA))
     states = []
     for chan in backends.causal_channel_family(backend, (B,), (A0,)):
         states.append(core.plug(cup, chan, [("A0", "A0")]))
@@ -243,7 +243,7 @@ def _c5(backend: str, cfg: HarnessConfig, rng: np.random.Generator) -> AxiomResu
             null, shape = _c5_null_space(states)
             for vec in null:
                 # does the effect, with the states' wires (A, B) as inputs, depend on B?
-                effect = Process(backend, (), states[0].out_wires, vec.reshape(shape))
+                effect = Process(backend, (), states[0].out_wires, core._own(vec.reshape(shape)))
                 worst = max(worst, checks._independence_residual(effect, (), ("B",)))
     return AxiomResult(
         "C5", backend, worst <= 1e-8, float(worst),

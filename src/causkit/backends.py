@@ -17,6 +17,8 @@ Each backend fixes what "discard" and "causal" mean concretely:
     Cholesky factorization certifies a pass, reporting 0.0 for the
     eigenvalue it did not measure, and ``eigvalsh`` runs only when that
     certificate fails or is skipped, to report the most negative eigenvalue.
+    Both are :func:`is_causal` conditions, so every cpm verdict asks for
+    complete positivity.
 
 ``rel``
     Processes are boolean relations.  Discarding is existential projection
@@ -28,6 +30,10 @@ Verdicts are reported as :class:`CheckReport` objects carrying the worst
 absolute residual.  One rule decides them all (:func:`_verdict`): a ``rel``
 residual passes iff it is 0, any other passes iff it is at most
 ``tol * max(1, |process|_max)``, and a non-finite residual or scale fails.
+
+What depends only on a process's data is decided once per :class:`Process`
+and kept on it, since its data is read-only: the scale (:func:`_scale`) and
+the positivity report of each tolerance (:func:`_positive`).
 """
 
 from __future__ import annotations
@@ -72,8 +78,11 @@ class CheckReport:
 
 def _scale(p: Process) -> float | None:
     """``max(1, |p|_max)``, or NaN when ``p`` has a NaN entry; None on rel,
-    whose verdicts are exact."""
-    return None if core._spec(p.backend).exact else float(_scales(p.data, 0))
+    whose verdicts are exact.  Measured once per process and kept on it."""
+    memo = p._memo
+    if "scale" not in memo:
+        memo["scale"] = None if core._spec(p.backend).exact else float(_scales(p.data, 0))
+    return memo["scale"]
 
 
 def _scales(data, batch: int):
@@ -149,8 +158,7 @@ def _discard(backend: str, systems: tuple[System, ...]) -> Process:
         data = np.eye(math.prod(dims), dtype=complex).reshape(dims + dims)
     else:
         data = np.ones(dims, dtype=core._spec(backend).dtype)
-    data.flags.writeable = False  # shared by every caller
-    return Process(backend, (), systems, data)
+    return Process(backend, (), systems, core._own(data))  # shared by every caller
 
 
 def uniform_state(backend: str, systems: Sequence[System]) -> Process:
@@ -159,7 +167,7 @@ def uniform_state(backend: str, systems: Sequence[System]) -> Process:
     effect's data over the total dimension."""
     systems = tuple(systems)
     total = math.prod(s.dim for s in systems)
-    return Process(backend, systems, (), discard(backend, systems).data / total)
+    return Process(backend, systems, (), core._own(discard(backend, systems).data / total))
 
 
 def dimension(backend: str, system: System):
@@ -179,8 +187,9 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     matr+ columns sum to 1, cpm outputs trace out to the identity on the
     inputs, a rel relation is total (the detail names an input related to
     no output).  On matr+ no entry may be negative either (the detail names
-    the most negative); :func:`is_positive` checks cpm complete positivity.
-    The conditions are :func:`_causality`'s, judged against one scale.  A
+    the most negative), and on cpm the map must be completely positive: the
+    report of :func:`is_positive` is one more condition, decided once per
+    process and tolerance.  The conditions are judged against one scale.  A
     process with a non-finite entry fails, with that NaN or inf as its
     residual, as in :func:`is_positive`.
     """
@@ -199,7 +208,10 @@ def _causal(p: Process, tol: float, scale: float | None) -> CheckReport:
         details[0] = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
     if p.backend == MATR and residuals[1]:
         details[1] = _positive(p, tol, scale).detail
-    return _verdict(p, tol, [(float(r), d) for r, d in zip(residuals, details)], scale)
+    conditions = [(float(r), d) for r, d in zip(residuals, details)]
+    if p.backend == CPM:
+        conditions.append(_condition(_positive(p, tol, scale)))
+    return _verdict(p, tol, conditions, scale)
 
 
 def _causality(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray):
@@ -236,13 +248,23 @@ def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     condition, which is then known to be within ``tol * scale``, not
     measured.  ``np.linalg.eigvalsh`` runs only when the certificate fails or
     is skipped because rounding could reach its margin, and then gives the
-    residual and the detail.
+    residual and the detail.  The report is kept on ``p``, one per ``tol``,
+    so a process is factored once however many verdicts ask.
     """
     return _positive(p, tol, _scale(p))
 
 
 def _positive(p: Process, tol: float, scale: float | None) -> CheckReport:
-    """:func:`is_positive` with ``scale = _scale(p)`` given."""
+    """:func:`is_positive` with ``scale = _scale(p)`` given; the first call
+    per ``tol`` decides, and ``p`` keeps the report (not ``J`` or a factor)."""
+    key = ("positive", tol)
+    memo = p._memo
+    if key not in memo:
+        memo[key] = _decide_positive(p, tol, scale)
+    return memo[key]
+
+
+def _decide_positive(p: Process, tol: float, scale: float | None) -> CheckReport:
     if scale is not None and not math.isfinite(scale):
         return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
     if p.backend != CPM:
@@ -354,10 +376,10 @@ def causal_basis(backend: str, system: System) -> list[Process]:
     or the singleton relations."""
     eye = np.eye(system.dim, dtype=core._spec(backend).dtype)
     if backend != CPM:
-        return [Process(backend, (system,), (), e) for e in eye]
+        return [Process(backend, (system,), (), core._own(e)) for e in eye]
     pairs = itertools.combinations(range(system.dim), 2)
     kets = list(eye) + [(eye[i] + phase * eye[j]) / np.sqrt(2) for i, j in pairs for phase in (1, 1j)]
-    return [Process(CPM, (system,), (), np.outer(k, k.conj())) for k in kets]
+    return [Process(CPM, (system,), (), core._own(np.outer(k, k.conj()))) for k in kets]
 
 
 def random_causal(
@@ -381,14 +403,14 @@ def random_causal(
     if backend == MATR:
         m = rng.uniform(0.05, 1.0, size=(dout, din))
         m /= m.sum(axis=0, keepdims=True)
-        return Process(MATR, out_systems, in_systems, m.reshape(out_dims + in_dims))
+        return Process(MATR, out_systems, in_systems, core._own(m.reshape(out_dims + in_dims)))
 
     if backend == REL:
         m = rng.random((dout, din)) < 0.35
         for j in range(din):
             if not m[:, j].any():
                 m[rng.integers(dout), j] = True
-        return Process(REL, out_systems, in_systems, m.reshape(out_dims + in_dims))
+        return Process(REL, out_systems, in_systems, core._own(m.reshape(out_dims + in_dims)))
 
     if backend == CPM:
         denv = max(1, -(-din // dout))  # smallest env with dout*denv >= din
@@ -397,7 +419,8 @@ def random_causal(
         v = q[:, :din].reshape(dout, denv, din)
         # J[b, a, b', a'] = sum_e V[b,e,a] V*[b',e,a']
         j = np.einsum("bea,ceA->bacA", v, v.conj())
-        return Process(CPM, out_systems, in_systems, j.reshape(out_dims + in_dims + out_dims + in_dims))
+        j = j.reshape(out_dims + in_dims + out_dims + in_dims)
+        return Process(CPM, out_systems, in_systems, core._own(j))
 
     raise UnsupportedBackend(f"unknown backend {backend!r}")
 
@@ -467,19 +490,18 @@ def causal_channel_family(
     ``J0 + (G_m (x) F_n) / (2 d_out)`` over a traceless Hermitian basis
     ``{G_m}`` on the output factor and a full Hermitian basis ``{F_n}`` on
     the input factor; all are CPTP and they affinely span the
-    trace-preserving subspace.  Each call returns new processes.
+    trace-preserving subspace.  The members are built once per shape and
+    shared by every call, like every process's data they are read-only.
     """
-    family = _channel_family(backend, tuple(out_systems), tuple(in_systems))
-    return [Process(backend, m.out_wires, m.in_wires, m.data.copy()) for m in family]
+    return list(_channel_family(backend, tuple(out_systems), tuple(in_systems)))
 
 
 @functools.lru_cache(maxsize=64)
 def _channel_family(
     backend: str, out_systems: tuple[System, ...], in_systems: tuple[System, ...]
 ) -> tuple[Process, ...]:
-    """:func:`causal_channel_family`, built once per shape for the callers
-    that only read it: every member's ``data`` is read-only.  The families
-    of the last 64 shapes are kept."""
+    """:func:`causal_channel_family`, built once per shape.  The families of
+    the last 64 shapes are kept."""
     out_dims = tuple(s.dim for s in out_systems)
     in_dims = tuple(s.dim for s in in_systems)
     dout = math.prod(out_dims)
@@ -499,10 +521,7 @@ def _channel_family(
         for g in _traceless_hermitian_basis(dout):
             for f in _hermitian_basis(din):
                 arrays.append((j0 + eps * np.kron(g, f)).reshape(shape + shape))
-    members = tuple(Process(backend, out_systems, in_systems, a) for a in arrays)
-    for m in members:
-        m.data.flags.writeable = False
-    return members
+    return tuple(Process(backend, out_systems, in_systems, core._own(a)) for a in arrays)
 
 
 # -- one-way factorization -----------------------------------------------------
@@ -586,12 +605,12 @@ def factorize_one_way(
         p.backend,
         first_outs + (mem_sys,),
         first_ins,
-        phi1.reshape(kdims + (I * K,) + idims),
+        core._own(phi1.reshape(kdims + (I * K,) + idims)),
     )
     p2 = Process(
         p.backend,
         second_outs,
         (mem_sys,) + second_ins,
-        phi2.reshape(ldims + (I * K,) + jdims),
+        core._own(phi2.reshape(ldims + (I * K,) + jdims)),
     )
     return p1, p2

@@ -67,7 +67,7 @@ from .errors import (
     UnsupportedBackend,
     UnsupportedType,
 )
-from .events import Event, EventPoset, check_partition
+from .events import Event, EventPoset, _check_partition
 from .typesys import (
     Atom,
     Cap,
@@ -189,13 +189,13 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     (:func:`_order_conditions`), and every condition and causality are
     judged against one scale of ``p``.
     """
-    check_partition(poset.events, p)
+    compiled = _order_conditions(poset, p.backend, p.out_wires, p.in_wires)
     scale = backends._scale(p)
     causal = backends._causal(p, tol, scale)
     if not math.isfinite(causal.residual):  # no up-set condition on such data means anything
         return causal
     conditions = [_condition(causal)]
-    for plan, detail in _order_conditions(poset, p.backend, p.out_wires, p.in_wires):
+    for plan, detail in compiled:
         conditions.append((_planned_residual(plan, p.data), detail))
     return _verdict(p, tol, conditions, scale)
 
@@ -204,7 +204,10 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
 def _order_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
     """The up-set conditions of :func:`check_order_consistency` on processes
     with these wires: for each event whose up-set is not every event, top
-    first, the up-set's plan and the detail if it fails."""
+    first, the up-set's plan and the detail if it fails.  Events that do not
+    tile the wires raise :class:`BadPartition` on every call, since the
+    cache keeps no exception."""
+    _check_partition(poset.events, outs, ins)
     up = {x: frozenset(n for n in poset.names if x in poset._below[n]) for x in poset.names}
     return tuple(
         (
@@ -254,14 +257,14 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
-    check_partition(poset.events, p)
+    compiled = _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires)
     scale = backends._scale(p)
     residual, detail = _condition(backends._causal(p, tol, scale))
     first = next(iter(poset.linear_extensions()))
     conditions = [(residual, f"not a comb for the extension {first}: {detail}")]
     if not math.isfinite(residual):
         return _verdict(p, tol, conditions, scale)
-    for plan, detail in _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires):
+    for plan, detail in compiled:
         conditions.append((_planned_residual(plan, p.data), detail))
     return _verdict(p, tol, conditions, scale)
 
@@ -270,7 +273,9 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
 def _suffix_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
     """The conditions of :func:`check_via_totalisations` on processes with
     these wires: each proper suffix set of a linear extension at its first
-    occurrence, with its plan and the detail if it fails."""
+    occurrence, with its plan and the detail if it fails.  Events that do
+    not tile the wires raise :class:`BadPartition` on every call."""
+    _check_partition(poset.events, outs, ins)
     conditions = {}
     for ext in poset.linear_extensions():
         for k in range(len(ext) - 1, 0, -1):
@@ -308,7 +313,9 @@ def check_soc(
     :func:`backends._causality`, each against its own scale.  The residual
     is the worst over all tuples, NaN included.  The first failing tuple in
     ``itertools.product`` order, the C order of the batch axes, is named in
-    ``detail`` by each party's index into its family.
+    ``detail`` by each party's index into its family.  On matr+ and cpm
+    ``p`` must also be positive (:func:`backends.is_positive`, the report
+    kept on ``p``), as every process of those categories is.
 
     Memory: after ``k`` parties the remainder holds one entry per tuple of
     their channels and per entry of a process on the wires left.  No family
@@ -340,7 +347,11 @@ def check_soc(
         index = np.unravel_index(failed[0], residual.shape)
         named = ", ".join(f"{e.name} #{i}" for e, i in zip(parties, index))
         detail = f"the channel tuple {named} leaves a non-causal remainder"
-    return CheckReport(not failed.size, float(residual.max()), tol, detail)
+    conditions = [(not failed.size, residual.max(), detail)]
+    if p.backend != REL:
+        positive = backends._positive(p, tol, backends._scale(p))
+        conditions.append((positive.passed, positive.residual, positive.detail))
+    return _conjunction(conditions, tol)
 
 
 # -- affine types: the allowed-terms projector -------------------------------------
@@ -647,9 +658,11 @@ def check_membership(
     matr+ and cpm because the projector, with the same verdicts, is slower:
     about 6 times over the 34 matr+/cpm membership inputs of the
     ``signalling`` benchmark workload, about 9 times on its 4-event cpm comb
-    (best of 30 warm calls, seed 1, 2-core x86-64, one BLAS thread).  They
-    check matr+ non-negativity in :func:`backends.is_causal`; on cpm
-    only the projector checks positivity.
+    (best of 30 warm calls, seed 1, 2-core x86-64, one BLAS thread).  Every
+    procedure asks for causality, and so for matr+ non-negativity and cpm
+    complete positivity (:func:`backends.is_causal`).  The positivity report
+    is kept on ``p``, so checking one process against several types
+    factors its Choi matrix once.
     """
     compiled = _compile(t)
     _check_wires(p, compiled)

@@ -123,13 +123,23 @@ class System:
 
 @dataclass(frozen=True, eq=False)
 class Process:
-    """A dense process tensor. See the module docstring for the data layout."""
+    """A dense process tensor. See the module docstring for the data layout.
+
+    ``data`` is read-only.  The array given is copied only when someone else
+    could still write to it (see :func:`_read_only`); a read-only array, or
+    a view of one, is taken as it is.  ``_memo`` keeps what ``backends``
+    decides about the data once, its scale and positivity reports, never an
+    array.  Read-only is numpy's ``writeable`` flag, which the holder of an
+    array that owns its memory can set again; the memo stays true of the
+    process only as long as nobody does and writes into the data.
+    """
 
     backend: str
     out_wires: tuple[System, ...]
     in_wires: tuple[System, ...]
     data: np.ndarray
     _pos: dict[str, int] = field(init=False, repr=False)  # label -> canonical position
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         spec = _spec(self.backend)
@@ -146,7 +156,7 @@ class Process:
         expected = tuple(w.dim for w in wires) * spec.axes_per_wire
         if data.shape != expected:
             raise ShapeMismatch(f"data shape {data.shape} does not match wires, expected {expected}")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _read_only(data, self.data))
 
     # -- structural helpers -------------------------------------------------
 
@@ -191,6 +201,32 @@ class Process:
         outs = ", ".join(f"{w.label}[{w.dim}]" for w in self.out_wires) or "I"
         ins = ", ".join(f"{w.label}[{w.dim}]" for w in self.in_wires) or "I"
         return f"<Process {self.backend}: {ins} -> {outs}>"
+
+
+def _read_only(data: np.ndarray, given) -> np.ndarray:
+    """``data``, converted from ``given``, made read-only.  It is copied
+    when someone else could still write to it: when it is ``given`` or a
+    view, and it or an array it views is writeable, or it views a buffer
+    that numpy does not own.  The copy keeps the layout (``order="K"``), and
+    so the order in which einsum sums over it."""
+    if data is given or data.base is not None:  # the caller may hold it
+        a = data
+        while isinstance(a, np.ndarray) and not a.flags.writeable:
+            a = a.base
+        if a is not None:
+            data = data.copy(order="K")
+    data.flags.writeable = False
+    return data
+
+
+def _own(data: np.ndarray) -> np.ndarray:
+    """Mark an array that no one else holds, and the arrays it views,
+    read-only, so that :class:`Process` takes it without a copy."""
+    a = data
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+    return data
 
 
 def _maxabs(a: np.ndarray, batch: int = 0):
@@ -246,7 +282,7 @@ def _unit(backend: str, dim: int) -> np.ndarray:
     """The tensor shared by the identity, the cap and the cup: a Kronecker
     delta between the two wires on each axis."""
     eye = np.eye(dim)
-    return functools.reduce(np.multiply.outer, [eye] * _spec(backend).axes_per_wire)
+    return _own(functools.reduce(np.multiply.outer, [eye] * _spec(backend).axes_per_wire))
 
 
 def identity(backend: str, sys_in: System, out_label: str | None = None) -> Process:
@@ -355,7 +391,7 @@ def discard_outputs(p: Process, labels: Iterable[str]) -> Process:
         return p
     keep_out = tuple(w for w in p.out_wires if w.label not in labels)
     data = _marginal(p.backend, p.data, p.n_wires, [p.wire_pos(l) for l in labels])
-    return Process(p.backend, keep_out, p.in_wires, data)
+    return Process(p.backend, keep_out, p.in_wires, _own(data))
 
 
 def _marginal(backend: str, data: np.ndarray, n: int, gone: Iterable[int]) -> np.ndarray:
@@ -398,7 +434,7 @@ def _contract(f: Process, g: Process, wiring: tuple[tuple[str, str], ...]) -> Pr
     for each pair ``(fl, gl)`` of ``wiring``, in one einsum planned by
     :func:`_plan`."""
     *_, outs, ins, plan = _plan(f.backend, f.out_wires, f.in_wires, g.out_wires, g.in_wires, wiring)
-    return Process(f.backend, outs, ins, _einsum(plan, f.data, g.data))
+    return Process(f.backend, outs, ins, _own(_einsum(plan, f.data, g.data)))
 
 
 def plug_family(
@@ -652,7 +688,7 @@ def from_json_dict(doc: Mapping) -> Process:
         if not np.all((arr == 0) | (arr == 1)):
             raise FormatError("rel data entries must be 0 or 1")
         arr = arr.astype(np.bool_)
-    return Process(backend, tuple(outs), tuple(ins), arr)
+    return Process(backend, tuple(outs), tuple(ins), _own(arr))
 
 
 def load_process(path) -> Process:

@@ -44,13 +44,18 @@ class Event:
 
 def check_partition(events: Sequence[Event], process) -> None:
     """Events must tile the process wires exactly (each wire in one event)."""
+    _check_partition(events, process.out_wires, process.in_wires)
+
+
+def _check_partition(events: Sequence[Event], out_wires, in_wires) -> None:
+    """:func:`check_partition` for a process with these output and input wires."""
     ins: list[str] = []
     outs: list[str] = []
     for e in events:
         ins.extend(e.ins)
         outs.extend(e.outs)
-    want_in = sorted(w.label for w in process.in_wires)
-    want_out = sorted(w.label for w in process.out_wires)
+    want_in = sorted(w.label for w in in_wires)
+    want_out = sorted(w.label for w in out_wires)
     if sorted(ins) != want_in or sorted(outs) != want_out:
         raise BadPartition(
             f"events cover inputs {sorted(ins)} / outputs {sorted(outs)} "

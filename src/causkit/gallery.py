@@ -80,7 +80,7 @@ def classical_switch(d: int = 2) -> ExampleInstance:
         MATR,
         (System("A", d), System("B", d), System("C'", d)),
         (System("X", 2), System("C", d), System("A'", d), System("B'", d)),
-        data,
+        core._own(data),
     )
     soc = (
         f"(X[2] (x) C[{d}]) -o "
@@ -128,13 +128,13 @@ def quantum_z_switch() -> ExampleInstance:
     for x in (0, 1):
         proj = np.zeros((2, 2), dtype=complex)
         proj[x, x] = 1.0
-        ctrl = Process(CPM, (), (X,), proj)
+        ctrl = Process(CPM, (), (X,), core._own(proj))
         parts.append(core.tensor_par(routing(bool(x)), ctrl))
     w0, w1 = parts
     w1 = core.permute(w1, [w.label for w in w0.out_wires], [w.label for w in w0.in_wires])
-    summed = Process(CPM, w0.out_wires, w0.in_wires, w0.data + w1.data)
+    summed = Process(CPM, w0.out_wires, w0.in_wires, core._own(w0.data + w1.data))
     p = core.permute(summed, ["A", "B", "C'"], ["X", "C", "A'", "B'"])
-    p = Process(CPM, p.out_wires, p.in_wires, np.ascontiguousarray(p.data))  # choi_matrix then needs no copy
+    p = Process(CPM, p.out_wires, p.in_wires, core._own(np.ascontiguousarray(p.data)))  # choi_matrix then needs no copy
     soc = "(X[2] (x) C[2]) -o (((A[2] -o A'[2]) (x) (B[2] -o B'[2])) -o C'[2])"
     comb_a = comb_type([("X[2] (x) C[2]", "A[2]"), ("A'[2]", "B[2]"), ("B'[2]", "C'[2]")])
     comb_b = comb_type([("X[2] (x) C[2]", "B[2]"), ("B'[2]", "A[2]"), ("A'[2]", "C'[2]")])
@@ -176,7 +176,7 @@ def ocb_process() -> ExampleInstance:
         CPM,
         (System("A", 2), System("B", 2)),
         (System("A'", 2), System("B'", 2)),
-        w.reshape((2,) * 8),
+        core._own(w.reshape((2,) * 8)),
     )
     soc = "((A[2] -o A'[2]) (x) (B[2] -o B'[2])) -o I"
     comb_a = comb_type([("I", "A[2]"), ("A'[2]", "B[2]"), ("B'[2]", "I")])
@@ -210,7 +210,7 @@ def bw_process() -> ExampleInstance:
         MATR,
         tuple(System(f"A{k}", 2) for k in (1, 2, 3)),
         tuple(System(f"A{k}'", 2) for k in (1, 2, 3)),
-        data,
+        core._own(data),
     )
     soc = (
         "((A1[2] -o A1'[2]) (x) (A2[2] -o A2'[2]) (x) (A3[2] -o A3'[2])) -o I"

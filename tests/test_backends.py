@@ -46,8 +46,35 @@ def test_discard_is_shared_and_read_only():
             core.tensor_par(disc, backends.discard(backend, (System("C", 2),))),
             core.plug(unif, disc, [("A", "A")]),
         ]
-        for p in built:
-            p.data[(0,) * p.data.ndim] = 0
+        for p in built:  # core's results are read-only too
+            with pytest.raises(ValueError):
+                p.data[(0,) * p.data.ndim] = 0
+
+
+def test_constructors_hand_their_fresh_arrays_over_without_a_copy(monkeypatch, rng):
+    """``random_causal``, ``causal_basis``, ``factorize_one_way`` and the
+    gallery build arrays no one else holds, so ``Process`` takes them as
+    they are."""
+    copies = []
+    read_only = core._read_only
+
+    def spy(data, given):
+        kept = read_only(data, given)
+        if kept is not data:
+            copies.append(kept.shape)
+        return kept
+
+    monkeypatch.setattr(core, "_read_only", spy)
+    a, b = System("A", 2), System("B", 3)
+    for backend in BACKENDS:
+        backends.random_causal(backend, (b,), (a,), rng)
+        backends.causal_basis(backend, b)
+    first, second = Event("P1", ins="I", outs="K"), Event("P2", ins="J", outs="L")
+    for backend in (MATR, REL):
+        backends.factorize_one_way(_one_way_pair(backend, rng), first, second)
+    for name in gallery.REGISTRY:
+        gallery.build(name)
+    assert copies == []
 
 
 def test_dimension_scalar():
@@ -254,21 +281,18 @@ def test_channel_family_counts_and_causality(rng):
                 assert backends.is_positive(f, tol=TOL)
 
 
-def test_channel_family_is_built_once_and_handed_out_fresh():
-    """``check_soc`` reads one shared, read-only family per shape; the public
-    function returns new processes that callers may change."""
+def test_channel_family_is_built_once_and_shared():
+    """``check_soc`` and the public function read one shared family per
+    shape, whose data is read-only like every process's."""
     a, b = System("A", 2), System("B", 2)
     for backend in BACKENDS:
         shared = backends._channel_family(backend, (b,), (a,))
         assert shared is backends._channel_family(backend, (b,), (a,))
+        handed = backends.causal_channel_family(backend, [b], [a])
+        assert isinstance(handed, list) and handed == list(shared)
         for m in shared:
             with pytest.raises(ValueError):
                 m.data[(0,) * m.data.ndim] = 0
-        fresh = backends.causal_channel_family(backend, [b], [a])
-        for f, m in zip(fresh, shared, strict=True):
-            assert f.data.flags.writeable and not np.shares_memory(f.data, m.data)
-            assert (f.out_wires, f.in_wires) == (m.out_wires, m.in_wires) and core.distance(f, m) == 0.0
-            f.data[(0,) * f.data.ndim] = 0
 
 
 def test_cpm_family_spans_trace_preserving_affine_space():

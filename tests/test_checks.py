@@ -126,6 +126,21 @@ def test_event_partition_must_cover_process(rng):
         check_partition([E1], p)  # L and J not covered
 
 
+def test_order_procedures_refuse_a_bad_partition_on_every_call(rng):
+    """The partition is checked with the compiled conditions, which keep no
+    exception: a poset that does not tile the wires raises every time, also
+    after it decided a process that it tiles."""
+    from causkit.errors import BadPartition
+
+    poset = EventPoset([E1, E2], [("P1", "P2")])
+    good, bad = _chain(MATR, rng), core.rename(_chain(MATR, rng), {"L": "Z"})
+    for procedure in (checks.check_order_consistency, checks.check_via_totalisations):
+        assert procedure(good, poset, tol=TOL)
+        for _ in range(2):
+            with pytest.raises(BadPartition):
+                procedure(bad, poset, tol=TOL)
+
+
 def test_poset_past_and_down_closed_sets():
     evs = [Event(n, ins=f"{n}i", outs=f"{n}o") for n in "ABC"]
     poset = EventPoset(evs, [("A", "B")])  # C unordered
@@ -601,6 +616,22 @@ def test_soc_single_party(rng):
     assert not checks.check_soc(tr, [party], tol=TOL)
 
 
+@pytest.mark.parametrize("backend, detail", [(MATR, "negative entry -0.5 at index (1, 0)"), (CPM, "negative eigenvalue -0.5")])
+def test_soc_refuses_a_host_that_is_not_positive(backend, detail):
+    """A trace-one state that is not positive, beside discarding: every
+    channel leaves the normalized scalar 1, yet the host is no process of
+    the category, on the enumeration path as on the projector's."""
+    a, a_ = System("A", 2), System("A'", 2)
+    weights = np.array([1.5, -0.5])
+    state = Process(backend, (a,), (), np.diag(weights) if backend == CPM else weights)
+    host = core.tensor_par(state, backends.discard(backend, (a_,)))
+    for rep in (
+        checks.check_soc(host, [Event("P", ins="A'", outs="A")], tol=TOL),
+        checks.check_membership(host, "(A[2] -o A'[2]) -o I", tol=TOL),
+    ):
+        assert not rep and rep.residual == 0.5 and rep.detail == detail
+
+
 def _soc_host(backend, n, rng, d=2, slot=False, past=0):
     """An ``n``-party fixed-order chain on party wires of dimension ``d``: a
     state feeds party 0, party ``k``'s output reaches party ``k + 1`` through
@@ -782,12 +813,56 @@ def test_projector_fails_transpose(wires):
     assert backends._certified_skew(core.choi_matrix(p), TOL, backends._scale(p)) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_membership_fails_transpose():
-    """A channel type does not reach the projector, and so no cpm positivity
-    check, on the membership path."""
+    """A channel type does not reach the projector; causality itself asks
+    for cpm positivity on the membership path."""
     p, ty = _transpose_on_first(1)
     assert not checks.check_membership(p, ty, tol=TOL)
+
+
+@pytest.mark.parametrize("wires", [1, 2])
+def test_every_cpm_route_fails_transpose(wires):
+    """The transpose, and the partial transpose on one of two wires, are
+    trace-preserving and non-signalling but not CP: every cpm procedure
+    refuses them and names the negative eigenvalue."""
+    p, ty = _transpose_on_first(wires)
+    events = [Event("T", ins="A", outs="B")] + [Event(f"E{k}", ins=f"I{k}", outs=f"O{k}") for k in range(1, wires)]
+    chain = [(a.name, b.name) for a, b in zip(events, events[1:])]
+    reports = {
+        "is_causal": backends.is_causal(p, tol=TOL),
+        "membership": checks.check_membership(p, ty, tol=TOL),
+        "nonsignalling": checks.check_nonsignalling(p, events, tol=TOL),
+        "comb": checks.check_comb(p, events, tol=TOL),
+        "order": checks.check_order_consistency(p, EventPoset(events, chain), tol=TOL),
+        "totalisations": checks.check_via_totalisations(p, EventPoset(events), tol=TOL),
+        "projector": checks.check_projector(p, ty, tol=TOL),
+    }
+    if wires == 2:
+        reports["one_way"] = checks.check_one_way(p, *events, tol=TOL)
+    eigenvalue = f"negative eigenvalue {-(2 ** (wires - 1)):.3g}"
+    for route, rep in reports.items():
+        assert not rep and rep.detail.endswith(eigenvalue), route
+
+
+def test_positivity_is_decided_once_per_process_and_tolerance(monkeypatch):
+    """Several verdicts and types on one cpm process factor its Choi matrix
+    once; another tolerance gets its own report, and the process keeps
+    reports only."""
+    inst = gallery.memory_comb(backend=CPM, events=2, d=2, seed=3)
+    p, ty = inst.process, inst.expectations[0][0]
+    events = [Event(f"E{k}", ins=f"A{k}", outs=f"A{k}'") for k in (1, 2)]
+    counts = collections.Counter()
+    _count_calls(monkeypatch, backends, "_certified_skew", counts)
+    assert checks.check_membership(p, ty, tol=TOL)
+    assert checks.check_membership(p, "(A1[2] -o A1'[2]) (+) (A2[2] -o A2'[2])", tol=TOL)
+    assert checks.check_projector(p, ty, tol=TOL)
+    assert checks.check_comb(p, events, tol=TOL) and backends.is_causal(p, tol=TOL)
+    assert not checks.check_comb(p, events[::-1], tol=TOL)
+    assert backends.is_positive(p, tol=TOL) is backends.is_positive(p, tol=TOL)
+    assert counts["_certified_skew"] == 1
+    assert backends.is_causal(p, tol=1e-6) and backends.is_positive(p, tol=1e-6).tol == 1e-6
+    assert counts["_certified_skew"] == 2
+    assert all(not isinstance(v, np.ndarray) for v in p._memo.values())
 
 
 def test_projector_scales_the_process_once(monkeypatch):
@@ -857,9 +932,8 @@ def test_projector_checks_positivity(rng):
     flip = np.zeros((2,) * 4, dtype=complex)  # a traceless term the channel type allows
     flip[0, 0, 0, 0], flip[1, 0, 1, 0] = 1.0, -1.0
     bad = Process(CPM, good.out_wires, good.in_wires, good.data + 2.0 * flip)
-    assert backends.is_causal(bad, tol=TOL)
-    rep = checks.check_projector(bad, "A[2] -o B[2]", tol=TOL)
-    assert not rep and rep.detail.startswith("negative eigenvalue")
+    for rep in (backends.is_causal(bad, tol=TOL), checks.check_projector(bad, "A[2] -o B[2]", tol=TOL)):
+        assert not rep and rep.detail.startswith("negative eigenvalue")
 
 
 def test_projector_decides_what_enumeration_refuses():
@@ -1012,9 +1086,12 @@ def _near_uniform(backend, ty, outs, ins, rng, inside):
 def _lolli_oracle(p, t):
     """The affine part of ``p : X -o Y`` by definition: plugging each member
     of an affine basis of ``X`` leaves a member of ``Y``, recursively, and a
-    first-order type asks for normalization."""
+    first-order type asks for normalization (trace preservation) alone: the
+    basis members need not be positive, so neither need the processes they
+    leave."""
     if is_first_order(t):
-        return bool(backends.is_causal(p, tol=TOL))
+        normalization = backends._causality(p.backend, p.out_wires, p.in_wires, p.data)[0]
+        return bool(normalization <= backends._bound(p.backend, TOL, backends._scale(p)))
     atoms = list(atom_occurrences(normalize(t.left)))
     x_outs = tuple(p.wire(a.label) for a, dual in atoms if not dual)
     x_ins = tuple(p.wire(a.label) for a, dual in atoms if dual)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,19 @@ def test_quasi_stochastic_fails_every_check_mode(capsys, tmp_path):
         code, doc, _ = run(capsys, "check", str(proc), *mode)
         assert code == 1 and doc["passed"] is False
         assert doc["detail"] == "negative entry -0.5 at index (1, 0)"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_qubit_transpose_fails_every_check_mode(capsys):
+    """The shipped qubit transpose is trace-preserving but not CP: plain
+    causality, a channel type and a one-event poset all refuse it."""
+    proc = str(DATA / "qubit_transpose.json")
+    for mode in ((), ("--poset", str(DATA / "qubit_transpose_poset.json")), ("--type", "A[2] -o B[2]")):
+        code, doc, _ = run(capsys, "check", proc, *mode)
+        assert code == 1 and doc["passed"] is False and doc["detail"] == "negative eigenvalue -1"
+        assert run(capsys, "check", proc, *mode, "--expect", "fail")[0] == 0
 
 
 def test_prove_and_unprovable(capsys):

@@ -37,6 +37,39 @@ def test_shape_is_validated():
             System("A", dim)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_process_data_is_read_only(backend, rng):
+    """A process keeps its data: writing into it raises, and the caller's
+    own array, copied with its layout, stays writeable and apart."""
+    outs, ins = (System("A", 2),), (System("B", 3),)
+    given = np.asfortranarray(rand_process(backend, outs, ins, rng).data)  # writeable, kept by the caller
+    p = Process(backend, outs, ins, given)
+    with pytest.raises(ValueError):
+        p.data[(0,) * p.data.ndim] = p.data[(1,) * p.data.ndim]
+    assert given.flags.writeable and not np.shares_memory(p.data, given)
+    assert p.data.strides == given.strides  # order="K": the layout, so the order of summation, stays
+    before = p.data.copy()
+    given[...] = given[(1,) * given.ndim]
+    np.testing.assert_array_equal(p.data, before)
+
+
+def test_read_only_data_is_copied_only_when_writeable_elsewhere():
+    """A read-only array that owns its memory is taken as it is; a read-only
+    view of a writeable array is copied; views of a process's data, such as
+    ``permute``'s and ``rename``'s, share its memory."""
+    owned = np.full((2, 3), 0.5)
+    owned.flags.writeable = False
+    p = Process(MATR, (System("A", 2),), (System("B", 3),), owned)
+    assert p.data is owned
+    base = np.zeros(6)
+    view = base.reshape(2, 3)
+    view.flags.writeable = False
+    q = Process(MATR, (System("A", 2),), (System("B", 3),), view)
+    assert not np.shares_memory(q.data, base) and not q.data.flags.writeable
+    for r in (core.permute(p, ["A"], ["B"]), core.rename(p, {"A": "Z"}), core.bend(p, "B", "out")):
+        assert np.shares_memory(r.data, owned) and not r.data.flags.writeable
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(DuplicateLabel):
         Process(MATR, (System("A", 2),), (System("A", 2),), np.zeros((2, 2)))
