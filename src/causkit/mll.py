@@ -21,16 +21,17 @@ Rules (one-sided, multisets)::
     mix:     |- G   |- D   =>  |- G, D
 
 Search applies the invertible rules first (``bot``, ``par``, and removal of
-``1`` from a context, which mix makes admissible) and short-circuits
-sequents of bare literals by perfect matching.  Unbalanced literal counts
-prune early: every rule preserves the property that each atom occurs as
-often positively as negatively in a provable sequent.  Any other sequent
-has a top-level tensor, and one memoized tensor step decides it by trying
-each tensor on its candidate contexts.  A proof that ends in ``mix`` can
-always push that mix into a tensor premise's context (Fleury & Retoré,
-*The mix rule*, 1994), so no mix bipartition is tried: proofs use ``mix``
-only to drop a ``1``, to pair off bare literals and, with ``mix0``, to
-reorder a memoized proof.
+``1`` from a context, which mix makes admissible), all in one step: only
+the sequent left after them is memoized and counted against the budget.
+It short-circuits sequents of bare literals by perfect matching.
+Unbalanced literal counts prune early: every rule preserves the property
+that each atom occurs as often positively as negatively in a provable
+sequent.  Any other sequent has a top-level tensor, and one memoized tensor
+step decides it by trying each distinct tensor on its candidate contexts.
+A proof that ends in ``mix`` can always push that mix into a tensor
+premise's context (Fleury & Retoré, *The mix rule*, 1994), so no mix
+bipartition is tried: proofs use ``mix`` only to drop a ``1``, to pair off
+bare literals and, with ``mix0``, to reorder a memoized proof.
 
 A *linear* sequent, where every atom occurs exactly once each way (as in
 the containments between causal types, whose atoms ``fo_embedding`` labels
@@ -46,8 +47,15 @@ acyclic; when no tensor has one, some switching has a cycle (the
 splitting-tensor lemma).  Formulas that share no atom with the rest need
 no separate mix: they fall to one side of such a split.
 
-A sequent with a repeated atom tries every context split of every tensor
-and backtracks; its subsequents that are linear are decided as above.
+A sequent with a repeated atom backtracks: each distinct tensor is tried
+on the splits of its context taken as a multiset, as equal formulas are
+interchangeable and only how many copies of each go left matters, and a
+split is tried only when its left premise balances (the right one then
+does too).  Its subsequents that are linear are decided as above.  So ``n``
+copies of ``(a (x) b) (+) (a^* (x) b^*)``, all on the same two atoms, are
+refuted in one expansion: after the pars each formula has as many ``a`` as
+``b`` (counted with sign) and each left factor does not, so no split
+balances.
 """
 
 from __future__ import annotations
@@ -69,30 +77,52 @@ from . import typesys
 # -- formulas ------------------------------------------------------------------
 
 
+# Each formula keeps its ``name`` (the rendering without outer parentheses)
+# and its ``net`` (atom key -> positive minus negative occurrences), both
+# made on first use and never written after: the search reads them often.
+
+
+def _net(f: FTensor | FPar) -> dict[str, int]:
+    net = dict(f.left.net)
+    for key, n in f.right.net.items():
+        net[key] = net.get(key, 0) + n
+    return net
+
+
 @dataclass(frozen=True)
 class FAtom:
     key: str
     neg: bool = False
 
+    @functools.cached_property
+    def name(self) -> str:
+        return f"{self.key}^*" if self.neg else self.key
+
+    @functools.cached_property
+    def net(self) -> dict[str, int]:
+        return {self.key: -1 if self.neg else 1}
+
 
 @dataclass(frozen=True)
 class FOne:
-    pass
+    name = "I"
+    net = {}
 
 
 @dataclass(frozen=True)
 class FBot:
-    pass
+    name = "I^*"
+    net = {}
 
 
 @dataclass(frozen=True)
 class FTensor:
     left: "Formula"
     right: "Formula"
+    net = functools.cached_property(_net)
 
     @functools.cached_property
-    def text(self) -> str:
-        """The rendering without outer parentheses, made once per formula."""
+    def name(self) -> str:
         return f"{render_formula(self.left, 0)} (x) {render_formula(self.right, 0)}"
 
 
@@ -100,10 +130,10 @@ class FTensor:
 class FPar:
     left: "Formula"
     right: "Formula"
+    net = functools.cached_property(_net)
 
     @functools.cached_property
-    def text(self) -> str:
-        """The rendering without outer parentheses, made once per formula."""
+    def name(self) -> str:
         return f"{render_formula(self.left, 1)} (+) {render_formula(self.right, 1)}"
 
 
@@ -153,7 +183,14 @@ def parse_sequent(text: str) -> tuple[Formula, ...]:
         side = side.strip()
         if not side:
             return []
-        return [parse_formula(s) for s in side.split(",")]
+        # a comma inside open parentheses, as in cap(..), ends no formula
+        parts: list[str] = []
+        for piece in side.split(","):
+            if parts and parts[-1].count("(") > parts[-1].count(")"):
+                parts[-1] += "," + piece
+            else:
+                parts.append(piece)
+        return [parse_formula(s) for s in parts]
 
     if "|-" in text:
         left, right = text.split("|-", 1)
@@ -166,28 +203,24 @@ def parse_sequent(text: str) -> tuple[Formula, ...]:
 
 
 def render_formula(f: Formula, ctx: int = 2) -> str:
-    if isinstance(f, FAtom):
-        return f"{f.key}^*" if f.neg else f.key
-    if isinstance(f, FOne):
-        return "I"
-    if isinstance(f, FBot):
-        return "I^*"
-    prec = 1 if isinstance(f, FTensor) else 2
-    return f"({f.text})" if prec > ctx else f.text
+    """``f.name``, parenthesized for a tensor when ``ctx`` is 0 and for a par
+    when ``ctx`` is below 2."""
+    prec = 1 if isinstance(f, FTensor) else 2 if isinstance(f, FPar) else 0
+    return f"({f.name})" if prec > ctx else f.name
 
 
 def render_sequent(seq: Sequence[Formula]) -> str:
-    return "|- " + ", ".join(render_formula(f) for f in seq)
+    return "|- " + ", ".join(f.name for f in seq)
 
 
 def _key(seq: Sequence[Formula]) -> tuple[str, ...]:
-    return tuple(sorted(render_formula(f) for f in seq))
+    return tuple(sorted(f.name for f in seq))
 
 
 _Site = tuple[int, int]
 
 
-def _atom_sites(seq: Sequence[Formula]) -> list[list] | None:
+def _atom_sites(seq: Sequence[Formula]) -> dict[str, list] | None:
     """Per atom key, its net count (positive minus negative occurrences)
     followed by the site of each occurrence: ``(formula index, factor)``
     with ``factor`` 1 inside the right factor of a top-level tensor and 0
@@ -212,8 +245,7 @@ def _atom_sites(seq: Sequence[Formula]) -> list[list] | None:
             walk(f.right, (i, 1))
         else:
             walk(f, (i, 0))
-    entries = list(sites.values())
-    return None if any(e[0] for e in entries) else entries
+    return None if any(e[0] for e in sites.values()) else sites
 
 
 def _components(size: int, links: Sequence[tuple[int, int]]) -> list[int]:
@@ -231,27 +263,59 @@ def _components(size: int, links: Sequence[tuple[int, int]]) -> list[int]:
     return [find(x) for x in range(size)]
 
 
-def _contexts(seq: tuple[Formula, ...], i: int, links: list[tuple[_Site, _Site]] | None):
-    """The candidate ``(left, right)`` contexts of the tensor ``seq[i]``:
-    every split, or, given the axiom ``links`` of a linear sequent, the one
-    split by link components (none when the links reconnect the factors)."""
-    if links is not None:
-        # without the tensor, node i is its left factor and node n its right
-        n, r = len(seq), (i, 1)
-        comp = _components(n + 1, [(n if a == r else a[0], n if b == r else b[0]) for a, b in links])
-        if comp[i] != comp[n]:
-            yield (
-                tuple(g for j, g in enumerate(seq) if j != i and comp[j] == comp[i]),
-                tuple(g for j, g in enumerate(seq) if j != i and comp[j] != comp[i]),
-            )
-        return
-    rest = _remove_at(seq, i)
-    m = len(rest)
-    for mask in range(1 << m):
+def _contexts(seq: tuple[Formula, ...], i: int, links: list[tuple[_Site, _Site]]):
+    """Given the axiom ``links`` of a linear sequent, the one candidate
+    ``(left, right)`` context of the tensor ``seq[i]``, split by link
+    components (none when the links reconnect the factors)."""
+    # without the tensor, node i is its left factor and node n its right
+    n, r = len(seq), (i, 1)
+    comp = _components(n + 1, [(n if a == r else a[0], n if b == r else b[0]) for a, b in links])
+    if comp[i] != comp[n]:
         yield (
-            tuple(rest[j] for j in range(m) if mask >> j & 1),
-            tuple(rest[j] for j in range(m) if not mask >> j & 1),
+            tuple(g for j, g in enumerate(seq) if j != i and comp[j] == comp[i]),
+            tuple(g for j, g in enumerate(seq) if j != i and comp[j] != comp[i]),
         )
+
+
+def _splits(rest: tuple[Formula, ...], factor: Formula):
+    """Each split ``(left, right)`` of the multiset ``rest`` whose left
+    premise ``left + (factor,)`` balances, once.
+
+    Equal formulas form runs, and how many of each run go left is
+    enumerated in reflected mixed-radix Gray order (Knuth, TAOCP 7.2.1.1,
+    Algorithm H).  Each step moves one formula across, so the left
+    premise's net count, packed into one integer ``sum(n * base**k)`` over
+    its atoms ``k``, is kept with one addition.  ``base`` exceeds every
+    ``|n|`` a split can reach, so the lowest non-zero ``n`` of a packed sum
+    is not a multiple of it: the sum is 0 exactly when every atom balances."""
+    runs: dict[str, list[Formula]] = {}
+    for g in rest:
+        runs.setdefault(g.name, []).append(g)
+    groups = list(runs.values())
+    reach = sum(map(abs, factor.net.values())) + sum(len(g) * sum(map(abs, g[0].net.values())) for g in groups)
+    base, weight = reach + 1, {}
+
+    def pack(f: Formula) -> int:
+        return sum(n * weight.setdefault(key, base ** len(weight)) for key, n in f.net.items())
+
+    step = [pack(g[0]) for g in groups]
+    total = pack(factor)
+    m = len(groups)
+    count, direction, focus = [0] * m, [1] * m, list(range(m + 1))
+    while True:
+        if total == 0:
+            yield (
+                tuple(f for g, k in zip(groups, count) for f in g[:k]),
+                tuple(f for g, k in zip(groups, count) for f in g[k:]),
+            )
+        j, focus[0] = focus[0], 0
+        if j == m:
+            return
+        count[j] += direction[j]
+        total += direction[j] * step[j]
+        if count[j] == 0 or count[j] == len(groups[j]):
+            direction[j] = -direction[j]
+            focus[j], focus[j + 1] = focus[j + 1], j + 1
 
 
 # -- proofs --------------------------------------------------------------------
@@ -360,17 +424,38 @@ class _Search:
         self.memo: dict[tuple[str, ...], Proof | None] = {}
 
     def prove(self, seq: tuple[Formula, ...]) -> Proof | None:
+        # The invertible phase (bot removal, par expansion, one removal via
+        # mix) runs here in one loop; only the sequent left is an expansion.
+        steps = []
+        i = 0
+        while i < len(seq):
+            f = seq[i]
+            if isinstance(f, FPar):
+                steps.append(("par", seq, i))
+                seq = seq[:i] + (f.left, f.right) + seq[i + 1 :]
+            elif isinstance(f, FBot) or isinstance(f, FOne) and len(seq) > 1:
+                steps.append(("bot" if isinstance(f, FBot) else "mix", seq, i))
+                seq = _remove_at(seq, i)
+            else:
+                i += 1
         key = _key(seq)
-        if key in self.memo:
-            cached = self.memo[key]
-            return self._rebuild(cached, seq) if cached is not None else None
-        self.expansions += 1
-        if self.expansions > self.budget:
-            raise CombinatorialBlowup(
-                f"proof search exceeded {self.budget} expansions"
-            )
-        proof = self._prove(seq)
-        self.memo[key] = proof
+        if key not in self.memo:
+            self.expansions += 1
+            if self.expansions > self.budget:
+                raise CombinatorialBlowup(
+                    f"proof search exceeded {self.budget} expansions"
+                )
+            self.memo[key] = self._prove(seq)
+        proof = self.memo[key]
+        if proof is None:
+            return None
+        proof = self._rebuild(proof, seq)
+        for rule, conclusion, i in reversed(steps):
+            if rule == "mix":
+                unit = Proof("one", (FOne(),))
+                proof = Proof("mix", conclusion, (proof, unit) if i == len(conclusion) - 1 else (unit, proof))
+            else:
+                proof = Proof(rule, conclusion, (proof,), i)
         return proof
 
     def _rebuild(self, proof: Proof, seq: tuple[Formula, ...]) -> Proof:
@@ -381,24 +466,8 @@ class _Search:
         return Proof("mix", seq, (proof, Proof("mix0", ())))
 
     def _prove(self, seq: tuple[Formula, ...]) -> Proof | None:
-        # invertible: bot removal, par expansion, one removal (via mix)
-        for i, f in enumerate(seq):
-            if isinstance(f, FBot):
-                sub = self.prove(_remove_at(seq, i))
-                return Proof("bot", seq, (sub,), i) if sub else None
-            if isinstance(f, FPar):
-                sub = self.prove(seq[:i] + (f.left, f.right) + seq[i + 1 :])
-                return Proof("par", seq, (sub,), i) if sub else None
         if seq == (FOne(),):
             return Proof("one", seq)
-        for i, f in enumerate(seq):
-            if isinstance(f, FOne):
-                sub = self.prove(_remove_at(seq, i))
-                if sub is None:
-                    return None
-                unit = Proof("one", (FOne(),))
-                return Proof("mix", seq, (sub, unit) if i == len(seq) - 1 else (unit, sub))
-
         # literals only (or none): pair them off
         if all(isinstance(f, FAtom) for f in seq):
             return self._match_literals(seq)
@@ -406,12 +475,15 @@ class _Search:
         atoms = _atom_sites(seq)
         if atoms is None:
             return None
-        linear = all(len(a) == 3 for a in atoms)
-        links = [(a[1], a[2]) for a in atoms] if linear else None
+        linear = all(len(a) == 3 for a in atoms.values())
+        links = [(a[1], a[2]) for a in atoms.values()] if linear else None
+        tried = set()
         for i, f in enumerate(seq):
-            if not isinstance(f, FTensor):
+            if not isinstance(f, FTensor) or f.name in tried:
                 continue
-            for left, right in _contexts(seq, i, links):
+            tried.add(f.name)
+            contexts = _contexts(seq, i, links) if linear else _splits(_remove_at(seq, i), f.left)
+            for left, right in contexts:
                 p1 = self.prove(left + (f.left,))
                 p2 = None if p1 is None else self.prove(right + (f.right,))
                 if p2 is not None:

@@ -98,6 +98,15 @@ def test_prove_and_unprovable(capsys):
     assert code == 0
 
 
+def test_prove_splits_sequents_on_top_level_commas(capsys):
+    """The comma inside ``cap(..)`` does not end a formula, so the intersection
+    is refused by name; an empty formula stays a syntax error."""
+    code, out, err = run(capsys, "prove", "cap(A -o B, A -o B) |- A -o B")
+    assert code == 2 and out is None and err.strip() == "error: Cap has no sequent counterpart"
+    code, out, err = run(capsys, "prove", "A, |- A")
+    assert code == 2 and out is None and err.strip() == "error: unexpected end of input in ''"
+
+
 def test_axioms_subcommand(capsys):
     code, doc, err = run(capsys, "axioms", "--backend", "rel")
     assert code == 0
