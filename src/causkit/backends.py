@@ -33,7 +33,10 @@ residual passes iff it is 0, any other passes iff it is at most
 
 What depends only on a process's data is decided once per :class:`Process`
 and kept on it, since its data is read-only: the scale (:func:`_scale`) and
-the positivity report of each tolerance (:func:`_positive`).
+the positivity report of each tolerance (:func:`_positive`), which is also
+causality's validity condition on matr+ and cpm.  So a verdict measures
+only normalization; the batched :func:`_causality` of ``check_soc`` still
+scans each remainder, which is not a :class:`Process`.
 """
 
 from __future__ import annotations
@@ -187,43 +190,51 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     matr+ columns sum to 1, cpm outputs trace out to the identity on the
     inputs, a rel relation is total (the detail names an input related to
     no output).  On matr+ no entry may be negative either (the detail names
-    the most negative), and on cpm the map must be completely positive: the
-    report of :func:`is_positive` is one more condition, decided once per
-    process and tolerance.  The conditions are judged against one scale.  A
-    process with a non-finite entry fails, with that NaN or inf as its
-    residual, as in :func:`is_positive`.
+    the most negative), and on cpm the map must be completely positive:
+    either is the report of :func:`is_positive`, one more condition decided
+    once per process and tolerance.  The conditions are judged against one
+    scale.  A process with a non-finite entry fails, with that NaN or inf as
+    its residual, as in :func:`is_positive`.
     """
     return _causal(p, tol, _scale(p))
 
 
 def _causal(p: Process, tol: float, scale: float | None) -> CheckReport:
     """:func:`is_causal` with ``scale = _scale(p)`` given."""
+    return _verdict(p, tol, _causal_conditions(p, tol, scale), scale)
+
+
+def _causal_conditions(p: Process, tol: float, scale: float | None) -> list[tuple[float, str]]:
+    """The conditions of :func:`is_causal` against ``scale = _scale(p)``:
+    normalization, then the :func:`_positive` report kept on ``p`` (matr+,
+    cpm); or ``(scale, "an entry is not finite")`` if the scale is not."""
     if scale is not None and not math.isfinite(scale):
-        return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
-    residuals = _causality(p.backend, p.out_wires, p.in_wires, p.data)
-    details = ["not normalized", ""]
-    if p.backend == REL and residuals[0]:
+        return [(scale, "an entry is not finite")]
+    residual = _causality(p.backend, p.out_wires, p.in_wires, p.data, validity=False)[0]
+    detail = "not normalized"
+    if p.backend == REL and residual:
         cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data
         bad = tuple(int(i) for i in np.argwhere(~cols)[0])
-        details[0] = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
-    if p.backend == MATR and residuals[1]:
-        details[1] = _positive(p, tol, scale).detail
-    conditions = [(float(r), d) for r, d in zip(residuals, details)]
-    if p.backend == CPM:
+        detail = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
+    conditions = [(float(residual), detail)]
+    if p.backend != REL:
         conditions.append(_condition(_positive(p, tol, scale)))
-    return _verdict(p, tol, conditions, scale)
+    return conditions
 
 
-def _causality(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray):
+def _causality(
+    backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray, *, validity: bool = True
+):
     """Causality's conditions on ``data``, the array of a process with the
     wires ``outs``/``ins`` behind any number of leading batch axes: a list of
-    residuals, normalization and (matr+) negativity, each an array with one
-    entry per batch index, or a scalar without batch axes."""
+    residuals, normalization and (matr+, unless ``validity`` is false)
+    negativity, each an array with one entry per batch index, or a scalar
+    without batch axes."""
     n = len(outs) + len(ins)
     batch = data.ndim - core._spec(backend).axes_per_wire * n
     marg = core._marginal(backend, data, n, range(len(outs)))
     residuals = [core._maxdiff(marg, discard(backend, ins).data, batch)]
-    if backend == MATR:
+    if backend == MATR and validity:
         residuals.append(_negativity(data, batch))
     return residuals
 

@@ -42,8 +42,11 @@ combs and tensors of events to their procedures on every backend, every
 other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
 Each type is compiled once (``_compile``): its normal form, wire roles,
 procedure and events are kept for every later call with that type, and the
-projector's mask once per type and wire layout.  A cold call, such as every
-CLI call, does the parsing and dispatch work that every call did before.
+wire check and the projector's mask once per type and wire layout (a layout
+that fails is not kept).  Scale and validity are decided once per
+``Process`` (see ``backends``), so a warm verdict does only the work on
+``p.data``.  A cold call, such as every CLI call, does the parsing and
+dispatch work that every call did before.
 """
 
 from __future__ import annotations
@@ -104,13 +107,14 @@ def _planned_residual(plan, data: np.ndarray) -> float:
     (ket = bra on each plugged cpm wire; all of ``q`` elsewhere) and 0 off
     it.  So ``q'``, the diagonal weighted by the uniform state's, is
     subtracted (on rel: xor-ed) in place on an einsum view of the diagonal,
-    and the residual is ``max |q|``; ``data`` is never written.  A
-    non-finite residual, which any non-finite entry of ``q`` gives, is NaN."""
+    and the residual is ``max |q|``, taken in place unless ``q`` is complex;
+    ``data`` is never written.  A non-finite residual, which any non-finite
+    entry of ``q`` gives, is NaN."""
     if plan is None:
         return 0.0
-    marginal, diagonal, uniform, weigh, shape = plan
+    marginal, sums, diagonal, uniform, weigh, shape = plan
     q = core._einsum(marginal, data)
-    if np.may_share_memory(q, data):  # nothing was summed: a view of data
+    if not sums:  # einsum gave a view of data
         q = q.copy(order="K")  # the same layout, so the same order of summation
     d = q if diagonal is None else core._einsum(diagonal, q)
     recon = core._einsum(weigh, uniform, d).reshape(shape)
@@ -118,7 +122,8 @@ def _planned_residual(plan, data: np.ndarray) -> float:
         d ^= recon
     else:
         d -= recon
-    residual = core._maxabs(q)
+    m = np.abs(q) if q.dtype == complex else np.abs(q, out=q)  # q is einsum's result or a copy
+    residual = float(m.max())
     return residual if math.isfinite(residual) else math.nan
 
 
@@ -126,8 +131,9 @@ def _planned_residual(plan, data: np.ndarray) -> float:
 def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], gone: tuple, plugged: tuple):
     """The plan of :func:`_planned_residual` for any ``p`` with these wires,
     None if ``plugged`` is empty: the :func:`core._marginal_plan` discarding
-    ``gone``; the einsum view of the marginal's plugged diagonal, None where
-    that is all of it (off cpm, or plugged wires of dimension 1); the
+    ``gone`` and whether it sums over any axis (if not, einsum gives a view
+    of the data); the einsum view of the marginal's plugged diagonal, None
+    where that is all of it (off cpm, or plugged wires of dimension 1); the
     uniform state's diagonal, read-only; the einsum weighing the one by the
     other, numbered as :func:`core._plan` numbers plugging the uniform state,
     so that it sums in the same order; and the shape of the weighted sum
@@ -143,6 +149,8 @@ def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System
     kept = tuple(w for w in outs if w.label not in gone)
     gone_at = tuple(i for i, w in enumerate(outs) if w.label in gone)
     marginal = core._marginal_plan(backend, Process.expected_shape(backend, outs, ins), len(outs + ins), gone_at)
+    _, (sub,), out, _ = marginal
+    sums = not set(sub) <= set(out)
     systems = tuple(w for w in ins if w.label in plugged)
     u_sub, q_sub, out_sub, *_ = core._plan(backend, systems, (), kept, ins, tuple((l, l) for l in plugged))
     q_shape = Process.expected_shape(backend, kept, ins)
@@ -159,7 +167,7 @@ def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System
     uniform.flags.writeable = False
     weigh = core._squeeze((uniform.shape, tuple(size[s] for s in diag_sub)), (kets, diag_sub), out_sub)
     shape = tuple(1 if s in u_sub else size[s] for s in diag_sub)
-    return marginal, diagonal, uniform, weigh, shape
+    return marginal, sums, diagonal, uniform, weigh, shape
 
 
 def _up_set_plan(poset: EventPoset, up: frozenset[str], backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
@@ -191,12 +199,9 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     """
     compiled = _order_conditions(poset, p.backend, p.out_wires, p.in_wires)
     scale = backends._scale(p)
-    causal = backends._causal(p, tol, scale)
-    if not math.isfinite(causal.residual):  # no up-set condition on such data means anything
-        return causal
-    conditions = [_condition(causal)]
-    for plan, detail in compiled:
-        conditions.append((_planned_residual(plan, p.data), detail))
+    conditions = backends._causal_conditions(p, tol, scale)
+    if all(math.isfinite(r) for r, _ in conditions):  # else no up-set condition means anything
+        conditions += [(_planned_residual(plan, p.data), detail) for plan, detail in compiled]
     return _verdict(p, tol, conditions, scale)
 
 
@@ -470,7 +475,7 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
     if p.backend not in (MATR, CPM):
         raise UnsupportedBackend(f"the projector needs an affine backend, not {p.backend}")
     compiled = _compile(t)
-    _check_wires(p, compiled)
+    compiled.check_wires(p)
     return _projector(p, compiled, tol)
 
 
@@ -505,7 +510,8 @@ class _Compiled:
     ``"is_causal"``, ``"comb"`` or ``"nonsignalling"`` on ``events``;
     ``"cap"``, the conjunction of ``branches``; or ``"higher"``, the
     projector on matr+ and cpm and, on rel, ``check_soc`` on the parties in
-    ``events`` (None: no procedure).
+    ``events`` (None: no procedure).  ``layouts`` holds the wire layouts
+    ``(out_wires, in_wires)`` that passed :func:`_check_wires`.
     """
 
     parsed: Type
@@ -516,6 +522,15 @@ class _Compiled:
     events: tuple[Event, ...] | None = None
     branches: tuple["_Compiled", ...] = ()
     masks: dict[tuple[System, ...], tuple[np.ndarray, float]] = field(default_factory=dict)
+    layouts: set[tuple[tuple[System, ...], tuple[System, ...]]] = field(default_factory=set)
+
+    def check_wires(self, p: Process) -> None:
+        """:func:`_check_wires`, run once per wire layout of ``p``: a layout
+        that passed is kept, one that fails raises on every call."""
+        layout = p.out_wires, p.in_wires
+        if layout not in self.layouts:
+            _check_wires(p, self)
+            self.layouts.add(layout)
 
     def allowed_terms(self, wires: tuple[System, ...]) -> tuple[np.ndarray, float]:
         """:func:`_allowed_terms` of the normal form, built once per wire
@@ -665,7 +680,7 @@ def check_membership(
     factors its Choi matrix once.
     """
     compiled = _compile(t)
-    _check_wires(p, compiled)
+    compiled.check_wires(p)
     return _decide(p, compiled, tol, budget)
 
 

@@ -267,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CauskitError, OSError, MemoryError, RecursionError) as e:
-        message = "input nested too deeply" if isinstance(e, RecursionError) else str(e) or type(e).__name__
+        message = "input too large or too deeply nested" if isinstance(e, RecursionError) else str(e) or type(e).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -153,7 +153,9 @@ def dual(f: Formula) -> Formula:
 
 
 def formula_of_type(t: typesys.Type) -> Formula:
-    """Forget dimensions and n-ary grouping; keep only the logical shape."""
+    """The formula of a type: its logical shape, with n-ary tensors and
+    pars chained into binary ones.  A dimension stays in the atom's name
+    (``A[2]``), so atoms of different dimensions never form an axiom."""
     if isinstance(t, typesys.Atom):
         return FAtom(t.label if t.dim is None else f"{t.label}[{t.dim}]")
     if isinstance(t, typesys.Unit):

@@ -285,17 +285,20 @@ def test_independence_residual_beyond_einsum_subscripts(backend, rng):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_independence_plan_is_shared_and_read_only(backend, rng):
     """A plan is built once per backend, wires and labels and shared: its
-    uniform state's diagonal cannot be written, and only on cpm does the
-    plugged diagonal differ from the marginal.  A label the process lacks
-    raises on every call."""
-    p = rand_process(backend, (System("A'", 2), System("B'", 3)), (System("A", 2), System("B", 3)), rng)
+    uniform state's diagonal cannot be written, only on cpm does the
+    plugged diagonal differ from the marginal, and it records whether the
+    marginal sums anything (a discarded wire of dimension above 1).  A
+    label the process lacks raises on every call."""
+    p = rand_process(backend, (System("A'", 2), System("B'", 3), System("C'", 1)), (System("A", 2), System("B", 3)), rng)
     key = (backend, p.out_wires, p.in_wires, ("B'",), ("B",))
     checks._independence_residual(p, ("B'",), ("B",))
     plan = checks._independence_plan(*key)
     assert checks._independence_plan(*key) is plan
-    _, diagonal, uniform, _, _ = plan
-    assert not uniform.flags.writeable
+    _, sums, diagonal, uniform, _, _ = plan
+    assert sums and not uniform.flags.writeable
     assert (diagonal is None) == (backend != CPM)
+    for gone in ((), ("C'",)):
+        assert not checks._independence_plan(backend, p.out_wires, p.in_wires, gone, ("B",))[1]
     for _ in range(2):
         for gone, plugged in [(("Z",), ("B",)), (("B'",), ("Z",)), (("B",), ()), ((), ("B'",))]:
             with pytest.raises(NoSuchWire):
@@ -512,15 +515,17 @@ def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, conditions):
     ],
 )
 def test_order_consistency_peels_each_up_set_once(monkeypatch, n, order, conditions):
-    """One causality check, and one independence check per event whose
-    up-set is not every event, on that whole up-set: ``n`` on an antichain,
+    """One causality check, its conditions joined to the verdict's with no
+    report of their own, and one independence check per event whose up-set
+    is not every event, on that whole up-set: ``n`` on an antichain,
     ``n - 1`` on a chain."""
     p, poset = _channels(n, order)
     counts = collections.Counter()
     _count_calls(monkeypatch, checks, "_planned_residual", counts)
     _count_calls(monkeypatch, backends, "_causal", counts)
+    _count_calls(monkeypatch, backends, "_causal_conditions", counts)
     assert checks.check_order_consistency(p, poset, tol=TOL)
-    assert counts == {"_planned_residual": conditions, "_causal": 1}
+    assert counts == {"_planned_residual": conditions, "_causal_conditions": 1}
 
 
 def test_totalisations_scale_the_process_once(monkeypatch):
@@ -1337,6 +1342,202 @@ def test_projector_mask_is_shared_and_read_only(rng):
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[(0,) * mask.ndim] = False
+
+
+# -- the per-layout path against a reference that redoes everything per call ----
+
+
+def _reference_causal(p, tol):
+    """``is_causal`` with matr+ non-negativity scanned from the data on each
+    call; cpm positivity is the report kept on ``p``."""
+    scale = backends._scale(p)
+    if scale is not None and not math.isfinite(scale):
+        return backends._verdict(p, tol, [(scale, "an entry is not finite")], scale)
+    residuals = backends._causality(p.backend, p.out_wires, p.in_wires, p.data)
+    details = ["not normalized", ""]
+    if p.backend == REL and residuals[0]:
+        cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data
+        bad = tuple(int(i) for i in np.argwhere(~cols)[0])
+        details[0] = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
+    if p.backend == MATR:
+        at = np.unravel_index(np.argmin(p.data), p.data.shape)
+        details[1] = f"negative entry {float(p.data[at]):.3g} at index {tuple(map(int, at))}"
+    conditions = [(float(r), d) for r, d in zip(residuals, details)]
+    if p.backend == CPM:
+        conditions.append(backends._condition(backends.is_positive(p, tol)))
+    return backends._verdict(p, tol, conditions, scale)
+
+
+def _reference_order(p, poset, tol):
+    """``check_order_consistency`` with causality as its own report, which
+    the order verdict then takes as one condition."""
+    compiled = checks._order_conditions(poset, p.backend, p.out_wires, p.in_wires)
+    causal = _reference_causal(p, tol)
+    if not math.isfinite(causal.residual):
+        return causal
+    conditions = [(causal.residual, causal.detail)]
+    conditions += [(checks._planned_residual(plan, p.data), detail) for plan, detail in compiled]
+    return backends._verdict(p, tol, conditions)
+
+
+def _reference_decide(p, compiled, tol):
+    if compiled.procedure == "cap":
+        reports = [_reference_decide(p, branch, tol) for branch in compiled.branches]
+        return backends._conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
+    if compiled.procedure == "is_causal":
+        return _reference_causal(p, tol)
+    if compiled.procedure in ("comb", "nonsignalling"):
+        return _reference_order(p, checks._poset(compiled.events, compiled.procedure == "comb"), tol)
+    return checks._decide(p, compiled, tol, 20000)
+
+
+def _reference_membership(p, ty, tol):
+    """``check_membership`` with the wire check on every call."""
+    compiled = checks._compile(ty)
+    checks._check_wires(p, compiled)
+    return _reference_decide(p, compiled, tol)
+
+
+LAYOUT_TYPES = [
+    "(A[2] (x) B[2]) -o (A'[2] (x) B'[2])",  # is_causal
+    "A[2] -o ((A'[2] -o B[2]) -o B'[2])",  # comb
+    "(A[2] -o A'[2]) (x) (B[2] -o B'[2])",  # nonsignalling
+    "cap((A[2] -o A'[2]) (x) (B[2] -o B'[2]), A[2] -o ((A'[2] -o B[2]) -o B'[2]))",
+    "((A[2] -o A'[2]) -o B[2]) -o B'[2]",  # higher: the projector; no procedure on rel
+    f"{SWITCH_SLOTS} -o I",  # higher: the projector, or check_soc on rel
+]
+LAYOUT_EVENTS = (Event("E1", ins="A", outs="A'"), Event("E2", ins="B", outs="B'"))
+
+
+def _channels_product(backend, rng):
+    """A product of one random channel per event of ``LAYOUT_EVENTS``."""
+    channels = [
+        backends.random_causal(backend, (System(e.outs[0], 2),), (System(e.ins[0], 2),), rng) for e in LAYOUT_EVENTS
+    ]
+    return core.tensor_par(*channels)
+
+
+def _negative_entry(p):
+    """``p`` (matr+) with 0.25 more than its first entry moved from it to
+    the next output in its column: still normalized, but that entry is
+    -0.25."""
+    data = p.data.copy()
+    low, high = (0,) * data.ndim, (1,) + (0,) * (data.ndim - 1)
+    shift = data[low] + 0.25
+    data[low] -= shift
+    data[high] += shift
+    return Process(MATR, p.out_wires, p.in_wires, data)
+
+
+def _layout_processes(backend, ty, rng):
+    """Processes with the wires of ``ty``: causal ones, a product of one
+    channel per event where the type has events, and ones that fail:
+    not normalized, arbitrary data and, on matr+, a negative entry."""
+    emb = fo_embedding(parse_type(ty))
+    outs, ins = (tuple(System(a.label, a.dim) for a in atoms) for atoms in (emb.out_atoms, emb.in_atoms))
+    causal = backends.random_causal(backend, outs, ins, rng)
+    yield "causal", causal
+    if {w.label for w in outs} == {"A'", "B'"}:
+        product = _channels_product(backend, rng)
+        yield "product", core.permute(product, [w.label for w in outs], [w.label for w in ins])
+    if backend != REL:
+        yield "scaled", Process(backend, outs, ins, 1.5 * causal.data)
+    yield "arbitrary", rand_process(backend, outs, ins, rng)
+    if backend == MATR:
+        yield "negative", _negative_entry(causal)
+
+
+def _layout_cases():
+    rng = np.random.default_rng(24)
+    for backend in BACKENDS:
+        for ty in LAYOUT_TYPES:
+            for name, p in _layout_processes(backend, ty, rng):
+                yield pytest.param(p, ty, id=f"{backend}:{ty}:{name}")
+
+
+def _report(decide, *args):
+    """A report of ``decide`` as a tuple, or the :class:`UnsupportedType`
+    it raised."""
+    try:
+        rep = decide(*args, tol=TOL)
+    except UnsupportedType as e:
+        return "raise", str(e)
+    return rep.passed, repr(rep.residual), rep.detail
+
+
+@pytest.mark.parametrize("p, ty", list(_layout_cases()))
+def test_per_layout_path_matches_the_reference(p, ty):
+    """``check_membership``, ``check_order_consistency`` and
+    ``check_one_way`` give the reference's report, cold and warm, and so
+    does a fresh process on a layout that was checked already."""
+    checks._compile.cache_clear()
+    want = _report(_reference_membership, p, ty)
+    assert _report(checks.check_membership, p, ty) == want
+    assert (p.out_wires, p.in_wires) in checks._compile(ty).layouts
+    assert _report(checks.check_membership, p, ty) == want
+    fresh = Process(p.backend, p.out_wires, p.in_wires, p.data.copy())
+    assert _report(checks.check_membership, fresh, ty) == want
+    if {w.label for w in p.out_wires} == {"A'", "B'"}:
+        for first, second in (LAYOUT_EVENTS, LAYOUT_EVENTS[::-1]):
+            chain = EventPoset((first, second), [(first.name, second.name)])
+            assert _report(checks.check_order_consistency, p, chain) == _report(_reference_order, p, chain)
+            assert _report(checks.check_one_way, p, first, second) == _report(_reference_order, p, chain)
+        antichain = EventPoset(LAYOUT_EVENTS)
+        assert _report(checks.check_order_consistency, p, antichain) == _report(_reference_order, p, antichain)
+
+
+@pytest.mark.parametrize(
+    "ty, error",
+    [
+        ("(A[2] -o A'[2]) (x) (C[2] -o B'[2])", NoSuchWire),
+        ("(A'[2] -o A[2]) (x) (B[2] -o B'[2])", EmbedMismatch),
+        ("(A[3] -o A'[2]) (x) (B[2] -o B'[2])", ShapeMismatch),
+        ("A[2] -o ((A'[2] -o B[2]) -o B'[2])", None),
+    ],
+)
+def test_only_layouts_that_fit_are_kept(ty, error, rng):
+    """A type that does not fit the wires raises on every call, through
+    ``check_membership`` and ``check_projector``, and its layout is not
+    kept; one that fits is kept once."""
+    p = _channels_product(MATR, rng)
+    checks._compile.cache_clear()
+    for _ in range(3):
+        for check in (checks.check_membership, checks.check_projector):
+            if error is None:
+                assert check(p, ty, tol=TOL)
+            else:
+                with pytest.raises(error):
+                    check(p, ty, tol=TOL)
+    assert checks._compile(ty).layouts == (set() if error else {(p.out_wires, p.in_wires)})
+
+
+def test_matr_validity_is_decided_once_per_process_and_tolerance(monkeypatch, rng):
+    """Every verdict on one matr+ process reads non-negativity from the
+    report kept on it, one decision per tolerance, as on cpm; a negative
+    entry is named on every route."""
+    good = _channels_product(MATR, rng)
+    bad = _negative_entry(good)
+    comb, tensor = "A[2] -o ((A'[2] -o B[2]) -o B'[2])", "(A[2] -o A'[2]) (x) (B[2] -o B'[2])"
+    counts = collections.Counter()
+    _count_calls(monkeypatch, backends, "_decide_positive", counts)
+    for p in (good, bad):
+        counts.clear()
+        reports = [
+            backends.is_causal(p, tol=TOL),
+            checks.check_comb(p, LAYOUT_EVENTS, tol=TOL),
+            checks.check_order_consistency(p, EventPoset(LAYOUT_EVENTS), tol=TOL),
+            checks.check_membership(p, comb, tol=TOL),
+            checks.check_membership(p, tensor, tol=TOL),
+        ]
+        projected = checks.check_projector(p, tensor, tol=TOL)
+        assert counts["_decide_positive"] == 1
+        assert backends.is_causal(p, tol=1e-6).tol == 1e-6 and counts["_decide_positive"] == 2
+        if p is good:
+            assert all(reports) and projected
+        else:
+            assert not projected
+            for rep in reports:
+                assert not rep and rep.detail == "negative entry -0.25 at index (0, 0, 0, 0)"
 
 
 def test_membership_accepts_types_built_with_lists():

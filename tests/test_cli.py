@@ -242,14 +242,19 @@ def test_files_that_are_not_utf8_or_json_numbers_exit_2(capsys, tmp_path):
         pytest.param(("check", "example:bw_process", "--type", "(" * 3000 + "A" + ")" * 3000), id="type-parens"),
         pytest.param(("prove", "(" * 3000 + "A" + ")" * 3000), id="sequent-parens"),
         pytest.param(("check", "example:bw_process", "--type", " -o ".join(["A"] * 601)), id="arrow-chain"),
+        pytest.param(
+            ("prove", " (x) ".join(f"A{k}" for k in range(401)) + " |- " + " (+) ".join(f"A{k}" for k in range(401))),
+            id="flat-sequent",
+        ),
     ],
 )
 def test_deeply_nested_input_exits_2(capsys, argv):
     """Nesting deeper than Python recurses, in the parser or in ``normalize``
-    after a parse that succeeds, is bad input, not a crash."""
+    after a parse that succeeds, is bad input, not a crash.  So is a flat
+    sequent whose n-ary tensor the prover chains into 400 binary levels."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out is None
-    assert err.strip() == "error: input nested too deeply"
+    assert err.strip() == "error: input too large or too deeply nested"
 
 
 def test_dimension_one_wires_beyond_einsum_subscripts(capsys, tmp_path):

@@ -91,6 +91,14 @@ def test_formula_of_type_bakes_dims_and_rejects_cap():
     )
 
 
+def test_atom_dimension_is_part_of_its_name():
+    """Atoms of different dimensions never link."""
+    assert prove("A[2] |- A[3]") is None and not provable("A[3] -o A[2]")
+    proof = prove("A[2] |- A[2]")
+    assert proof is not None and verify_proof(proof)
+    assert proof.sequent == (FAtom("A[2]", True), FAtom("A[2]", False))
+
+
 def test_render_parse_proof_roundtrip():
     proof = prove("A (x) B |- A (+) B")
     text = render_proof(proof)
