@@ -34,7 +34,10 @@ Apart from these, ``check_projector`` decides any type built with tensor,
 par and duality on the affine backends (matr+, cpm) without enumerating
 anything: it compiles the type to the set of terms, patterns of wires off
 the identity, that its members may contain, and checks that the process
-contains no other term, has the type's total and is positive.
+contains no other term, has the type's total and is positive.  Per verdict
+that is one matrix product per wire for the coefficients, then one gather
+and one ``maximum.reduceat`` for each pattern's largest one, from bases and
+a grouping planned once per layout of wire dimensions.
 
 ``check_membership`` maps a causal type to whichever of these applies: one
 event (its dualled atoms are inputs, its plain atoms outputs) to causality,
@@ -109,7 +112,14 @@ def _planned_residual(plan, data: np.ndarray) -> float:
     subtracted (on rel: xor-ed) in place on an einsum view of the diagonal,
     and the residual is ``max |q|``, taken in place unless ``q`` is complex;
     ``data`` is never written.  A non-finite residual, which any non-finite
-    entry of ``q`` gives, is NaN."""
+    entry of ``q`` gives, is NaN.
+
+    On C-ordered data the residual is the process oracle's bit for bit
+    (``tests/conftest.py::_independence_oracle``).  On a permuted layout,
+    when every plugged-over wire above dimension 1 is plugged, the weighted
+    sum is a scalar that numpy sums in another grouping, and the last bit
+    can differ; the tests bound it by a few ulps, since the C-ordered
+    property test cannot show it."""
     if plan is None:
         return 0.0
     marginal, sums, diagonal, uniform, weigh, shape = plan
@@ -421,6 +431,18 @@ def _basis(backend: str, dim: int) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=64)
+def _wire_bases(backend: str, shape: tuple[int, ...]):
+    """What :func:`_coefficients` needs of data of this shape: the transpose
+    that puts each wire's axes together, each wire's dimension in the
+    coefficients (``dim**2`` on cpm) and its :func:`_basis`.  Built once per
+    backend and shape."""
+    a = core._spec(backend).axes_per_wire
+    n = len(shape) // a
+    perm = tuple(i + k * n for i in range(n) for k in range(a))
+    return perm, tuple(d**a for d in shape[:n]), tuple(_basis(backend, d) for d in shape[:n])
+
+
 def _coefficients(p: Process) -> np.ndarray:
     """``p``'s data with one axis per wire (a cpm wire's ket and bra axes
     merged), changed on each wire to the orthonormal basis of
@@ -435,13 +457,11 @@ def _coefficients(p: Process) -> np.ndarray:
     imaginary parts again.  The products alternate between two arrays of
     the data's size, a copy of the data in wire order and one more.
     """
-    a, n = core._spec(p.backend).axes_per_wire, p.n_wires
-    dims = tuple(w.dim**a for w in p.wires)
-    wire_order = p.data.transpose([i + k * n for i in range(n) for k in range(a)])
-    x = np.array(wire_order, order="C").reshape(-1).view(np.float64)
+    perm, dims, bases = _wire_bases(p.backend, p.data.shape)
+    x = np.array(p.data.transpose(perm), order="C").reshape(-1).view(np.float64)
     y = np.empty_like(x)
-    for i, w in enumerate(p.wires):
-        np.matmul(x.reshape(dims[i], -1).T, _basis(p.backend, w.dim), out=y.reshape(-1, dims[i]))
+    for d, q in zip(dims, bases):
+        np.matmul(x.reshape(d, -1).T, q, out=y.reshape(-1, d))
         x, y = y, x
     if p.backend == CPM:  # x holds the real parts, then the imaginary ones
         c = y.view(complex)
@@ -450,15 +470,39 @@ def _coefficients(p: Process) -> np.ndarray:
     return x.reshape(dims)
 
 
+@functools.lru_cache(maxsize=64)
+def _pattern_groups(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients of an array of shape ``dims`` grouped by pattern:
+    ``order``, the flat indices sorted by pattern in the C order of
+    :func:`_allowed_terms`' array (within a pattern, in flat order); the
+    start of each non-empty group in ``order``; and the flat pattern of each
+    such group.  A pattern with bit 1 on an axis of size 1 is empty.  Built
+    once per dims and read-only, for at most 64 dims: the cache keeps one
+    ``intp`` per coefficient of each (512 KB for the 65,536 coefficients of
+    a cpm process on 8 qubit wires)."""
+    pattern = np.zeros(dims, dtype=np.intp)
+    for i, d in enumerate(dims):
+        bit = np.minimum(np.arange(d, dtype=np.intp), 1)  # 0 at the identity, 1 off it
+        pattern += (bit << (len(dims) - 1 - i)).reshape((d,) + (1,) * (len(dims) - 1 - i))
+    order = np.argsort(pattern, axis=None, kind="stable")
+    counts = np.bincount(pattern.ravel(), minlength=2 ** len(dims))
+    patterns = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[patterns]
+    for a in (order, starts, patterns):
+        a.flags.writeable = False
+    return order, starts, patterns
+
+
 def _pattern_maxima(c: np.ndarray) -> np.ndarray:
     """The largest ``|coefficient|`` of each pattern, indexed as in
-    :func:`_allowed_terms`.  Overwrites ``c`` with its absolute values."""
-    m = np.absolute(c, out=c).real
-    for i in range(m.ndim):
-        keep = (slice(None),) * i
-        rest = m[keep + (slice(1, None),)].max(axis=i, keepdims=True, initial=0.0)
-        m = np.concatenate([m[keep + (slice(0, 1),)], rest], axis=i)
-    return m
+    :func:`_allowed_terms`, 0.0 for an empty one: one gather of ``|c|`` in
+    the grouping of :func:`_pattern_groups` and one ``maximum.reduceat``
+    over it.  Overwrites ``c`` with its absolute values."""
+    order, starts, patterns = _pattern_groups(c.shape)
+    m = np.absolute(c, out=c).real.reshape(-1)
+    maxima = np.zeros(2**c.ndim)
+    maxima[patterns] = np.maximum.reduceat(m[order], starts)
+    return maxima.reshape((2,) * c.ndim)
 
 
 def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -487,9 +531,9 @@ def _projector(p: Process, compiled: _Compiled, tol: float) -> CheckReport:
     allowed, gamma = compiled.allowed_terms(p.wires)
     c = _coefficients(p)
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
-    forbidden = np.where(allowed, 0.0, _pattern_maxima(c))
-    worst = np.unravel_index(np.argmax(forbidden), forbidden.shape)
-    term = ", ".join(w.label for w, bit in zip(p.wires, worst) if bit)
+    forbidden = np.where(allowed, 0.0, _pattern_maxima(c)).reshape(-1)
+    worst, n = int(forbidden.argmax()), p.n_wires  # a flat pattern's bits, the first wire's highest
+    term = ", ".join(w.label for i, w in enumerate(p.wires, 1) if worst >> (n - i) & 1)
     return _verdict(p, tol, [
         (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
         (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),

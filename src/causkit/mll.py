@@ -79,7 +79,8 @@ from . import typesys
 
 # Each formula keeps its ``name`` (the rendering without outer parentheses)
 # and its ``net`` (atom key -> positive minus negative occurrences), both
-# made on first use and never written after: the search reads them often.
+# made on first use (a name also when a formula around it is named) and
+# never written after: the search reads them often.
 
 
 def _net(f: FTensor | FPar) -> dict[str, int]:
@@ -115,15 +116,29 @@ class FBot:
     net = {}
 
 
+def _name(f: FTensor | FPar) -> str:
+    """The rendering of ``f`` without outer parentheses, made with a stack
+    rather than by recursion, so that a chain of any length renders: each
+    tensor and par under ``f`` without a name gets one, children first."""
+    unnamed, todo = [], [f]
+    while todo:  # parents before their children
+        g = todo.pop()
+        unnamed.append(g)
+        for h in (g.left, g.right):
+            if isinstance(h, (FTensor, FPar)) and "name" not in vars(h):
+                todo.append(h)
+    for g in reversed(unnamed):
+        ctx, op = (0, "(x)") if isinstance(g, FTensor) else (1, "(+)")
+        vars(g)["name"] = f"{render_formula(g.left, ctx)} {op} {render_formula(g.right, ctx)}"
+    return vars(f)["name"]
+
+
 @dataclass(frozen=True)
 class FTensor:
     left: "Formula"
     right: "Formula"
     net = functools.cached_property(_net)
-
-    @functools.cached_property
-    def name(self) -> str:
-        return f"{render_formula(self.left, 0)} (x) {render_formula(self.right, 0)}"
+    name = functools.cached_property(_name)
 
 
 @dataclass(frozen=True)
@@ -131,10 +146,7 @@ class FPar:
     left: "Formula"
     right: "Formula"
     net = functools.cached_property(_net)
-
-    @functools.cached_property
-    def name(self) -> str:
-        return f"{render_formula(self.left, 1)} (+) {render_formula(self.right, 1)}"
+    name = functools.cached_property(_name)
 
 
 Formula = Union[FAtom, FOne, FBot, FTensor, FPar]
@@ -528,16 +540,15 @@ _PROOF_LINE = re.compile(r"^(\s*)(ax|one|mix0|bot|par|tensor|mix)(?:@(\d+))?:\s*
 
 
 def render_proof(proof: Proof) -> str:
-    """Indented tree, one node per line: ``rule[@principal]: |- formulas``."""
+    """Indented tree, one node per line: ``rule[@principal]: |- formulas``.
+    Walked with a stack, so a proof of any depth renders."""
     lines: list[str] = []
-
-    def go(node: Proof, depth: int) -> None:
+    stack = [(proof, 0)]
+    while stack:
+        node, depth = stack.pop()
         at = "" if node.principal is None else f"@{node.principal}"
         lines.append(f"{'  ' * depth}{node.rule}{at}: {render_sequent(node.sequent)}")
-        for prem in node.premises:
-            go(prem, depth + 1)
-
-    go(proof, 0)
+        stack += [(prem, depth + 1) for prem in reversed(node.premises)]
     return "\n".join(lines)
 
 

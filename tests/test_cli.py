@@ -243,18 +243,33 @@ def test_files_that_are_not_utf8_or_json_numbers_exit_2(capsys, tmp_path):
         pytest.param(("prove", "(" * 3000 + "A" + ")" * 3000), id="sequent-parens"),
         pytest.param(("check", "example:bw_process", "--type", " -o ".join(["A"] * 601)), id="arrow-chain"),
         pytest.param(
-            ("prove", " (x) ".join(f"A{k}" for k in range(401)) + " |- " + " (+) ".join(f"A{k}" for k in range(401))),
-            id="flat-sequent",
+            ("prove", "|- " + " (+) ".join(f"A{k}^*" for k in range(600)) + ", " + " (x) ".join(f"A{k}" for k in range(600))),
+            id="flat-tensor-search",
         ),
     ],
 )
 def test_deeply_nested_input_exits_2(capsys, argv):
     """Nesting deeper than Python recurses, in the parser or in ``normalize``
     after a parse that succeeds, is bad input, not a crash.  So is a flat
-    sequent whose n-ary tensor the prover chains into 400 binary levels."""
+    sequent whose n-ary tensor the prover chains into 599 binary levels,
+    which its search recurses into level by level."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out is None
     assert err.strip() == "error: input too large or too deeply nested"
+
+
+def test_flat_sequent_renders_its_proof(capsys):
+    """A flat 401-atom sequent is proved, and its proof, 400 par levels on
+    each side, is rendered: a formula's rendering and the proof's lines are
+    made without recursion."""
+    n = 401
+    sequent = " (x) ".join(f"A{k}" for k in range(n)) + " |- " + " (+) ".join(f"A{k}" for k in range(n))
+    code, doc, err = run(capsys, "prove", sequent)
+    assert code == 0 and doc["provable"] is True
+    lines = doc["proof"].splitlines()
+    assert err.strip() == doc["proof"]
+    assert lines[0].startswith("par@0: |- A0^* (+) (A1^* (+) (A2^* (+) ")
+    assert sum(line.lstrip().startswith("ax: ") for line in lines) == n
 
 
 def test_dimension_one_wires_beyond_einsum_subscripts(capsys, tmp_path):

@@ -107,6 +107,40 @@ def test_render_parse_proof_roundtrip():
     assert verify_proof(back)
 
 
+def _render_recursively(f, ctx=2):
+    """The rendering by recursion on the formula, as ``render_formula`` made
+    it before names were made with a stack: the oracle for ``name``."""
+    if isinstance(f, (FTensor, FPar)):
+        prec, op = (1, "(x)") if isinstance(f, FTensor) else (2, "(+)")
+        text = f"{_render_recursively(f.left, prec - 1)} {op} {_render_recursively(f.right, prec - 1)}"
+        return f"({text})" if prec > ctx else text
+    return f.name
+
+
+def _recursive_proof_lines(proof, depth=0):
+    at = "" if proof.principal is None else f"@{proof.principal}"
+    yield f"{'  ' * depth}{proof.rule}{at}: |- " + ", ".join(_render_recursively(f) for f in proof.sequent)
+    for prem in proof.premises:
+        yield from _recursive_proof_lines(prem, depth + 1)
+
+
+def test_renderings_match_recursive_rendering(rng):
+    """Names made with a stack and proofs rendered with one are the
+    recursive renderings, byte for byte, on fresh fuzzed proofs, whose
+    formulas have no name yet, and on chains whose inner names are made
+    first."""
+    for _ in range(100):
+        proof = fuzz_proof(rng)
+        assert render_proof(proof) == "\n".join(_recursive_proof_lines(proof))
+    chain = FAtom("z")
+    for k in range(30):
+        chain = (FTensor if k % 3 else FPar)(FAtom(f"a{k}", k % 2 == 0), chain)
+        if k % 7 == 0:
+            chain.name  # made now, read from the cache by the outer formulas
+    assert chain.name == _render_recursively(chain)
+    assert render_formula(chain, 0) == _render_recursively(chain, 0)
+
+
 def test_verify_rejects_tampered_proof():
     proof = prove("A |- A")
     wrong = Proof("ax", (FAtom("A", True), FAtom("B", False)), (), None)
