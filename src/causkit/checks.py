@@ -44,12 +44,12 @@ event (its dualled atoms are inputs, its plain atoms outputs) to causality,
 combs and tensors of events to their procedures on every backend, every
 other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
 Each type is compiled once (``_compile``): its normal form, wire roles,
-procedure and events are kept for every later call with that type, and the
-wire check and the projector's mask once per type and wire layout (a layout
-that fails is not kept).  Scale and validity are decided once per
-``Process`` (see ``backends``), so a warm verdict does only the work on
-``p.data``.  A cold call, such as every CLI call, does the parsing and
-dispatch work that every call did before.
+procedure and events are kept for every later call with that type, and one
+record per type and wire layout, found by one lookup, keeps its wire check
+and the projector's mask (a layout that fails is not kept).  Scale and
+validity are decided once per ``Process`` (see ``backends``), so a warm
+verdict does only the work on ``p.data``.  A cold call, such as every CLI
+call, does the parsing and dispatch work that every call did before.
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ def _allowed_terms(n: Type, wires: Sequence[System]) -> tuple[np.ndarray, float]
     pattern (gamma 1), tensors allow what all their parts allow (gamma is the
     product), and the negation of ``X`` on its wires allows what ``X``
     forbids together with the all-identity pattern (gamma ``d_X / gamma_X``);
-    a dual atom and a par are negations.
+    a dual atom and a par are negations.  The mask is read-only.
     """
     axis = {w.label: i for i, w in enumerate(wires)}
     dim = {w.label: w.dim for w in wires}
@@ -410,6 +410,7 @@ def _allowed_terms(n: Type, wires: Sequence[System]) -> tuple[np.ndarray, float]
         raise UnsupportedType(f"the projector takes no {type(t).__name__} node; decide cap branches one by one")
 
     mask, gamma, _ = go(n)
+    mask.flags.writeable = False
     return mask, gamma
 
 
@@ -519,16 +520,17 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
     if p.backend not in (MATR, CPM):
         raise UnsupportedBackend(f"the projector needs an affine backend, not {p.backend}")
     compiled = _compile(t)
-    compiled.check_wires(p)
-    return _projector(p, compiled, tol)
+    return _projector(p, compiled, compiled.layout(p), tol)
 
 
-def _projector(p: Process, compiled: _Compiled, tol: float) -> CheckReport:
+def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> CheckReport:
     scale = backends._scale(p)
     positive = backends._positive(p, tol, scale)  # before any array of p's size is made here
     if not math.isfinite(scale):  # no coefficient of a non-finite process means anything
         return positive
-    allowed, gamma = compiled.allowed_terms(p.wires)
+    if "terms" not in record:
+        record["terms"] = _allowed_terms(compiled.normal, p.wires)
+    allowed, gamma = record["terms"]
     c = _coefficients(p)
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
     forbidden = np.where(allowed, 0.0, _pattern_maxima(c)).reshape(-1)
@@ -554,8 +556,8 @@ class _Compiled:
     ``"is_causal"``, ``"comb"`` or ``"nonsignalling"`` on ``events``;
     ``"cap"``, the conjunction of ``branches``; or ``"higher"``, the
     projector on matr+ and cpm and, on rel, ``check_soc`` on the parties in
-    ``events`` (None: no procedure).  ``layouts`` holds the wire layouts
-    ``(out_wires, in_wires)`` that passed :func:`_check_wires`.
+    ``events`` (None: no procedure).  ``layouts`` maps each wire layout
+    ``(out_wires, in_wires)`` that passed :func:`_check_wires` to its record.
     """
 
     parsed: Type
@@ -565,25 +567,18 @@ class _Compiled:
     procedure: str
     events: tuple[Event, ...] | None = None
     branches: tuple["_Compiled", ...] = ()
-    masks: dict[tuple[System, ...], tuple[np.ndarray, float]] = field(default_factory=dict)
-    layouts: set[tuple[tuple[System, ...], tuple[System, ...]]] = field(default_factory=set)
+    layouts: dict[tuple[tuple[System, ...], tuple[System, ...]], dict] = field(default_factory=dict)
 
-    def check_wires(self, p: Process) -> None:
-        """:func:`_check_wires`, run once per wire layout of ``p``: a layout
-        that passed is kept, one that fails raises on every call."""
-        layout = p.out_wires, p.in_wires
-        if layout not in self.layouts:
+    def layout(self, p: Process) -> dict:
+        """The record of ``p``'s wire layout, from one lookup; on a miss the
+        layout is kept once it passes :func:`_check_wires`.  The projector
+        keeps its mask and total there, under ``"terms"``."""
+        key = p.out_wires, p.in_wires
+        record = self.layouts.get(key)
+        if record is None:
             _check_wires(p, self)
-            self.layouts.add(layout)
-
-    def allowed_terms(self, wires: tuple[System, ...]) -> tuple[np.ndarray, float]:
-        """:func:`_allowed_terms` of the normal form, built once per wire
-        layout; the mask is read-only."""
-        if wires not in self.masks:
-            mask, gamma = _allowed_terms(self.normal, wires)
-            mask.flags.writeable = False
-            self.masks[wires] = mask, gamma
-        return self.masks[wires]
+            record = self.layouts[key] = {}
+        return record
 
 
 @functools.lru_cache(maxsize=4096)
@@ -724,15 +719,16 @@ def check_membership(
     factors its Choi matrix once.
     """
     compiled = _compile(t)
-    compiled.check_wires(p)
-    return _decide(p, compiled, tol, budget)
+    return _decide(p, compiled, compiled.layout(p), tol, budget)
 
 
-def _decide(p: Process, compiled: _Compiled, tol: float, budget: int) -> CheckReport:
-    """Run the procedure of a compiled type whose wires ``p`` has."""
+def _decide(p: Process, compiled: _Compiled, record: dict, tol: float, budget: int) -> CheckReport:
+    """Run the procedure of a compiled type on ``p``, given the record of its
+    wire layout."""
     procedure, events = compiled.procedure, compiled.events
-    if procedure == "cap":
-        reports = [_decide(p, branch, tol, budget) for branch in compiled.branches]
+    if procedure == "cap":  # each branch has the cap's wire roles, so p's layout fits it
+        key = p.out_wires, p.in_wires
+        reports = [_decide(p, b, b.layouts.setdefault(key, {}), tol, budget) for b in compiled.branches]
         return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
     if procedure == "is_causal":
         return backends.is_causal(p, tol)
@@ -741,7 +737,7 @@ def _decide(p: Process, compiled: _Compiled, tol: float, budget: int) -> CheckRe
     if procedure == "nonsignalling":
         return check_nonsignalling(p, events, tol)
     if p.backend != REL:
-        return _projector(p, compiled, tol)
+        return _projector(p, compiled, record, tol)
     if events is None:
         raise UnsupportedType(f"no decision procedure for the shape of {render_type(compiled.parsed)} on rel")
     return check_soc(p, events, tol, budget)

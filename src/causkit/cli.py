@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("prove", help="decide a type sequent, e.g. \"A (x) B |- A (+) B\"")
+    sp = sub.add_parser("prove", help="decide MLL+mix derivability, sound but not complete for containment")
     sp.add_argument("sequent")
     sp.add_argument("--budget", type=_budget, default=200_000)
     sp.add_argument("--expect", choices=("pass", "fail"), default="pass")

@@ -1,10 +1,12 @@
 """A prover for multiplicative linear logic with mix.
 
-Coarse causal-type relationships (inclusions between tensor/par/lolli
-shapes that hold for every choice of first-order atoms) are exactly the
-sequents derivable in multiplicative linear logic extended with the binary
-and nullary mix rules.  This module decides such sequents and produces
-checkable proof trees.
+A sequent derivable in multiplicative linear logic extended with the binary
+and nullary mix rules is a coarse causal-type inclusion, one between
+tensor/par/lolli shapes that holds for every choice of first-order atoms.
+Derivability is sound for inclusion but not complete: on first-order atoms
+``A (+) B`` and ``A (x) B`` have the same members, yet
+``A (+) B |- A (x) B`` has no derivation.  This module decides
+derivability and produces checkable proof trees.
 
 Formulas are kept in negation normal form: literals, the units ``1``/``bot``
 (printed ``I`` and ``I^*``), and binary tensors and pars.  A two-sided
@@ -23,11 +25,12 @@ Rules (one-sided, multisets)::
 Search applies the invertible rules first (``bot``, ``par``, and removal of
 ``1`` from a context, which mix makes admissible), all in one step: only
 the sequent left after them is memoized and counted against the budget.
-It short-circuits sequents of bare literals by perfect matching.
-Unbalanced literal counts prune early: every rule preserves the property
-that each atom occurs as often positively as negatively in a provable
-sequent.  Any other sequent has a top-level tensor, and one memoized tensor
-step decides it by trying each distinct tensor on its candidate contexts.
+Every rule preserves the property that each atom occurs as often
+positively as negatively, so :func:`prove` refuses a root sequent without
+it before any expansion and the search never tests it again.  Sequents of
+bare literals are then paired off by matching.  Any other sequent has a
+top-level tensor, and one memoized tensor step decides it by trying each
+distinct tensor on its candidate contexts.
 A proof that ends in ``mix`` can always push that mix into a tensor
 premise's context (Fleury & Retoré, *The mix rule*, 1994), so no mix
 bipartition is tried: proofs use ``mix`` only to drop a ``1``, to pair off
@@ -234,21 +237,15 @@ def _key(seq: Sequence[Formula]) -> tuple[str, ...]:
 _Site = tuple[int, int]
 
 
-def _atom_sites(seq: Sequence[Formula]) -> dict[str, list] | None:
-    """Per atom key, its net count (positive minus negative occurrences)
-    followed by the site of each occurrence: ``(formula index, factor)``
-    with ``factor`` 1 inside the right factor of a top-level tensor and 0
-    elsewhere.  ``None`` when some net count is not 0."""
-    sites: dict[str, list] = {}
+def _atom_sites(seq: Sequence[Formula]) -> dict[str, list[_Site]]:
+    """Per atom key, the site of each occurrence: ``(formula index,
+    factor)`` with ``factor`` 1 inside the right factor of a top-level
+    tensor and 0 elsewhere."""
+    sites: dict[str, list[_Site]] = {}
 
     def walk(f: Formula, site: _Site) -> None:
         if isinstance(f, FAtom):
-            entry = sites.get(f.key)
-            if entry is None:
-                sites[f.key] = [-1 if f.neg else 1, site]
-            else:
-                entry[0] += -1 if f.neg else 1
-                entry.append(site)
+            sites.setdefault(f.key, []).append(site)
         elif isinstance(f, (FTensor, FPar)):
             walk(f.left, site)
             walk(f.right, site)
@@ -259,7 +256,7 @@ def _atom_sites(seq: Sequence[Formula]) -> dict[str, list] | None:
             walk(f.right, (i, 1))
         else:
             walk(f, (i, 0))
-    return None if any(e[0] for e in sites.values()) else sites
+    return sites
 
 
 def _components(size: int, links: Sequence[tuple[int, int]]) -> list[int]:
@@ -277,7 +274,7 @@ def _components(size: int, links: Sequence[tuple[int, int]]) -> list[int]:
     return [find(x) for x in range(size)]
 
 
-def _contexts(seq: tuple[Formula, ...], i: int, links: list[tuple[_Site, _Site]]):
+def _contexts(seq: tuple[Formula, ...], i: int, links: list[list[_Site]]):
     """Given the axiom ``links`` of a linear sequent, the one candidate
     ``(left, right)`` context of the tensor ``seq[i]``, split by link
     components (none when the links reconnect the factors)."""
@@ -359,12 +356,15 @@ def _remove_one(seq: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...] | N
 
 def verify_proof(proof: Proof) -> bool:
     """Check every rule application; raises :class:`MalformedProof` with the
-    offending node's conclusion on failure."""
+    offending node's conclusion on failure, the first in pre-order.  Walked
+    with a stack, so a proof of any depth is checked."""
 
     def fail(node: Proof, why: str):
         raise MalformedProof(f"{why} at {render_sequent(node.sequent)}")
 
-    def go(node: Proof) -> None:
+    stack = [proof]
+    while stack:  # pre-order, premises pushed in reverse
+        node = stack.pop()
         seq = node.sequent
         rule = node.rule
         if rule == "ax":
@@ -421,10 +421,7 @@ def verify_proof(proof: Proof) -> bool:
                 fail(node, "mix premises must partition the sequent")
         else:
             fail(node, f"unknown rule {rule!r}")
-        for prem in node.premises:
-            go(prem)
-
-    go(proof)
+        stack += reversed(node.premises)
     return True
 
 
@@ -432,6 +429,9 @@ def verify_proof(proof: Proof) -> bool:
 
 
 class _Search:
+    """One proof search from a balanced root sequent (see :func:`prove`),
+    so every subsequent it expands balances too."""
+
     def __init__(self, budget: int):
         self.budget = budget
         self.expansions = 0
@@ -486,11 +486,9 @@ class _Search:
         if all(isinstance(f, FAtom) for f in seq):
             return self._match_literals(seq)
 
-        atoms = _atom_sites(seq)
-        if atoms is None:
-            return None
-        linear = all(len(a) == 3 for a in atoms.values())
-        links = [(a[1], a[2]) for a in atoms.values()] if linear else None
+        sites = _atom_sites(seq)
+        linear = all(len(s) == 2 for s in sites.values())  # each atom once each way
+        links = list(sites.values()) if linear else None
         tried = set()
         for i, f in enumerate(seq):
             if not isinstance(f, FTensor) or f.name in tried:
@@ -506,28 +504,32 @@ class _Search:
                     return None
         return None
 
-    def _match_literals(self, seq: tuple[Formula, ...]) -> Proof | None:
+    def _match_literals(self, seq: tuple[Formula, ...]) -> Proof:
+        # balanced, so each literal's dual is there to pair it off
         if not seq:
             return Proof("mix0", seq)
-        if len(seq) == 2 and seq[0] == dual(seq[1]):
+        if len(seq) == 2:
             return Proof("ax", seq)
-        a = seq[0]
-        rest = _remove_at(seq, 0)
-        partner = _remove_one(rest, dual(a))
-        if partner is None:
-            return None
-        sub = self._match_literals(partner)
-        if sub is None:
-            return None
-        pair = Proof("ax", (a, dual(a)))
-        return Proof("mix", seq, (pair, sub))
+        a, b = seq[0], dual(seq[0])
+        sub = self._match_literals(_remove_one(seq[1:], b))
+        return Proof("mix", seq, (Proof("ax", (a, b)), sub))
 
 
 def prove(sequent: Sequence[Formula] | str, budget: int = 200_000) -> Proof | None:
     """Search for a derivation; ``None`` means not provable.  ``budget``
-    bounds distinct subsequent expansions."""
+    bounds distinct subsequent expansions.  A sequent in which some atom
+    does not occur as often positively as negatively is refused before any
+    expansion, since every rule keeps each atom balanced."""
     seq = parse_sequent(sequent) if isinstance(sequent, str) else tuple(sequent)
-    return _Search(budget).prove(seq)
+    net: dict[str, int] = {}
+    todo = list(seq)
+    while todo:  # a stack rather than recursion, so that a chain of any length is summed
+        f = todo.pop()
+        if isinstance(f, FAtom):
+            net[f.key] = net.get(f.key, 0) + (-1 if f.neg else 1)
+        elif isinstance(f, (FTensor, FPar)):
+            todo += f.left, f.right
+    return None if any(net.values()) else _Search(budget).prove(seq)
 
 
 def provable(sequent: Sequence[Formula] | str, budget: int = 200_000) -> bool:

@@ -1459,8 +1459,8 @@ def test_membership_memo_raises_every_time(ty, error, rng):
 
 
 def test_projector_mask_is_shared_and_read_only(rng):
-    """The projector's mask is built once per wire layout and cannot be
-    written to."""
+    """The projector's mask is built once per wire layout, kept in the
+    layout's record, and cannot be written to."""
     ty = "((A[2] -o B[2]) -o C[2]) -o D[2]"
     p = rand_process(MATR, (System("B", 2), System("D", 2)), (System("A", 2), System("C", 2)), rng)
     q = _reversed_wires(p)
@@ -1468,9 +1468,10 @@ def test_projector_mask_is_shared_and_read_only(rng):
     for proc in (p, q, p, q):
         checks.check_projector(proc, ty, tol=TOL)
     compiled = checks._compile(ty)
-    assert set(compiled.masks) == {p.wires, q.wires}
-    mask, _ = compiled.allowed_terms(p.wires)
-    assert mask is compiled.allowed_terms(p.wires)[0]
+    assert set(compiled.layouts) == {(p.out_wires, p.in_wires), (q.out_wires, q.in_wires)}
+    mask, _ = compiled.layouts[p.out_wires, p.in_wires]["terms"]
+    checks.check_projector(p, ty, tol=TOL)
+    assert mask is compiled.layouts[p.out_wires, p.in_wires]["terms"][0]
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[(0,) * mask.ndim] = False
@@ -1520,7 +1521,7 @@ def _reference_decide(p, compiled, tol):
         return _reference_causal(p, tol)
     if compiled.procedure in ("comb", "nonsignalling"):
         return _reference_order(p, checks._poset(compiled.events, compiled.procedure == "comb"), tol)
-    return checks._decide(p, compiled, tol, 20000)
+    return checks._decide(p, compiled, {}, tol, 20000)  # a fresh record: the mask is rebuilt
 
 
 def _reference_membership(p, ty, tol):
@@ -1640,7 +1641,56 @@ def test_only_layouts_that_fit_are_kept(ty, error, rng):
             else:
                 with pytest.raises(error):
                     check(p, ty, tol=TOL)
-    assert checks._compile(ty).layouts == (set() if error else {(p.out_wires, p.in_wires)})
+    assert set(checks._compile(ty).layouts) == (set() if error else {(p.out_wires, p.in_wires)})
+
+
+def test_wires_are_checked_once_per_type_and_layout(monkeypatch, rng):
+    """``_check_wires`` runs once per type and wire layout, through
+    ``check_membership`` and ``check_projector``, also for a ``cap``, whose
+    branches keep their records, and a projector branch its mask, under the
+    cap's key."""
+    calls = collections.Counter()
+    check_wires = checks._check_wires
+
+    def counted(p, compiled):
+        calls[compiled.parsed, p.out_wires, p.in_wires] += 1
+        return check_wires(p, compiled)
+
+    monkeypatch.setattr(checks, "_check_wires", counted)
+    higher = LAYOUT_TYPES[4]
+    types = LAYOUT_TYPES[:5] + [f"cap({higher}, (A[2] (x) B[2]) -o (A'[2] (x) B'[2]))"]
+    p = _channels_product(MATR, rng)
+    q = _reversed_wires(p)
+    checks._compile.cache_clear()
+    for _ in range(3):
+        for proc in (p, q):
+            for ty in types:
+                checks.check_membership(proc, ty, tol=TOL)
+            checks.check_projector(proc, higher, tol=TOL)
+    assert calls == {(parse_type(ty), proc.out_wires, proc.in_wires): 1 for ty in types for proc in (p, q)}
+    cap = types[-1]
+    branch = checks._compile(cap).branches[0]
+    assert branch.procedure == "higher"
+    for proc in (p, q):
+        mask, _ = branch.layouts[proc.out_wires, proc.in_wires]["terms"]
+        checks.check_membership(proc, cap, tol=TOL)
+        assert branch.layouts[proc.out_wires, proc.in_wires]["terms"][0] is mask and not mask.flags.writeable
+
+
+def test_warm_projector_verdict_hashes_each_wire_once(monkeypatch):
+    """A warm ``check_membership`` verdict by the projector looks its wire
+    layout up once: ``System.__hash__`` runs once per wire of the process."""
+    calls = []
+    system_hash = System.__hash__
+    monkeypatch.setattr(System, "__hash__", lambda w: calls.append(w) or system_hash(w))
+    for inst in (gallery.quantum_z_switch(), gallery.classical_switch(), gallery.ocb_process()):
+        ty = inst.expectations[0][0]
+        assert checks._compile(ty).procedure == "higher"
+        for _ in range(2):
+            assert checks.check_membership(inst.process, ty, tol=TOL)
+        calls.clear()
+        assert checks.check_membership(inst.process, ty, tol=TOL)
+        assert sorted(calls) == sorted(inst.process.wires)
 
 
 def test_matr_validity_is_decided_once_per_process_and_tolerance(monkeypatch, rng):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from causkit import backends, checks
+from causkit.core import BACKENDS, REL, Process, System
 from causkit.errors import MalformedProof, UnsupportedConnective
 from causkit.mll import (
     FAtom,
@@ -30,7 +33,7 @@ from causkit.mll import (
     verify_proof,
 )
 from causkit.typesys import parse_type
-from conftest import fuzz_proof
+from conftest import fuzz_proof, rand_process
 
 PROVABLE = [
     "A |- A",
@@ -371,15 +374,15 @@ def test_splits_yield_each_balanced_multiset_split_once(rng):
     assert found > 150  # many cases have several balanced splits
 
 
-def mutated(seq: tuple, rng, connectives_only: bool = False) -> tuple:
-    """``seq`` with one node flipped: a tensor for a par or back and, unless
-    ``connectives_only``, a literal's polarity or ``I`` for ``I^*`` or back."""
+def mutated(seq: tuple, rng, kinds: tuple = (FTensor, FPar, FAtom, FOne, FBot)) -> tuple:
+    """``seq`` with one node of the ``kinds`` flipped: a tensor for a par or
+    back, a literal's polarity, or ``I`` for ``I^*`` or back."""
 
     def flip(f):
+        if not isinstance(f, kinds):
+            return None
         if isinstance(f, (FTensor, FPar)):
             return (FPar if isinstance(f, FTensor) else FTensor)(f.left, f.right)
-        if connectives_only:
-            return None
         if isinstance(f, FAtom):
             return FAtom(f.key, not f.neg)
         return FBot() if isinstance(f, FOne) else FOne()
@@ -415,7 +418,7 @@ def copied_sequent(rng) -> tuple:
     swap = rng.random() < 0.5
     copies = 3 if swap else int(rng.integers(2, 4))
     seq = random_sequent(rng, [1] * int(rng.integers(1, 6 - copies))) * copies
-    return mutated(seq, rng, connectives_only=True) if swap else seq
+    return mutated(seq, rng, kinds=(FTensor, FPar)) if swap else seq
 
 
 def test_prover_agrees_with_linking_oracle_on_copied_formulas(rng):
@@ -480,3 +483,95 @@ def test_prover_agrees_with_split_search_oracle(rng):
             assert verify_proof(proof) and proof.sequent == seq
         verdicts.append(proof is not None)
     assert 300 < sum(verdicts) < 900  # both verdicts are well represented
+
+
+def test_every_expanded_sequent_balances(rng, monkeypatch):
+    """The seeded sequents of the oracle tests above, near misses included:
+    the root balance ``prove`` checks holds for every subsequent the search
+    expands, since every rule keeps it."""
+    expanded = []
+    search_prove = _Search._prove
+    monkeypatch.setattr(_Search, "_prove", lambda self, seq: expanded.append(seq) or search_prove(self, seq))
+    for _ in range(100):
+        prove(random_sequent(rng, [1] * int(rng.integers(1, 6))))
+        prove(random_sequent(rng, rng.integers(1, 4, size=int(rng.integers(1, 4)))))
+        prove(copied_sequent(rng))
+        seq = fuzz_proof(rng, max_depth=4).sequent
+        prove(mutated(seq, rng) if rng.random() < 0.5 else seq)
+    assert len(expanded) > 500
+    for seq in expanded:
+        assert not any(atom_counts(seq).values()), render_sequent(seq)
+
+
+def test_unbalanced_sequents_are_refused_before_any_search(rng, monkeypatch):
+    """Fuzzed conclusions with one literal's polarity flipped, which
+    unbalances its atom: refused without building a search."""
+
+    def no_search(budget):
+        raise AssertionError("a search was built for an unbalanced sequent")
+
+    monkeypatch.setattr("causkit.mll._Search", no_search)
+    refused = 0
+    for _ in range(300):
+        seq = fuzz_proof(rng, max_depth=4).sequent
+        flipped = mutated(seq, rng, kinds=(FAtom,))
+        if flipped != seq:
+            assert any(atom_counts(flipped).values())
+            assert prove(flipped) is None and prove(render_sequent(flipped)) is None
+            refused += 1
+    assert refused > 200
+
+
+def test_deep_proof_verifies_with_a_stack():
+    """The proof of a flat 401-atom sequent, over 1,200 nodes deep, verifies;
+    tampered with, the first bad node in pre-order is named, the deepest
+    leaf or, when it is bad too, an earlier first premise."""
+    n = 401
+    proof = prove(" (x) ".join(f"A{k}" for k in range(n)) + " |- " + " (+) ".join(f"A{k}" for k in range(n)))
+    assert verify_proof(proof)
+    path = [proof]  # the last premise of each node, down to the deepest leaf
+    while path[-1].premises:
+        path.append(path[-1].premises[-1])
+    assert len(path) > 1200 and path[-1].rule == "ax"
+    mix = next(i for i, node in enumerate(path) if node.rule == "mix")
+
+    def tampered(shallow: bool) -> Proof:
+        """The proof with the deepest leaf's rule, and if ``shallow`` the
+        first mix's first premise's rule, changed to ``one``."""
+        node = Proof("one", path[-1].sequent)
+        for i in range(len(path) - 2, -1, -1):
+            premises = path[i].premises[:-1] + (node,)
+            if shallow and i == mix:
+                premises = (Proof("one", premises[0].sequent),) + premises[1:]
+            node = dataclasses.replace(path[i], premises=premises)
+        return node
+
+    for shallow, named in ((False, path[-1]), (True, path[mix].premises[0])):
+        with pytest.raises(MalformedProof) as info:
+            verify_proof(tampered(shallow))
+        assert str(info.value) == f"one proves exactly |- I at {render_sequent(named.sequent)}"
+
+
+def test_derivability_is_sound_but_not_complete(rng):
+    """``A (+) B`` and ``A (x) B`` have the same members on first-order
+    atoms, yet the sequent from the one to the other has no derivation:
+    membership gives equal verdicts on seeded states, passing and failing."""
+    assert prove("A (+) B |- A (x) B") is None
+    assert prove("A (x) B |- A (+) B") is not None
+    wires = (System("A", 2), System("B", 2))
+    verdicts = []
+    for backend in BACKENDS:
+        causal = backends.random_causal(backend, wires, (), rng)
+        states = [causal, rand_process(backend, wires, (), rng)]
+        if backend == REL:
+            states.append(Process(REL, wires, (), np.zeros_like(causal.data)))
+        else:
+            states.append(Process(backend, wires, (), 1.5 * causal.data))
+        for state in states:
+            tensor, par = (checks.check_membership(state, ty) for ty in ("A[2] (x) B[2]", "A[2] (+) B[2]"))
+            assert tensor.passed == par.passed, (backend, tensor, par)
+            if backend != REL:
+                tensor, par = (checks.check_projector(state, ty) for ty in ("A[2] (x) B[2]", "A[2] (+) B[2]"))
+                assert (tensor.passed, tensor.residual) == (par.passed, par.residual), (backend, tensor, par)
+            verdicts.append(tensor.passed)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are represented
