@@ -33,10 +33,12 @@ residual passes iff it is 0, any other passes iff it is at most
 
 What depends only on a process's data is decided once per :class:`Process`
 and kept on it, since its data is read-only: the scale (:func:`_scale`) and
-the positivity report of each tolerance (:func:`_positive`), which is also
-causality's validity condition on matr+ and cpm.  So a verdict measures
-only normalization; the batched :func:`_causality` of ``check_soc`` still
-scans each remainder, which is not a :class:`Process`.
+the positivity report of each tolerance (:func:`is_positive`), which is also
+causality's validity condition on matr+ and cpm.  A verdict reads the kept
+scale where it judges, so no scale is passed around, and measures only
+normalization; ``check_soc`` still scans the non-negativity of each
+remainder of the batched :func:`_causality`, which is not a
+:class:`Process`.
 """
 
 from __future__ import annotations
@@ -108,26 +110,16 @@ def _bound(backend: str, tol: float, scale):
     return tol * scale if math.isfinite(scale) else math.nan
 
 
-def _verdict(
-    p: Process, tol: float, conditions: Iterable[tuple[float, str]], scale: float | None = None
-) -> CheckReport:
+def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, str]]) -> CheckReport:
     """The one verdict rule, for residuals measured against ``p``.
 
     Each condition is ``(residual, detail if it fails)``, judged against
     :func:`_bound`: a ``rel`` residual passes iff it is 0, whatever ``tol``
     is; any other passes iff it is at most ``tol * _scale(p)``.  A
-    non-finite residual or scale fails.  A caller that has ``_scale(p)``
-    already passes it as ``scale``.
+    non-finite residual or scale fails.
     """
-    if scale is None:
-        scale = _scale(p)
-    bound = _bound(p.backend, tol, scale)
+    bound = _bound(p.backend, tol, _scale(p))
     return _conjunction([(r <= bound, r, detail) for r, detail in conditions], tol)
-
-
-def _condition(rep: CheckReport) -> tuple[float, str]:
-    """A report on ``p`` as a condition on ``p``; the same rule decides it again."""
-    return rep.residual, rep.detail
 
 
 def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> CheckReport:
@@ -196,21 +188,17 @@ def is_causal(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     scale.  A process with a non-finite entry fails, with that NaN or inf as
     its residual, as in :func:`is_positive`.
     """
-    return _causal(p, tol, _scale(p))
+    return _verdict(p, tol, _causal_conditions(p, tol))
 
 
-def _causal(p: Process, tol: float, scale: float | None) -> CheckReport:
-    """:func:`is_causal` with ``scale = _scale(p)`` given."""
-    return _verdict(p, tol, _causal_conditions(p, tol, scale), scale)
-
-
-def _causal_conditions(p: Process, tol: float, scale: float | None) -> list[tuple[float, str]]:
-    """The conditions of :func:`is_causal` against ``scale = _scale(p)``:
-    normalization, then the :func:`_positive` report kept on ``p`` (matr+,
-    cpm); or ``(scale, "an entry is not finite")`` if the scale is not."""
+def _causal_conditions(p: Process, tol: float) -> list[tuple[float, str]]:
+    """The conditions of :func:`is_causal`: normalization, then the
+    :func:`is_positive` report kept on ``p`` (matr+, cpm); or
+    ``(scale, "an entry is not finite")`` if ``p``'s scale is not."""
+    scale = _scale(p)
     if scale is not None and not math.isfinite(scale):
         return [(scale, "an entry is not finite")]
-    residual = _causality(p.backend, p.out_wires, p.in_wires, p.data, validity=False)[0]
+    residual = _causality(p.backend, p.out_wires, p.in_wires, p.data)
     detail = "not normalized"
     if p.backend == REL and residual:
         cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data
@@ -218,25 +206,19 @@ def _causal_conditions(p: Process, tol: float, scale: float | None) -> list[tupl
         detail = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
     conditions = [(float(residual), detail)]
     if p.backend != REL:
-        conditions.append(_condition(_positive(p, tol, scale)))
+        positive = is_positive(p, tol)
+        conditions.append((positive.residual, positive.detail))
     return conditions
 
 
-def _causality(
-    backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray, *, validity: bool = True
-):
-    """Causality's conditions on ``data``, the array of a process with the
-    wires ``outs``/``ins`` behind any number of leading batch axes: a list of
-    residuals, normalization and (matr+, unless ``validity`` is false)
-    negativity, each an array with one entry per batch index, or a scalar
-    without batch axes."""
+def _causality(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], data: np.ndarray):
+    """Normalization's residual on ``data``, the array of a process with the
+    wires ``outs``/``ins`` behind any number of leading batch axes: an array
+    with one entry per batch index, or a scalar without batch axes."""
     n = len(outs) + len(ins)
     batch = data.ndim - core._spec(backend).axes_per_wire * n
     marg = core._marginal(backend, data, n, range(len(outs)))
-    residuals = [core._maxdiff(marg, discard(backend, ins).data, batch)]
-    if backend == MATR and validity:
-        residuals.append(_negativity(data, batch))
-    return residuals
+    return core._maxdiff(marg, discard(backend, ins).data, batch)
 
 
 def _negativity(data: np.ndarray, batch: int):
@@ -259,36 +241,32 @@ def is_positive(p: Process, tol: float = DEFAULT_TOL) -> CheckReport:
     condition, which is then known to be within ``tol * scale``, not
     measured.  ``np.linalg.eigvalsh`` runs only when the certificate fails or
     is skipped because rounding could reach its margin, and then gives the
-    residual and the detail.  The report is kept on ``p``, one per ``tol``,
-    so a process is factored once however many verdicts ask.
+    residual and the detail.  The report, not ``J`` or a factor, is kept on
+    ``p``, one per ``tol``, so a process is factored once however many
+    verdicts ask.
     """
-    return _positive(p, tol, _scale(p))
-
-
-def _positive(p: Process, tol: float, scale: float | None) -> CheckReport:
-    """:func:`is_positive` with ``scale = _scale(p)`` given; the first call
-    per ``tol`` decides, and ``p`` keeps the report (not ``J`` or a factor)."""
     key = ("positive", tol)
     memo = p._memo
     if key not in memo:
-        memo[key] = _decide_positive(p, tol, scale)
+        memo[key] = _decide_positive(p, tol)
     return memo[key]
 
 
-def _decide_positive(p: Process, tol: float, scale: float | None) -> CheckReport:
+def _decide_positive(p: Process, tol: float) -> CheckReport:
+    scale = _scale(p)
     if scale is not None and not math.isfinite(scale):
-        return _verdict(p, tol, [(scale, "an entry is not finite")], scale)
+        return _verdict(p, tol, [(scale, "an entry is not finite")])
     if p.backend != CPM:
         at = np.unravel_index(np.argmin(p.data), p.data.shape)
         detail = f"negative entry {float(p.data[at]):.3g} at index {tuple(map(int, at))}"
-        return _verdict(p, tol, [(float(_negativity(p.data, 0)), detail)], scale)
+        return _verdict(p, tol, [(float(_negativity(p.data, 0)), detail)])
     J = core.choi_matrix(p)
     skew = _certified_skew(J, tol, scale)
     neg = 0.0
     if skew is None:
         h, skew = _hermitian_block(J, slice(None), slice(None), 0.0)
         neg = max(0.0, -float(np.linalg.eigvalsh(h).min()))
-    return _verdict(p, tol, [(skew, "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")], scale)
+    return _verdict(p, tol, [(skew, "not Hermitian"), (neg, f"negative eigenvalue {-neg:.3g}")])
 
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff

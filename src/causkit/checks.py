@@ -12,8 +12,8 @@ once per wire layout.
 
 One condition, ``_up_set_plan``, is every signalling condition: with an
 up-set's outputs discarded, ``p`` itself must be independent of its inputs.
-Besides causality, three procedures ask it of different up-sets, each
-verdict against one scale of ``p``:
+Besides causality, three procedures ask it of different up-sets, and one
+body, ``_up_set_verdict``, judges causality's conditions and theirs at once:
 
 * ``check_order_consistency``: the up-set of each event, when it is not
   every event, its plans and details compiled once per poset and wire
@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backends, core
-from .backends import CheckReport, _condition, _conjunction, _verdict
+from .backends import CheckReport, _conjunction, _verdict
 from .core import CPM, DEFAULT_TOL, MATR, REL, Process, System
 from .errors import (
     CombinatorialBlowup,
@@ -204,15 +204,20 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     keeps the independence of ``U1``'s inputs and of ``U2``'s, and plugging
     the uniform state into one and then the other makes it independent of
     both.  The conditions are compiled once per poset and wire layout
-    (:func:`_order_conditions`), and every condition and causality are
-    judged against one scale of ``p``.
+    (:func:`_order_conditions`) and judged with causality's in one verdict
+    (:func:`_up_set_verdict`).
     """
-    compiled = _order_conditions(poset, p.backend, p.out_wires, p.in_wires)
-    scale = backends._scale(p)
-    conditions = backends._causal_conditions(p, tol, scale)
+    return _up_set_verdict(p, _order_conditions(poset, p.backend, p.out_wires, p.in_wires), tol)
+
+
+def _up_set_verdict(p: Process, compiled, tol: float, prefix: str = "") -> CheckReport:
+    """One verdict on causality's conditions, each detail prefixed with
+    ``prefix``, and, when every causal residual is finite, the ``compiled``
+    up-set conditions ``(plan, detail if it fails)``."""
+    conditions = [(r, prefix + detail) for r, detail in backends._causal_conditions(p, tol)]
     if all(math.isfinite(r) for r, _ in conditions):  # else no up-set condition means anything
         conditions += [(_planned_residual(plan, p.data), detail) for plan, detail in compiled]
-    return _verdict(p, tol, conditions, scale)
+    return _verdict(p, tol, conditions)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -263,25 +268,18 @@ MAX_TOTALISED_EVENTS = 8
 def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_TOL) -> CheckReport:
     """Order consistency checked the expensive way, as the paper states it:
     ``p`` must be a comb for every linear extension of the partial order.
-    The extensions share one verdict and one scale, and a suffix set
-    (:func:`check_comb`) met again in a later extension is left out: its
-    residual is the same, and the first failure is always a set's first
-    occurrence.  The conditions are compiled once per poset and wire layout
-    (:func:`_suffix_conditions`)."""
+    The extensions share one verdict, causality's conditions named for the
+    first extension, and a suffix set (:func:`check_comb`) met again in a
+    later extension is left out: its residual is the same, and the first
+    failure is always a set's first occurrence.  The conditions are compiled
+    once per poset and wire layout (:func:`_suffix_conditions`)."""
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
     compiled = _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires)
-    scale = backends._scale(p)
-    residual, detail = _condition(backends._causal(p, tol, scale))
     first = next(iter(poset.linear_extensions()))
-    conditions = [(residual, f"not a comb for the extension {first}: {detail}")]
-    if not math.isfinite(residual):
-        return _verdict(p, tol, conditions, scale)
-    for plan, detail in compiled:
-        conditions.append((_planned_residual(plan, p.data), detail))
-    return _verdict(p, tol, conditions, scale)
+    return _up_set_verdict(p, compiled, tol, f"not a comb for the extension {first}: ")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -324,13 +322,14 @@ def check_soc(
     read-only.  Each party's family is plugged into the remainders left by
     the parties before it in one batched contraction (:func:`core.plug_family`), which
     adds a batch axis indexed by the party's channel.  The remainders of all
-    tuples, one per index of the batch axes, are then judged at once by
-    :func:`backends._causality`, each against its own scale.  The residual
-    is the worst over all tuples, NaN included.  The first failing tuple in
-    ``itertools.product`` order, the C order of the batch axes, is named in
-    ``detail`` by each party's index into its family.  On matr+ and cpm
-    ``p`` must also be positive (:func:`backends.is_positive`, the report
-    kept on ``p``), as every process of those categories is.
+    tuples, one per index of the batch axes, are then judged at once, each
+    against its own scale: normalization (:func:`backends._causality`) and,
+    on matr+, non-negativity.  The residual is the worst over all tuples,
+    NaN included.  The first failing tuple in ``itertools.product`` order,
+    the C order of the batch axes, is named in ``detail`` by each party's
+    index into its family.  On matr+ and cpm ``p`` must also be positive
+    (:func:`backends.is_positive`, the report kept on ``p``), as every
+    process of those categories is.
 
     Memory: after ``k`` parties the remainder holds one entry per tuple of
     their channels and per entry of a process on the wires left.  No family
@@ -353,9 +352,10 @@ def check_soc(
     for e, family in zip(parties, families):
         wiring = [(l, l) for l in e.outs + e.ins]
         data, outs, ins = core.plug_family(p.backend, data, outs, ins, family, wiring)
-    residuals = backends._causality(p.backend, outs, ins, data)
+    residual = backends._causality(p.backend, outs, ins, data)
+    if p.backend == MATR:
+        residual = np.maximum(residual, backends._negativity(data, len(parties)))  # propagates NaN
     scale = None if p.backend == REL else backends._scales(data, len(parties))
-    residual = functools.reduce(np.maximum, residuals)  # propagates NaN
     failed = np.flatnonzero(~(residual <= backends._bound(p.backend, tol, scale)))
     detail = ""
     if failed.size:
@@ -364,7 +364,7 @@ def check_soc(
         detail = f"the channel tuple {named} leaves a non-causal remainder"
     conditions = [(not failed.size, residual.max(), detail)]
     if p.backend != REL:
-        positive = backends._positive(p, tol, backends._scale(p))
+        positive = backends.is_positive(p, tol)
         conditions.append((positive.passed, positive.residual, positive.detail))
     return _conjunction(conditions, tol)
 
@@ -524,9 +524,8 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
 
 
 def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> CheckReport:
-    scale = backends._scale(p)
-    positive = backends._positive(p, tol, scale)  # before any array of p's size is made here
-    if not math.isfinite(scale):  # no coefficient of a non-finite process means anything
+    positive = backends.is_positive(p, tol)  # before any array of p's size is made here
+    if not math.isfinite(backends._scale(p)):  # no coefficient of a non-finite process means anything
         return positive
     if "terms" not in record:
         record["terms"] = _allowed_terms(compiled.normal, p.wires)
@@ -539,8 +538,8 @@ def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> Che
     return _verdict(p, tol, [
         (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
         (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
-        _condition(positive),
-    ], scale)
+        (positive.residual, positive.detail),
+    ])
 
 
 # -- membership in a causal type ---------------------------------------------------

@@ -82,14 +82,22 @@ from . import typesys
 
 # Each formula keeps its ``name`` (the rendering without outer parentheses)
 # and its ``net`` (atom key -> positive minus negative occurrences), both
-# made on first use (a name also when a formula around it is named) and
-# never written after: the search reads them often.
+# made on first use (a name also when a formula around it is named, a net
+# only when asked) and never written after: the search reads them often.
 
 
-def _net(f: FTensor | FPar) -> dict[str, int]:
-    net = dict(f.left.net)
-    for key, n in f.right.net.items():
-        net[key] = net.get(key, 0) + n
+def _net(*formulas: Formula) -> dict[str, int]:
+    """Atom key -> positive minus negative occurrences over ``formulas``,
+    counted with a stack rather than by recursion, so that a chain of any
+    length is counted; no subformula keeps a count."""
+    net: dict[str, int] = {}
+    todo = list(formulas)
+    while todo:
+        f = todo.pop()
+        if isinstance(f, FAtom):
+            net[f.key] = net.get(f.key, 0) + (-1 if f.neg else 1)
+        elif isinstance(f, (FTensor, FPar)):
+            todo += f.left, f.right
     return net
 
 
@@ -97,14 +105,11 @@ def _net(f: FTensor | FPar) -> dict[str, int]:
 class FAtom:
     key: str
     neg: bool = False
+    net = functools.cached_property(_net)
 
     @functools.cached_property
     def name(self) -> str:
         return f"{self.key}^*" if self.neg else self.key
-
-    @functools.cached_property
-    def net(self) -> dict[str, int]:
-        return {self.key: -1 if self.neg else 1}
 
 
 @dataclass(frozen=True)
@@ -505,14 +510,18 @@ class _Search:
         return None
 
     def _match_literals(self, seq: tuple[Formula, ...]) -> Proof:
-        # balanced, so each literal's dual is there to pair it off
-        if not seq:
-            return Proof("mix0", seq)
-        if len(seq) == 2:
-            return Proof("ax", seq)
-        a, b = seq[0], dual(seq[0])
-        sub = self._match_literals(_remove_one(seq[1:], b))
-        return Proof("mix", seq, (Proof("ax", (a, b)), sub))
+        # balanced, so each literal's dual is there to pair it off: the first
+        # literal with its first dual, then the rest alike, in a loop, so that
+        # any number of pairs is matched; the mix chain is built innermost first
+        pairs = []
+        while len(seq) > 2:
+            b = dual(seq[0])
+            pairs.append((seq, Proof("ax", (seq[0], b))))
+            seq = _remove_one(seq[1:], b)
+        proof = Proof("ax" if seq else "mix0", seq)
+        for conclusion, axiom in reversed(pairs):
+            proof = Proof("mix", conclusion, (axiom, proof))
+        return proof
 
 
 def prove(sequent: Sequence[Formula] | str, budget: int = 200_000) -> Proof | None:
@@ -521,15 +530,7 @@ def prove(sequent: Sequence[Formula] | str, budget: int = 200_000) -> Proof | No
     does not occur as often positively as negatively is refused before any
     expansion, since every rule keeps each atom balanced."""
     seq = parse_sequent(sequent) if isinstance(sequent, str) else tuple(sequent)
-    net: dict[str, int] = {}
-    todo = list(seq)
-    while todo:  # a stack rather than recursion, so that a chain of any length is summed
-        f = todo.pop()
-        if isinstance(f, FAtom):
-            net[f.key] = net.get(f.key, 0) + (-1 if f.neg else 1)
-        elif isinstance(f, (FTensor, FPar)):
-            todo += f.left, f.right
-    return None if any(net.values()) else _Search(budget).prove(seq)
+    return None if any(_net(*seq).values()) else _Search(budget).prove(seq)
 
 
 def provable(sequent: Sequence[Formula] | str, budget: int = 200_000) -> bool:

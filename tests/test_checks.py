@@ -516,16 +516,19 @@ def _channels(n, order=()):
     ],
 )
 def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, conditions):
-    """One causality check, and one independence check per non-empty proper
-    up-set, each the suffix set of some linear extension: on an antichain
+    """One causality check, one independence check per non-empty proper
+    up-set, each the suffix set of some linear extension (on an antichain
     ``2**n - 2`` instead of ``(n - 1) * n!``; the last two are the
-    benchmark's two-chain poset shapes."""
+    benchmark's two-chain poset shapes), and one verdict on them all."""
     p, poset = _channels(n, order)
+    assert checks.check_via_totalisations(p, poset, tol=TOL)  # positivity is decided and kept
     counts = collections.Counter()
     _count_calls(monkeypatch, checks, "_planned_residual", counts)
-    _count_calls(monkeypatch, backends, "_causal", counts)
+    _count_calls(monkeypatch, backends, "_causal_conditions", counts)
+    _count_calls(monkeypatch, backends, "_verdict", counts)
+    _count_calls(monkeypatch, checks, "_verdict", counts)
     assert checks.check_via_totalisations(p, poset, tol=TOL)
-    assert counts == {"_planned_residual": conditions, "_causal": 1}
+    assert counts == {"_planned_residual": conditions, "_causal_conditions": 1, "_verdict": 1}
 
 
 @pytest.mark.parametrize(
@@ -541,14 +544,14 @@ def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, conditions):
     ],
 )
 def test_order_consistency_peels_each_up_set_once(monkeypatch, n, order, conditions):
-    """One causality check, its conditions joined to the verdict's with no
-    report of their own, and one independence check per event whose up-set
-    is not every event, on that whole up-set: ``n`` on an antichain,
-    ``n - 1`` on a chain."""
+    """One causality check, its conditions joined to the verdict's
+    (``is_causal`` is not called), and one independence check per event
+    whose up-set is not every event, on that whole up-set: ``n`` on an
+    antichain, ``n - 1`` on a chain."""
     p, poset = _channels(n, order)
     counts = collections.Counter()
     _count_calls(monkeypatch, checks, "_planned_residual", counts)
-    _count_calls(monkeypatch, backends, "_causal", counts)
+    _count_calls(monkeypatch, backends, "is_causal", counts)
     _count_calls(monkeypatch, backends, "_causal_conditions", counts)
     assert checks.check_order_consistency(p, poset, tol=TOL)
     assert counts == {"_planned_residual": conditions, "_causal_conditions": 1}
@@ -556,22 +559,28 @@ def test_order_consistency_peels_each_up_set_once(monkeypatch, n, order, conditi
 
 def test_totalisations_scale_the_process_once(monkeypatch):
     """The 120 extensions of a 5-event antichain share one verdict, and
-    causality shares its scale of ``p``."""
+    causality shares its scale of ``p``: the data is scanned once, and not
+    again by a second verdict."""
     p, poset = _channels(5)
     counts = collections.Counter()
-    _count_calls(monkeypatch, backends, "_scale", counts)
+    _count_calls(monkeypatch, backends, "_scales", counts)
     assert checks.check_via_totalisations(p, poset, tol=TOL)
-    assert counts["_scale"] == 1
+    assert counts["_scales"] == 1
+    assert checks.check_via_totalisations(p, poset, tol=TOL)
+    assert counts["_scales"] == 1
 
 
 @pytest.mark.parametrize("order", [(), (("E1", "E2"), ("E3", "E4"), ("E1", "E4"))])
 def test_order_consistency_scales_the_process_once(monkeypatch, order):
-    """Causality and every up-set condition are judged against one scale."""
+    """Causality and every up-set condition are judged against one scale,
+    scanned from the data once, and not again by a second verdict."""
     p, poset = _channels(4, order)
     counts = collections.Counter()
-    _count_calls(monkeypatch, backends, "_scale", counts)
+    _count_calls(monkeypatch, backends, "_scales", counts)
     assert checks.check_order_consistency(p, poset, tol=TOL)
-    assert counts["_scale"] == 1
+    assert counts["_scales"] == 1
+    assert checks.check_order_consistency(p, poset, tol=TOL)
+    assert counts["_scales"] == 1
 
 
 def test_signalling_posets_are_built_once(monkeypatch, rng):
@@ -897,12 +906,15 @@ def test_positivity_is_decided_once_per_process_and_tolerance(monkeypatch):
 
 
 def test_projector_scales_the_process_once(monkeypatch):
-    """Positivity and the projector's own conditions share one ``_scale``."""
+    """Positivity and the projector's own conditions share one scale,
+    scanned from the data once, and not again by a second verdict."""
     p = Process(CPM, (System("A", 2), System("B", 2)), (), (np.eye(4) / 4).reshape((2,) * 4))
     counts = collections.Counter()
-    _count_calls(monkeypatch, backends, "_scale", counts)
+    _count_calls(monkeypatch, backends, "_scales", counts)
     assert checks.check_projector(p, "A[2] (x) B[2]", tol=TOL)
-    assert counts["_scale"] == 1
+    assert counts["_scales"] == 1
+    assert checks.check_projector(p, "A[2] (x) B[2]", tol=TOL)
+    assert counts["_scales"] == 1
 
 
 def _leak(p, sender, receiver, rng):
@@ -1112,8 +1124,7 @@ def _projector_reference(p, ty, tol):
     read by ``unravel_index``: the reference for the grouped reduceat and
     the flat argmax."""
     compiled = checks._compile(ty)
-    scale = backends._scale(p)
-    positive = backends._positive(p, tol, scale)
+    positive = backends.is_positive(p, tol)
     allowed, gamma = checks._allowed_terms(compiled.normal, p.wires)
     c = checks._coefficients(p)
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
@@ -1123,8 +1134,8 @@ def _projector_reference(p, ty, tol):
     return backends._verdict(p, tol, [
         (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
         (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
-        backends._condition(positive),
-    ], scale)
+        (positive.residual, positive.detail),
+    ])
 
 
 PROJECTOR_LAYOUTS = [
@@ -1227,7 +1238,7 @@ def _lolli_oracle(p, t):
     basis members need not be positive, so neither need the processes they
     leave."""
     if is_first_order(t):
-        normalization = backends._causality(p.backend, p.out_wires, p.in_wires, p.data)[0]
+        normalization = backends._causality(p.backend, p.out_wires, p.in_wires, p.data)
         return bool(normalization <= backends._bound(p.backend, TOL, backends._scale(p)))
     atoms = list(atom_occurrences(normalize(t.left)))
     x_outs = tuple(p.wire(a.label) for a, dual in atoms if not dual)
@@ -1485,20 +1496,22 @@ def _reference_causal(p, tol):
     call; cpm positivity is the report kept on ``p``."""
     scale = backends._scale(p)
     if scale is not None and not math.isfinite(scale):
-        return backends._verdict(p, tol, [(scale, "an entry is not finite")], scale)
-    residuals = backends._causality(p.backend, p.out_wires, p.in_wires, p.data)
-    details = ["not normalized", ""]
+        return backends._verdict(p, tol, [(scale, "an entry is not finite")])
+    residuals = [backends._causality(p.backend, p.out_wires, p.in_wires, p.data)]
+    details = ["not normalized"]
     if p.backend == REL and residuals[0]:
         cols = core.discard_outputs(p, [w.label for w in p.out_wires]).data
         bad = tuple(int(i) for i in np.argwhere(~cols)[0])
         details[0] = f"no output related to input index {bad}" if p.in_wires else "the relation is empty"
     if p.backend == MATR:
+        residuals.append(backends._negativity(p.data, 0))
         at = np.unravel_index(np.argmin(p.data), p.data.shape)
-        details[1] = f"negative entry {float(p.data[at]):.3g} at index {tuple(map(int, at))}"
+        details.append(f"negative entry {float(p.data[at]):.3g} at index {tuple(map(int, at))}")
     conditions = [(float(r), d) for r, d in zip(residuals, details)]
     if p.backend == CPM:
-        conditions.append(backends._condition(backends.is_positive(p, tol)))
-    return backends._verdict(p, tol, conditions, scale)
+        positive = backends.is_positive(p, tol)
+        conditions.append((positive.residual, positive.detail))
+    return backends._verdict(p, tol, conditions)
 
 
 def _reference_order(p, poset, tol):
@@ -1720,6 +1733,35 @@ def test_matr_validity_is_decided_once_per_process_and_tolerance(monkeypatch, rn
             assert not projected
             for rep in reports:
                 assert not rep and rep.detail == "negative entry -0.25 at index (0, 0, 0, 0)"
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_every_verdict_reads_the_scale_kept_on_the_process(backend, monkeypatch, rng):
+    """A fresh process has its data scanned for scale once (``_scales``
+    without batch axes), however many verdicts judge it: causality,
+    positivity, order consistency, totalisations, the projector, and
+    membership of a comb, a tensor and a type that the projector decides."""
+    p = _channels_product(backend, rng)
+    comb, tensor, higher = LAYOUT_TYPES[1], LAYOUT_TYPES[2], LAYOUT_TYPES[4]
+    assert [checks._compile(t).procedure for t in (comb, tensor, higher)] == ["comb", "nonsignalling", "higher"]
+    poset = EventPoset(LAYOUT_EVENTS, [("E1", "E2")])
+    scans, scales = [], backends._scales
+    monkeypatch.setattr(backends, "_scales", lambda data, batch: scans.append(batch) or scales(data, batch))
+    rounds = [
+        [
+            backends.is_causal(p, tol=TOL),
+            backends.is_positive(p, tol=TOL),
+            checks.check_order_consistency(p, poset, tol=TOL),
+            checks.check_via_totalisations(p, poset, tol=TOL),
+            checks.check_projector(p, tensor, tol=TOL),
+            checks.check_membership(p, comb, tol=TOL),
+            checks.check_membership(p, tensor, tol=TOL),
+            checks.check_membership(p, higher, tol=TOL),
+        ]
+        for _ in range(2)
+    ]
+    assert scans == [0]
+    assert rounds[0] == rounds[1] and all(rounds[0][:7])
 
 
 def test_membership_accepts_types_built_with_lists():

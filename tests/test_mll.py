@@ -552,6 +552,39 @@ def test_deep_proof_verifies_with_a_stack():
         assert str(info.value) == f"one proves exactly |- I at {render_sequent(named.sequent)}"
 
 
+def test_flat_literal_sequent_pairs_off_in_a_loop():
+    """1,000 pairs of bare literals prove without recursion: a chain of
+    mixes, each splitting the first literal and its dual off the rest, in
+    the sequent's order, down to the last pair's axiom."""
+    n = 1000
+    seq = parse_sequent("|- " + ", ".join(f"a{k}, a{k}^*" for k in range(n)))
+    proof = prove(seq)
+    assert verify_proof(proof)
+    node = proof
+    for k in range(n - 1):
+        assert node.rule == "mix" and node.sequent == seq[2 * k :]
+        assert node.premises[0] == Proof("ax", seq[2 * k : 2 * k + 2])
+        node = node.premises[1]
+    assert node == Proof("ax", seq[-2:])
+
+
+def test_net_is_counted_with_a_stack():
+    """``.net`` of a 2,000-atom chain is counted without recursion and kept
+    on that formula alone, none of its subformulas; flat sequents of 401 and
+    990 atoms a side, whose balance ``prove`` checks first, prove (written
+    one-sided, as ``dual`` recurses)."""
+    chain = parse_sequent(" (x) ".join(f"A{k}" for k in range(2000)))[0]
+    assert chain.net == {f"A{k}": 1 for k in range(2000)}
+    sub, below = chain.right, 0
+    while isinstance(sub, FTensor):
+        assert "net" not in vars(sub) and "net" not in vars(sub.left)
+        sub, below = sub.right, below + 1
+    assert below == 1998
+    for n in (401, 990):
+        side = " (+) ".join(f"A{k}" for k in range(n))
+        assert verify_proof(prove(f"|- {side.replace(' (+)', '^* (+)')}^*, {side}"))
+
+
 def test_derivability_is_sound_but_not_complete(rng):
     """``A (+) B`` and ``A (x) B`` have the same members on first-order
     atoms, yet the sequent from the one to the other has no derivation:
