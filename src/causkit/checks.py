@@ -35,9 +35,11 @@ par and duality on the affine backends (matr+, cpm) without enumerating
 anything: it compiles the type to the set of terms, patterns of wires off
 the identity, that its members may contain, and checks that the process
 contains no other term, has the type's total and is positive.  Per verdict
-that is one matrix product per wire for the coefficients, then one gather
-and one ``maximum.reduceat`` for each pattern's largest one, from bases and
-a grouping planned once per layout of wire dimensions.
+that is one matrix product per group of neighbouring wires for the
+coefficients, then one gather and one ``maximum.reduceat`` for each
+pattern's largest one and one index of those the type forbids, from a plan
+built once per backend and data shape and positions kept once per type and
+wire layout.
 
 ``check_membership`` maps a causal type to whichever of these applies: one
 event (its dualled atoms are inputs, its plain atoms outputs) to causality,
@@ -46,10 +48,10 @@ other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
 Each type is compiled once (``_compile``): its normal form, wire roles,
 procedure and events are kept for every later call with that type, and one
 record per type and wire layout, found by one lookup, keeps its wire check
-and the projector's mask (a layout that fails is not kept).  Scale and
-validity are decided once per ``Process`` (see ``backends``), so a warm
-verdict does only the work on ``p.data``.  A cold call, such as every CLI
-call, does the parsing and dispatch work that every call did before.
+and the projector's forbidden patterns (a layout that fails is not kept).
+Scale and validity are decided once per ``Process`` (see ``backends``), so
+a warm verdict does only the work on ``p.data``.  A cold call, such as every
+CLI call, does the parsing and dispatch work that every call did before.
 """
 
 from __future__ import annotations
@@ -271,33 +273,35 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
     The extensions share one verdict, causality's conditions named for the
     first extension, and a suffix set (:func:`check_comb`) met again in a
     later extension is left out: its residual is the same, and the first
-    failure is always a set's first occurrence.  The conditions are compiled
-    once per poset and wire layout (:func:`_suffix_conditions`)."""
+    failure is always a set's first occurrence.  The conditions and that
+    name are compiled once per poset and wire layout
+    (:func:`_suffix_conditions`), so a warm call builds no extension."""
     if len(poset) > MAX_TOTALISED_EVENTS:
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
-    compiled = _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires)
-    first = next(iter(poset.linear_extensions()))
-    return _up_set_verdict(p, compiled, tol, f"not a comb for the extension {first}: ")
+    prefix, compiled = _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires)
+    return _up_set_verdict(p, compiled, tol, prefix)
 
 
 @functools.lru_cache(maxsize=1024)
 def _suffix_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
-    """The conditions of :func:`check_via_totalisations` on processes with
-    these wires: each proper suffix set of a linear extension at its first
-    occurrence, with its plan and the detail if it fails.  Events that do
-    not tile the wires raise :class:`BadPartition` on every call."""
+    """The prefix of causality's details in :func:`check_via_totalisations`
+    on processes with these wires, which names the first linear extension,
+    and its conditions: each proper suffix set of a linear extension at its
+    first occurrence, with its plan and the detail if it fails.  Events that
+    do not tile the wires raise :class:`BadPartition` on every call."""
     _check_partition(poset.events, outs, ins)
-    conditions = {}
+    conditions, prefix = {}, ""
     for ext in poset.linear_extensions():
+        prefix = prefix or f"not a comb for the extension {ext}: "
         for k in range(len(ext) - 1, 0, -1):
             up = frozenset(ext[k:])
             if up not in conditions:
                 detail = f"event {ext[k]!r} signals backwards to {list(ext[:k])}"
                 plan = _up_set_plan(poset, up, backend, outs, ins)
                 conditions[up] = plan, f"not a comb for the extension {ext}: {detail}"
-    return tuple(conditions.values())
+    return prefix, tuple(conditions.values())
 
 
 # -- second-order causal processes ------------------------------------------------
@@ -432,37 +436,89 @@ def _basis(backend: str, dim: int) -> np.ndarray:
     return q
 
 
+_STEP_ROWS = 16
+
+
 @functools.lru_cache(maxsize=64)
-def _wire_bases(backend: str, shape: tuple[int, ...]):
-    """What :func:`_coefficients` needs of data of this shape: the transpose
-    that puts each wire's axes together, each wire's dimension in the
-    coefficients (``dim**2`` on cpm) and its :func:`_basis`.  Built once per
-    backend and shape."""
+def _projector_plan(backend: str, shape: tuple[int, ...]):
+    """What the projector needs of data of this shape, built once per backend
+    and shape, its arrays read-only, in a cache of at most 64 plans:
+
+    * ``perm``, the transpose that puts each wire's axes together, and
+      ``dims``, each wire's dimension in the coefficients (``dim**2`` on
+      cpm);
+    * ``steps``, the bases that :func:`_coefficients` multiplies by, one per
+      group of neighbouring wires: the Kronecker product of their
+      :func:`_basis` matrices, in wire order.  A wire joins the group before
+      it while the group's basis keeps at most :data:`_STEP_ROWS` (16) rows:
+      four bits or two trits on matr+, two qubit wires on cpm, a dimension-1
+      wire with anything.  Why 16: a step costs a fixed dispatch, one pass
+      over the coefficients and, for ``k`` rows, ``k`` multiply-adds per
+      coefficient: the product of its wires' rows, where one step per wire
+      costs their sum.  Up to 16 rows the dispatch and the passes dominate
+      on the processes the projector decides (the switches and process
+      matrices hold up to 16,384 coefficients); past 16 the arithmetic
+      does.  On 8 cpm qubit wires (65,536 coefficients) the two about
+      balance;
+    * the coefficients grouped by pattern: ``order``, the flat indices of an
+      array of shape ``dims`` sorted by pattern in the C order of
+      :func:`_allowed_terms`' array (within a pattern, in flat order), the
+      start of each non-empty group in ``order``, and the flat pattern of
+      each such group, in increasing order.  A pattern with bit 1 on a wire
+      of dimension 1 is empty.  ``order`` keeps one ``intp`` per coefficient
+      (512 KB for the 65,536 coefficients of a cpm process on 8 qubit wires).
+    """
     a = core._spec(backend).axes_per_wire
     n = len(shape) // a
     perm = tuple(i + k * n for i in range(n) for k in range(a))
-    return perm, tuple(d**a for d in shape[:n]), tuple(_basis(backend, d) for d in shape[:n])
+    dims = tuple(d**a for d in shape[:n])
+    steps = []
+    for d in shape[:n]:
+        q = _basis(backend, d)
+        if steps and steps[-1].shape[0] * q.shape[0] <= _STEP_ROWS:
+            steps[-1] = np.kron(steps[-1], q)
+        else:
+            steps.append(q)
+    pattern = np.zeros(dims, dtype=np.intp)
+    for i, d in enumerate(dims):
+        bit = np.minimum(np.arange(d, dtype=np.intp), 1)  # 0 at the identity, 1 off it
+        pattern += (bit << (n - 1 - i)).reshape((d,) + (1,) * (n - 1 - i))
+    order = np.argsort(pattern, axis=None, kind="stable")
+    counts = np.bincount(pattern.ravel(), minlength=2**n)
+    patterns = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[patterns]
+    for x in (*steps, order, starts, patterns):
+        x.flags.writeable = False
+    return perm, dims, tuple(steps), order, starts, patterns
 
 
-def _coefficients(p: Process) -> np.ndarray:
+def _coefficients(p: Process, plan) -> np.ndarray:
     """``p``'s data with one axis per wire (a cpm wire's ket and bra axes
     merged), changed on each wire to the orthonormal basis of
-    :func:`_basis`, whose element 0 is the identity direction.
+    :func:`_basis`, whose element 0 is the identity direction; ``plan`` is
+    :func:`_projector_plan` of ``p``'s data.
 
-    One matrix product per wire.  With the wire's axis leading, the data is
-    a matrix whose rows that axis indexes; its transpose times the wire's
-    basis contracts the axis and moves it last, so after the last wire the
-    axes are back in order.  The bases are real, so cpm data runs as its
-    float64 view, each re/im pair on a trailing axis; the products carry
-    that axis to the front, and two strided copies interleave the real and
-    imaginary parts again.  The products alternate between two arrays of
-    the data's size, a copy of the data in wire order and one more.
+    One matrix product per step of the plan, a group of neighbouring wires.
+    With the group's axes leading, the data is a matrix whose rows they
+    index; its transpose times the group's basis contracts them and moves
+    them last, so after the last step the axes are back in order.  The
+    bases are real, so cpm data runs as its float64 view, each re/im pair on
+    a trailing axis; the products carry that axis to the front, and two
+    strided copies interleave the real and imaginary parts again.  The
+    products alternate between the two halves of one array of twice the
+    data's size, the first a copy of the data in wire order.  One allocation,
+    not two: with two, the C allocator gave the memory back to the system
+    after each warm verdict on 8 cpm qubit wires, and the next verdict
+    faulted it all in again (480 page faults each).
     """
-    perm, dims, bases = _wire_bases(p.backend, p.data.shape)
-    x = np.array(p.data.transpose(perm), order="C").reshape(-1).view(np.float64)
-    y = np.empty_like(x)
-    for d, q in zip(dims, bases):
-        np.matmul(x.reshape(d, -1).T, q, out=y.reshape(-1, d))
+    perm, dims, steps = plan[:3]
+    data = p.data.transpose(perm)
+    x = np.empty((2,) + data.shape, data.dtype)
+    np.copyto(x[:1], data)
+    x, y = x.reshape(2, -1).view(np.float64)
+    for q in steps:
+        k = q.shape[0]
+        np.matmul(x.reshape(k, -1).T, q, out=y.reshape(-1, k))
         x, y = y, x
     if p.backend == CPM:  # x holds the real parts, then the imaginary ones
         c = y.view(complex)
@@ -471,39 +527,13 @@ def _coefficients(p: Process) -> np.ndarray:
     return x.reshape(dims)
 
 
-@functools.lru_cache(maxsize=64)
-def _pattern_groups(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficients of an array of shape ``dims`` grouped by pattern:
-    ``order``, the flat indices sorted by pattern in the C order of
-    :func:`_allowed_terms`' array (within a pattern, in flat order); the
-    start of each non-empty group in ``order``; and the flat pattern of each
-    such group.  A pattern with bit 1 on an axis of size 1 is empty.  Built
-    once per dims and read-only, for at most 64 dims: the cache keeps one
-    ``intp`` per coefficient of each (512 KB for the 65,536 coefficients of
-    a cpm process on 8 qubit wires)."""
-    pattern = np.zeros(dims, dtype=np.intp)
-    for i, d in enumerate(dims):
-        bit = np.minimum(np.arange(d, dtype=np.intp), 1)  # 0 at the identity, 1 off it
-        pattern += (bit << (len(dims) - 1 - i)).reshape((d,) + (1,) * (len(dims) - 1 - i))
-    order = np.argsort(pattern, axis=None, kind="stable")
-    counts = np.bincount(pattern.ravel(), minlength=2 ** len(dims))
-    patterns = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[patterns]
-    for a in (order, starts, patterns):
-        a.flags.writeable = False
-    return order, starts, patterns
-
-
-def _pattern_maxima(c: np.ndarray) -> np.ndarray:
-    """The largest ``|coefficient|`` of each pattern, indexed as in
-    :func:`_allowed_terms`, 0.0 for an empty one: one gather of ``|c|`` in
-    the grouping of :func:`_pattern_groups` and one ``maximum.reduceat``
-    over it.  Overwrites ``c`` with its absolute values."""
-    order, starts, patterns = _pattern_groups(c.shape)
-    m = np.absolute(c, out=c).real.reshape(-1)
-    maxima = np.zeros(2**c.ndim)
-    maxima[patterns] = np.maximum.reduceat(m[order], starts)
-    return maxima.reshape((2,) * c.ndim)
+def _pattern_maxima(c: np.ndarray, plan) -> np.ndarray:
+    """The largest ``|coefficient|`` of each non-empty pattern of the plan,
+    in its order: one gather of ``|c|`` in the plan's grouping and one
+    ``maximum.reduceat`` over it.  Overwrites ``c`` with its absolute
+    values."""
+    order, starts = plan[3:5]
+    return np.maximum.reduceat(np.absolute(c, out=c).real.reshape(-1)[order], starts)
 
 
 def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -524,22 +554,46 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
 
 
 def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> CheckReport:
+    """:func:`check_projector` given the compiled type and the record of
+    ``p``'s wire layout, which keeps :func:`_forbidden_terms` from the first
+    verdict on."""
     positive = backends.is_positive(p, tol)  # before any array of p's size is made here
     if not math.isfinite(backends._scale(p)):  # no coefficient of a non-finite process means anything
         return positive
-    if "terms" not in record:
-        record["terms"] = _allowed_terms(compiled.normal, p.wires)
-    allowed, gamma = record["terms"]
-    c = _coefficients(p)
-    total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
-    forbidden = np.where(allowed, 0.0, _pattern_maxima(c)).reshape(-1)
-    worst, n = int(forbidden.argmax()), p.n_wires  # a flat pattern's bits, the first wire's highest
-    term = ", ".join(w.label for i, w in enumerate(p.wires, 1) if worst >> (n - i) & 1)
+    plan = _projector_plan(p.backend, p.data.shape)
+    patterns = plan[5]
+    if "forbidden" not in record:
+        record["forbidden"] = _forbidden_terms(compiled.normal, p.wires, patterns)
+    forbidden, gamma, bits, root = record["forbidden"]
+    c = _coefficients(p, plan)
+    total = complex(c[(0,) * c.ndim]) * root
+    residual, term = 0.0, ""  # a type may forbid no pattern
+    if forbidden.size:
+        maxima = _pattern_maxima(c, plan)[forbidden]
+        worst = int(maxima.argmax())
+        residual, pattern = float(maxima[worst]), int(patterns[forbidden[worst]])
+        term = ", ".join([label for label, bit in bits if pattern & bit])
     return _verdict(p, tol, [
-        (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
+        (residual, f"the type forbids a term on {{{term}}}"),
         (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
         (positive.residual, positive.detail),
     ])
+
+
+def _forbidden_terms(n: Type, wires: Sequence[System], patterns: np.ndarray):
+    """What the projector keeps of the normalized type ``n`` on a wire
+    layout, all of pattern size or less: the positions among ``patterns``,
+    the layout's non-empty patterns (:func:`_projector_plan`), of those that
+    ``n`` forbids (:func:`_allowed_terms`), read-only; the total ``gamma``;
+    each wire's label with its bit in a flat pattern, the first wire's
+    highest; and ``sqrt(prod dims)``, which turns coefficient 0 into the
+    total.  The non-empty patterns, those with no bit on a dimension-1 wire,
+    are the same on matr+ and cpm, so one record serves both."""
+    allowed, gamma = _allowed_terms(n, wires)
+    forbidden = np.flatnonzero(~allowed.reshape(-1)[patterns])
+    forbidden.flags.writeable = False
+    bits = tuple((w.label, 1 << (len(wires) - 1 - i)) for i, w in enumerate(wires))
+    return forbidden, gamma, bits, math.sqrt(math.prod(w.dim for w in wires))
 
 
 # -- membership in a causal type ---------------------------------------------------
@@ -571,7 +625,7 @@ class _Compiled:
     def layout(self, p: Process) -> dict:
         """The record of ``p``'s wire layout, from one lookup; on a miss the
         layout is kept once it passes :func:`_check_wires`.  The projector
-        keeps its mask and total there, under ``"terms"``."""
+        keeps :func:`_forbidden_terms` there, under ``"forbidden"``."""
         key = p.out_wires, p.in_wires
         record = self.layouts.get(key)
         if record is None:
@@ -709,13 +763,13 @@ def check_membership(
 
     The one-event, comb and tensor shapes keep their own procedures on
     matr+ and cpm because the projector, with the same verdicts, is slower:
-    about 6 times over the 34 matr+/cpm membership inputs of the
-    ``signalling`` benchmark workload, about 9 times on its 4-event cpm comb
-    (best of 30 warm calls, seed 1, 2-core x86-64, one BLAS thread).  Every
-    procedure asks for causality, and so for matr+ non-negativity and cpm
-    complete positivity (:func:`backends.is_causal`).  The positivity report
-    is kept on ``p``, so checking one process against several types
-    factors its Choi matrix once.
+    about 2.3 times over the 34 matr+/cpm membership inputs of the
+    ``signalling`` benchmark workload, about 5 times on its 4-event cpm comb
+    (sums of the best of 30 warm calls, seed 1, 2-core x86-64, one BLAS
+    thread).  Every procedure asks for causality, and so for matr+
+    non-negativity and cpm complete positivity (:func:`backends.is_causal`).
+    The positivity report is kept on ``p``, so checking one process against
+    several types factors its Choi matrix once.
     """
     compiled = _compile(t)
     return _decide(p, compiled, compiled.layout(p), tol, budget)

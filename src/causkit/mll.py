@@ -161,15 +161,31 @@ Formula = Union[FAtom, FOne, FBot, FTensor, FPar]
 
 
 def dual(f: Formula) -> Formula:
+    """The negation of ``f`` in negation normal form: each literal flipped,
+    the units swapped, tensors and pars exchanged.  Made with a stack rather
+    than by recursion, so that a chain of any length is dualled: the nodes
+    are listed parents first, then dualled children first.  A literal, most
+    of the prover's calls, is flipped without them."""
     if isinstance(f, FAtom):
         return FAtom(f.key, not f.neg)
-    if isinstance(f, FOne):
-        return FBot()
-    if isinstance(f, FBot):
-        return FOne()
-    if isinstance(f, FTensor):
-        return FPar(dual(f.left), dual(f.right))
-    return FTensor(dual(f.left), dual(f.right))
+    nodes, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        nodes.append(g)
+        if isinstance(g, (FTensor, FPar)):
+            todo += g.left, g.right
+    duals: dict[int, Formula] = {}
+    for g in reversed(nodes):
+        if isinstance(g, FAtom):
+            d = FAtom(g.key, not g.neg)
+        elif isinstance(g, FOne):
+            d = FBot()
+        elif isinstance(g, FBot):
+            d = FOne()
+        else:
+            d = (FPar if isinstance(g, FTensor) else FTensor)(duals[id(g.left)], duals[id(g.right)])
+        duals[id(g)] = d
+    return duals[id(f)]
 
 
 def formula_of_type(t: typesys.Type) -> Formula:

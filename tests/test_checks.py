@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import cProfile
 import functools
 import io
 import itertools
 import math
+import pstats
 import re
 import tracemalloc
 import warnings
@@ -531,6 +533,28 @@ def test_totalisations_peel_each_up_set_once(monkeypatch, n, order, conditions):
     assert counts == {"_planned_residual": conditions, "_causal_conditions": 1, "_verdict": 1}
 
 
+def test_warm_totalisations_build_no_linear_extension(monkeypatch, rng):
+    """The prefix that names the first linear extension in causality's
+    details is kept with the compiled conditions: a warm call runs
+    ``EventPoset.linear_extensions`` 0 times, and every report, a pass, a
+    normalization failure and a backwards signal, is the cold call's."""
+    p, poset = _channels(4, (("E1", "E2"), ("E3", "E4")))
+    scaled = Process(MATR, p.out_wires, p.in_wires, 1.5 * p.data)
+    chain = _chain(MATR, rng)
+    backwards = EventPoset([E1, E2], [("P2", "P1")])
+    first = next(iter(poset.linear_extensions()))
+    checks._suffix_conditions.cache_clear()
+    cases = [(p, poset), (scaled, poset), (chain, backwards)]
+    cold = [checks.check_via_totalisations(q, order, tol=TOL) for q, order in cases]
+    counts = collections.Counter()
+    _count_calls(monkeypatch, EventPoset, "linear_extensions", counts)
+    warm = [checks.check_via_totalisations(q, order, tol=TOL) for q, order in cases]
+    assert counts["linear_extensions"] == 0
+    assert warm == cold and [bool(r) for r in cold] == [True, False, False]
+    assert cold[1].detail.startswith(f"not a comb for the extension {first}: ")
+    assert cold[2].detail == "not a comb for the extension ('P2', 'P1'): event 'P1' signals backwards to ['P2']"
+
+
 @pytest.mark.parametrize(
     "n, order, conditions",
     [pytest.param(n, (), n, id=f"antichain{n}") for n in (2, 4, 6)]
@@ -1007,7 +1031,7 @@ def _coefficients_oracle(p):
 
 @pytest.mark.parametrize("backend", [MATR, CPM])
 def test_coefficients_match_definition(backend, rng):
-    """The memoized per-wire products give the definition's coefficients on
+    """The memoized grouped products give the definition's coefficients on
     wires of dimension 1, 2 and 3 in shuffled orders; the change of basis
     is orthogonal, and coefficient 0 is the total over the square root of
     the product of the dimensions."""
@@ -1016,7 +1040,7 @@ def test_coefficients_match_definition(backend, rng):
         rng.shuffle(systems)
         n_out = int(rng.integers(len(systems) + 1))
         p = rand_process(backend, tuple(systems[:n_out]), tuple(systems[n_out:]), rng)
-        c = checks._coefficients(p)
+        c = checks._coefficients(p, checks._projector_plan(backend, p.data.shape))
         np.testing.assert_allclose(c, _coefficients_oracle(p), rtol=0, atol=1e-12)
         assert c.dtype == p.data.dtype and c.shape == tuple(w.dim ** (1 + (backend == CPM)) for w in p.wires)
         assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(p.data), rel=1e-12)
@@ -1059,14 +1083,28 @@ def _pattern_maxima_oracle(c):
     return m
 
 
+def _plan_maxima(c, backend=MATR):
+    """Each pattern's largest ``|c|`` by ``checks._pattern_maxima`` on the
+    plan of data whose coefficients have ``c``'s shape, indexed as the
+    oracle's, 0.0 for an empty pattern."""
+    shape = c.shape if backend == MATR else tuple(math.isqrt(d) for d in c.shape) * 2
+    plan = checks._projector_plan(backend, shape)
+    m = np.zeros(2**c.ndim)
+    m[plan[5]] = checks._pattern_maxima(c.copy(), plan)
+    return m.reshape((2,) * c.ndim)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_pattern_maxima_match_every_pattern(dtype, rng):
     """Each pattern's maximum against a loop over the ``2**n`` patterns, with
-    dimension-1 axes, whose patterns with bit 1 are empty and give 0."""
+    dimension-1 axes, whose patterns with bit 1 are empty and give 0; on
+    the matr+ plan, and on the cpm plan of coefficients of squared sizes."""
     for shape in [(), (1,), (3, 1, 4), (1, 2, 1, 3), (4, 4, 2, 1, 3)]:
         c = np.asarray(rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0))
         want = _pattern_maxima_oracle(c)
-        assert np.array_equal(checks._pattern_maxima(c.copy()), want)
+        assert np.array_equal(_plan_maxima(c), want)
+        if all(math.isqrt(d) ** 2 == d for d in shape):
+            assert np.array_equal(_plan_maxima(c, CPM), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1091,32 +1129,90 @@ def test_pattern_maxima_match_oracle_property(dims, complex_, bad, seed):
         else:
             c[at] = value
     want = _pattern_maxima_oracle(c)
-    got = checks._pattern_maxima(c.copy())
+    got = _plan_maxima(c)
     assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
 
 
 def test_pattern_groups_are_shared_read_only_and_bounded():
-    """One grouping per dims, built once and shared: read-only arrays, one
-    ``intp`` per coefficient in ``order``, groups in pattern order and none
-    for an empty pattern, in a cache with a bound.  The per-shape bases of
-    ``_coefficients`` are shared the same way."""
-    assert 0 < checks._pattern_groups.cache_info().maxsize <= 64
-    assert 0 < checks._wire_bases.cache_info().maxsize <= 64
-    dims = (3, 1, 2)
-    order, starts, patterns = checks._pattern_groups(dims)
-    assert checks._pattern_groups(dims)[0] is order
-    for a in (order, starts, patterns):
+    """One plan per backend and data shape, built once and shared in a cache
+    with a bound: read-only arrays, one ``intp`` per coefficient in
+    ``order``, groups in pattern order and none for an empty pattern, and
+    the wires' bases fused into Kronecker products in wire order."""
+    assert 0 < checks._projector_plan.cache_info().maxsize <= 64
+    plan = checks._projector_plan(MATR, (3, 1, 2))
+    assert checks._projector_plan(MATR, (3, 1, 2)) is plan
+    perm, dims, steps, order, starts, patterns = plan
+    for a in (*steps, order, starts, patterns):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         order[0] = 0
+    assert perm == (0, 1, 2) and dims == (3, 1, 2)
     assert order.dtype == np.intp and sorted(order.tolist()) == list(range(6))
     # patterns (0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1); bit 1 on the size-1 axis is empty
     assert patterns.tolist() == [0b000, 0b001, 0b100, 0b101]
     assert starts.tolist() == [0, 1, 2, 4]
     assert order.tolist() == [0, 1, 2, 4, 3, 5]
-    plan = checks._wire_bases(CPM, (2, 3, 2, 3))
-    assert checks._wire_bases(CPM, (2, 3, 2, 3)) is plan
-    assert plan[:2] == ((0, 2, 1, 3), (4, 9)) and plan[2][1] is checks._basis(CPM, 3)
+    (step,) = steps  # 3 x 1 x 2 = 6 rows
+    want = functools.reduce(np.kron, (checks._basis(MATR, d) for d in (3, 1, 2)))
+    assert np.array_equal(step, want)
+    plan = checks._projector_plan(CPM, (2, 3, 2, 3))
+    assert checks._projector_plan(CPM, (2, 3, 2, 3)) is plan
+    assert plan[:2] == ((0, 2, 1, 3), (4, 9))
+    assert plan[2][0] is checks._basis(CPM, 2) and plan[2][1] is checks._basis(CPM, 3)  # 4 x 9 rows: no group
+
+
+@pytest.mark.parametrize(
+    "backend, dims, rows",
+    [
+        (MATR, (2,) * 9, [16, 16, 2]),  # four bits a step
+        (MATR, (3, 3, 3), [9, 3]),  # two trits
+        (MATR, (2, 1, 2, 2, 2, 2), [16, 2]),  # a group spans the dimension-1 wire
+        (MATR, (4, 2, 2, 3, 2), [16, 6]),
+        (MATR, (17, 1, 2), [17, 2]),  # a wire over the bound is a step alone
+        (CPM, (2, 2, 2), [16, 4]),  # two qubit wires
+        (CPM, (2, 3, 1, 2), [4, 9, 4]),  # the 9-row basis groups with a dimension-1 wire only
+        (CPM, (1, 1), [1]),
+        (CPM, (), []),
+    ],
+)
+def test_coefficients_group_neighbouring_wires(backend, dims, rows, rng):
+    """Neighbouring wires share one basis while it keeps at most 16 rows, the
+    Kronecker product of theirs in wire order; a wire that would pass the
+    bound starts the next step.  The grouped products give the definition's
+    coefficients."""
+    p = rand_process(backend, tuple(System(f"W{k}", d) for k, d in enumerate(dims)), (), rng)
+    plan = checks._projector_plan(backend, p.data.shape)
+    assert [q.shape[0] for q in plan[2]] == rows
+    bases = [checks._basis(backend, d) for d in dims]
+    for q in plan[2]:  # a dimension-1 wire's basis is [[1.0]], wherever it goes
+        want = bases.pop(0)
+        while want.shape[0] < q.shape[0]:
+            want = np.kron(want, bases.pop(0))
+        assert np.array_equal(q, want)
+    assert all(b.shape == (1, 1) for b in bases)
+    np.testing.assert_allclose(checks._coefficients(p, plan), _coefficients_oracle(p), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    backend=st.sampled_from([MATR, CPM]),
+    dims=st.lists(st.integers(1, 3), max_size=8),
+    n_out=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_coefficients_match_definition_property(backend, dims, n_out, seed):
+    """Up to 8 wires of dimensions 1-3 on matr+ and cpm (on cpm, the first
+    wires up to 256 wire states, 65,536 coefficients): the grouped products
+    give the oracle's coefficients, and every wire's rows are in one step."""
+    if backend == CPM:
+        while math.prod(dims) > 256:
+            dims = dims[:-1]
+    systems = tuple(System(f"W{k}", d) for k, d in enumerate(dims))
+    p = rand_process(backend, systems[:n_out], systems[n_out:], np.random.default_rng(seed))
+    plan = checks._projector_plan(backend, p.data.shape)
+    assert math.prod(q.shape[0] for q in plan[2]) == math.prod(plan[1]) == p.data.size
+    assert all(q.shape[0] <= 16 for q in plan[2])
+    np.testing.assert_allclose(checks._coefficients(p, plan), _coefficients_oracle(p), rtol=0, atol=1e-12)
 
 
 def _projector_reference(p, ty, tol):
@@ -1126,7 +1222,7 @@ def _projector_reference(p, ty, tol):
     compiled = checks._compile(ty)
     positive = backends.is_positive(p, tol)
     allowed, gamma = checks._allowed_terms(compiled.normal, p.wires)
-    c = checks._coefficients(p)
+    c = checks._coefficients(p, checks._projector_plan(p.backend, p.data.shape))
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
     forbidden = np.where(allowed, 0.0, _pattern_maxima_oracle(c))
     worst = np.unravel_index(np.argmax(forbidden), forbidden.shape)
@@ -1469,23 +1565,36 @@ def test_membership_memo_raises_every_time(ty, error, rng):
     assert messages[:2] == messages[2:4] == messages[4:]
 
 
-def test_projector_mask_is_shared_and_read_only(rng):
-    """The projector's mask is built once per wire layout, kept in the
-    layout's record, and cannot be written to."""
-    ty = "((A[2] -o B[2]) -o C[2]) -o D[2]"
-    p = rand_process(MATR, (System("B", 2), System("D", 2)), (System("A", 2), System("C", 2)), rng)
+def test_projector_mask_is_shared_and_read_only(monkeypatch, rng):
+    """The projector's forbidden patterns are found once per wire layout,
+    on matr+ and cpm alike, and kept in the layout's record: the positions
+    of the patterns the type forbids among the layout's non-empty ones,
+    read-only, and nothing of the size of the data."""
+    counts = collections.Counter()
+    _count_calls(monkeypatch, checks, "_forbidden_terms", counts)
+    ty = "((A[2] -o B[1]) -o C[2]) -o D[2]"
+    outs, ins = (System("B", 1), System("D", 2)), (System("A", 2), System("C", 2))
+    p, r = rand_process(MATR, outs, ins, rng), rand_process(CPM, outs, ins, rng)
     q = _reversed_wires(p)
     checks._compile.cache_clear()
-    for proc in (p, q, p, q):
+    for proc in (p, q, p, q, r, r):
         checks.check_projector(proc, ty, tol=TOL)
+    assert counts["_forbidden_terms"] == 2
     compiled = checks._compile(ty)
     assert set(compiled.layouts) == {(p.out_wires, p.in_wires), (q.out_wires, q.in_wires)}
-    mask, _ = compiled.layouts[p.out_wires, p.in_wires]["terms"]
+    record = compiled.layouts[p.out_wires, p.in_wires]
+    forbidden, gamma, bits, root = record["forbidden"]
+    assert list(record) == ["forbidden"] and forbidden.dtype == np.intp
+    allowed, want_gamma = checks._allowed_terms(compiled.normal, p.wires)
+    patterns = checks._projector_plan(MATR, p.data.shape)[5]
+    assert patterns.tolist() == checks._projector_plan(CPM, r.data.shape)[5].tolist()
+    assert patterns[forbidden].tolist() == [k for k in patterns.tolist() if not allowed.flat[k]]
+    assert (gamma, bits, root) == (want_gamma, (("B", 8), ("D", 4), ("A", 2), ("C", 1)), math.sqrt(8))
     checks.check_projector(p, ty, tol=TOL)
-    assert mask is compiled.layouts[p.out_wires, p.in_wires]["terms"][0]
-    assert not mask.flags.writeable
+    assert forbidden is compiled.layouts[p.out_wires, p.in_wires]["forbidden"][0]
+    assert not forbidden.flags.writeable
     with pytest.raises(ValueError):
-        mask[(0,) * mask.ndim] = False
+        forbidden[0] = 0
 
 
 # -- the per-layout path against a reference that redoes everything per call ----
@@ -1660,8 +1769,8 @@ def test_only_layouts_that_fit_are_kept(ty, error, rng):
 def test_wires_are_checked_once_per_type_and_layout(monkeypatch, rng):
     """``_check_wires`` runs once per type and wire layout, through
     ``check_membership`` and ``check_projector``, also for a ``cap``, whose
-    branches keep their records, and a projector branch its mask, under the
-    cap's key."""
+    branches keep their records, and a projector branch its forbidden
+    patterns, under the cap's key."""
     calls = collections.Counter()
     check_wires = checks._check_wires
 
@@ -1685,9 +1794,10 @@ def test_wires_are_checked_once_per_type_and_layout(monkeypatch, rng):
     branch = checks._compile(cap).branches[0]
     assert branch.procedure == "higher"
     for proc in (p, q):
-        mask, _ = branch.layouts[proc.out_wires, proc.in_wires]["terms"]
+        forbidden = branch.layouts[proc.out_wires, proc.in_wires]["forbidden"][0]
         checks.check_membership(proc, cap, tol=TOL)
-        assert branch.layouts[proc.out_wires, proc.in_wires]["terms"][0] is mask and not mask.flags.writeable
+        assert branch.layouts[proc.out_wires, proc.in_wires]["forbidden"][0] is forbidden
+        assert not forbidden.flags.writeable
 
 
 def test_warm_projector_verdict_hashes_each_wire_once(monkeypatch):
@@ -1704,6 +1814,43 @@ def test_warm_projector_verdict_hashes_each_wire_once(monkeypatch):
         calls.clear()
         assert checks.check_membership(inst.process, ty, tol=TOL)
         assert sorted(calls) == sorted(inst.process.wires)
+
+
+def test_warm_projector_verdict_makes_few_python_calls(rng):
+    """A warm ``check_membership`` verdict by the projector makes at most 65
+    Python-level calls, counted by cProfile over stand-ins for the projector
+    inputs of the ``soc_enum`` benchmark workload: the gallery's switches
+    and process matrices, and seeded fixed-order chains of 2-4 parties on
+    matr+ and of 2-3 qubit parties on cpm, each with a twin whose party
+    loop fails it.  Per-wire products and a pattern array scattered,
+    masked and reshaped on every verdict made 79 a verdict here."""
+    cases = [
+        (inst.process, inst.expectations[0][0])
+        for inst in (
+            gallery.quantum_z_switch(),
+            gallery.ocb_process(),
+            gallery.bw_process(),
+            gallery.classical_switch(2),
+            gallery.classical_switch(3),
+        )
+    ]
+    for backend, sizes in ((MATR, (2, 3, 4)), (CPM, (2, 3))):
+        for n in sizes:
+            host, parties = _soc_host(backend, n, rng)
+            loop = _party_loop(host, parties[int(rng.integers(n))], rng)
+            cases += [(host, _soc_type(parties)), (loop, _soc_type(parties))]
+    verdicts = []
+    for p, ty in cases:
+        assert checks._compile(ty).procedure == "higher"
+        verdicts.append([checks.check_membership(p, ty, tol=TOL) for _ in range(2)])
+    assert [bool(a) for a, b in verdicts] == [True] * 5 + [True, False] * 5 and all(a == b for a, b in verdicts)
+    profile = cProfile.Profile()
+    profile.enable()
+    for p, ty in cases:
+        checks.check_membership(p, ty, tol=TOL)
+    profile.disable()
+    calls = sum(stat[1] for stat in pstats.Stats(profile).stats.values())
+    assert calls / len(cases) <= 65, calls / len(cases)
 
 
 def test_matr_validity_is_decided_once_per_process_and_tolerance(monkeypatch, rng):

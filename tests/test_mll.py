@@ -22,6 +22,7 @@ from causkit.mll import (
     _key,
     _Search,
     _splits,
+    dual,
     formula_of_type,
     parse_proof,
     parse_sequent,
@@ -572,7 +573,7 @@ def test_net_is_counted_with_a_stack():
     """``.net`` of a 2,000-atom chain is counted without recursion and kept
     on that formula alone, none of its subformulas; flat sequents of 401 and
     990 atoms a side, whose balance ``prove`` checks first, prove (written
-    one-sided, as ``dual`` recurses)."""
+    one-sided)."""
     chain = parse_sequent(" (x) ".join(f"A{k}" for k in range(2000)))[0]
     assert chain.net == {f"A{k}": 1 for k in range(2000)}
     sub, below = chain.right, 0
@@ -583,6 +584,23 @@ def test_net_is_counted_with_a_stack():
     for n in (401, 990):
         side = " (+) ".join(f"A{k}" for k in range(n))
         assert verify_proof(prove(f"|- {side.replace(' (+)', '^* (+)')}^*, {side}"))
+
+
+def test_two_sided_chain_is_dualled_with_a_stack():
+    """``dual`` works without recursion: the two-sided sequent
+    ``A0 (x) .. (x) A1999 |- A0 (+) .. (+) A1999``, whose left side is
+    dualled on parsing, proves and ``verify_proof`` accepts its proof, and
+    the dual of a chain of that length is the chain with tensors and pars
+    exchanged and every literal flipped (compared by their renderings, made
+    with a stack, as ``==`` on formulas recurses)."""
+    side = " (x) ".join(f"A{k}" for k in range(2000))
+    sequent = parse_sequent(f"{side} |- {side.replace('(x)', '(+)')}")
+    one_sided = f"|- {side.replace(' (x)', '^* (+)')}^*, {side.replace('(x)', '(+)')}"
+    assert render_sequent(sequent) == render_sequent(parse_sequent(one_sided))
+    proof = prove(f"{side} |- {side.replace('(x)', '(+)')}")
+    assert proof is not None and verify_proof(proof)
+    assert render_sequent(proof.sequent) == render_sequent(sequent)
+    assert dual(sequent[0]).name == parse_sequent(side)[0].name
 
 
 def test_derivability_is_sound_but_not_complete(rng):
