@@ -47,7 +47,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -110,21 +110,24 @@ def _bound(backend: str, tol: float, scale):
     return tol * scale if math.isfinite(scale) else math.nan
 
 
-def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, str]]) -> CheckReport:
+def _verdict(p: Process, tol: float, conditions: Iterable[tuple[float, str | Callable[[], str]]]) -> CheckReport:
     """The one verdict rule, for residuals measured against ``p``.
 
     Each condition is ``(residual, detail if it fails)``, judged against
     :func:`_bound`: a ``rel`` residual passes iff it is 0, whatever ``tol``
     is; any other passes iff it is at most ``tol * _scale(p)``.  A
-    non-finite residual or scale fails.
+    non-finite residual or scale fails.  A detail may be given unbuilt, as a
+    callable of no arguments: only the first failing condition's is built
+    (:func:`_conjunction`).
     """
     bound = _bound(p.backend, tol, _scale(p))
     return _conjunction([(r <= bound, r, detail) for r, detail in conditions], tol)
 
 
-def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> CheckReport:
+def _conjunction(conditions: Iterable[tuple[bool, float, str | Callable[[], str]]], tol: float) -> CheckReport:
     """Conjoin decided conditions ``(passed, residual, detail)``: the worst
-    residual, NaN included, and the detail of the first failure."""
+    residual, NaN included, and the detail of the first failure, built there
+    if it was given as a callable."""
     ok, worst, bad = True, 0.0, ""
     for passed, residual, detail in conditions:
         residual = float(residual)
@@ -132,6 +135,8 @@ def _conjunction(conditions: Iterable[tuple[bool, float, str]], tol: float) -> C
             worst = residual
         if not passed and ok:
             ok, bad = False, detail
+    if not ok and callable(bad):
+        bad = bad()
     return CheckReport(ok, worst, tol, bad)
 
 

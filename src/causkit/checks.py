@@ -47,8 +47,10 @@ combs and tensors of events to their procedures on every backend, every
 other type to the projector on matr+ and cpm and, on rel, to ``check_soc``.
 Each type is compiled once (``_compile``): its normal form, wire roles,
 procedure and events are kept for every later call with that type, and one
-record per type and wire layout, found by one lookup, keeps its wire check
-and the projector's forbidden patterns (a layout that fails is not kept).
+record per type and wire layout, found by one lookup of the process's
+layout key (``core.Process._layout``), keeps its wire check and the
+projector's forbidden patterns (a layout that fails is not kept); the
+signalling conditions are compiled per poset and layout key too.
 Scale and validity are decided once per ``Process`` (see ``backends``), so
 a warm verdict does only the work on ``p.data``.  A cold call, such as every
 CLI call, does the parsing and dispatch work that every call did before.
@@ -101,7 +103,7 @@ def _independence_residual(p: Process, gone: tuple[str, ...], plugged: tuple[str
     there are none: ``q`` is ``p`` with the outputs ``gone`` discarded, ``q'``
     is ``q`` with the uniform causal state plugged into ``plugged``.  Run by
     :func:`_planned_residual` on the plan of :func:`_independence_plan`."""
-    return _planned_residual(_independence_plan(p.backend, p.out_wires, p.in_wires, gone, plugged), p.data)
+    return _planned_residual(_independence_plan(p.backend, p._layout, gone, plugged), p.data)
 
 
 def _planned_residual(plan, data: np.ndarray) -> float:
@@ -140,18 +142,20 @@ def _planned_residual(plan, data: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], gone: tuple, plugged: tuple):
-    """The plan of :func:`_planned_residual` for any ``p`` with these wires,
-    None if ``plugged`` is empty: the :func:`core._marginal_plan` discarding
-    ``gone`` and whether it sums over any axis (if not, einsum gives a view
-    of the data); the einsum view of the marginal's plugged diagonal, None
-    where that is all of it (off cpm, or plugged wires of dimension 1); the
-    uniform state's diagonal, read-only; the einsum weighing the one by the
-    other, numbered as :func:`core._plan` numbers plugging the uniform state,
-    so that it sums in the same order; and the shape of the weighted sum
-    with size-1 axes where it was plugged.  A label that is not an output
+def _independence_plan(backend: str, layout: core._Layout, gone: tuple, plugged: tuple):
+    """The plan of :func:`_planned_residual` for any ``p`` with this wire
+    layout (``p._layout``), None if ``plugged`` is empty: the
+    :func:`core._marginal_plan` discarding ``gone`` and whether it sums over
+    any axis (if not, einsum gives a view of the data); the einsum view of
+    the marginal's plugged diagonal, None where that is all of it (off cpm,
+    or plugged wires of dimension 1); the uniform state's diagonal,
+    read-only; the einsum weighing the one by the other, numbered as
+    :func:`core._plan` numbers plugging the uniform state, so that it sums
+    in the same order; and the shape of the weighted sum with size-1 axes
+    where it was plugged.  A label that is not an output
     (``gone``) or an input (``plugged``) raises on every call: the cache
     keeps only results."""
+    outs, ins = layout.out_wires, layout.in_wires
     for labels, wires, role in ((gone, outs, "output"), (plugged, ins, "input")):
         missing = set(labels) - {w.label for w in wires}
         if missing:
@@ -182,13 +186,13 @@ def _independence_plan(backend: str, outs: tuple[System, ...], ins: tuple[System
     return marginal, sums, diagonal, uniform, weigh, shape
 
 
-def _up_set_plan(poset: EventPoset, up: frozenset[str], backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
+def _up_set_plan(poset: EventPoset, up: frozenset[str], backend: str, layout: core._Layout):
     """The plan of the condition that the events ``up`` do not signal into
     the rest: with their outputs discarded, ``p`` must be independent of
     their inputs.  Every signalling condition below is this one, on an
     up-set."""
     events = [e for e in poset.events if e.name in up]
-    return _independence_plan(backend, outs, ins, sum((e.outs for e in events), ()), sum((e.ins for e in events), ()))
+    return _independence_plan(backend, layout, sum((e.outs for e in events), ()), sum((e.ins for e in events), ()))
 
 
 # -- signalling along a partial order --------------------------------------------
@@ -209,7 +213,7 @@ def check_order_consistency(p: Process, poset: EventPoset, tol: float = DEFAULT_
     (:func:`_order_conditions`) and judged with causality's in one verdict
     (:func:`_up_set_verdict`).
     """
-    return _up_set_verdict(p, _order_conditions(poset, p.backend, p.out_wires, p.in_wires), tol)
+    return _up_set_verdict(p, _order_conditions(poset, p.backend, p._layout), tol)
 
 
 def _up_set_verdict(p: Process, compiled, tol: float, prefix: str = "") -> CheckReport:
@@ -223,17 +227,17 @@ def _up_set_verdict(p: Process, compiled, tol: float, prefix: str = "") -> Check
 
 
 @functools.lru_cache(maxsize=1024)
-def _order_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
+def _order_conditions(poset: EventPoset, backend: str, layout: core._Layout):
     """The up-set conditions of :func:`check_order_consistency` on processes
-    with these wires: for each event whose up-set is not every event, top
-    first, the up-set's plan and the detail if it fails.  Events that do not
-    tile the wires raise :class:`BadPartition` on every call, since the
+    with this wire layout: for each event whose up-set is not every event,
+    top first, the up-set's plan and the detail if it fails.  Events that do
+    not tile the wires raise :class:`BadPartition` on every call, since the
     cache keeps no exception."""
-    _check_partition(poset.events, outs, ins)
+    _check_partition(poset.events, layout.out_wires, layout.in_wires)
     up = {x: frozenset(n for n in poset.names if x in poset._below[n]) for x in poset.names}
     return tuple(
         (
-            _up_set_plan(poset, up[x], backend, outs, ins),
+            _up_set_plan(poset, up[x], backend, layout),
             f"event {x!r} signals backwards to {[n for n in poset.names if n not in up[x]]}",
         )
         for x in sorted(poset.names, key=lambda x: len(up[x]))
@@ -280,18 +284,19 @@ def check_via_totalisations(p: Process, poset: EventPoset, tol: float = DEFAULT_
         raise TooManyEvents(
             f"{len(poset)} events can have up to {len(poset)}! linear extensions"
         )
-    prefix, compiled = _suffix_conditions(poset, p.backend, p.out_wires, p.in_wires)
+    prefix, compiled = _suffix_conditions(poset, p.backend, p._layout)
     return _up_set_verdict(p, compiled, tol, prefix)
 
 
 @functools.lru_cache(maxsize=1024)
-def _suffix_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...], ins: tuple[System, ...]):
+def _suffix_conditions(poset: EventPoset, backend: str, layout: core._Layout):
     """The prefix of causality's details in :func:`check_via_totalisations`
-    on processes with these wires, which names the first linear extension,
-    and its conditions: each proper suffix set of a linear extension at its
-    first occurrence, with its plan and the detail if it fails.  Events that
-    do not tile the wires raise :class:`BadPartition` on every call."""
-    _check_partition(poset.events, outs, ins)
+    on processes with this wire layout, which names the first linear
+    extension, and its conditions: each proper suffix set of a linear
+    extension at its first occurrence, with its plan and the detail if it
+    fails.  Events that do not tile the wires raise :class:`BadPartition` on
+    every call."""
+    _check_partition(poset.events, layout.out_wires, layout.in_wires)
     conditions, prefix = {}, ""
     for ext in poset.linear_extensions():
         prefix = prefix or f"not a comb for the extension {ext}: "
@@ -299,7 +304,7 @@ def _suffix_conditions(poset: EventPoset, backend: str, outs: tuple[System, ...]
             up = frozenset(ext[k:])
             if up not in conditions:
                 detail = f"event {ext[k]!r} signals backwards to {list(ext[:k])}"
-                plan = _up_set_plan(poset, up, backend, outs, ins)
+                plan = _up_set_plan(poset, up, backend, layout)
                 conditions[up] = plan, f"not a comb for the extension {ext}: {detail}"
     return prefix, tuple(conditions.values())
 
@@ -504,25 +509,33 @@ def _coefficients(p: Process, plan) -> np.ndarray:
     them last, so after the last step the axes are back in order.  The
     bases are real, so cpm data runs as its float64 view, each re/im pair on
     a trailing axis; the products carry that axis to the front, and two
-    strided copies interleave the real and imaginary parts again.  The
-    products alternate between the two halves of one array of twice the
-    data's size, the first a copy of the data in wire order.  One allocation,
-    not two: with two, the C allocator gave the memory back to the system
-    after each warm verdict on 8 cpm qubit wires, and the next verdict
-    faulted it all in again (480 page faults each).
+    strided copies interleave the real and imaginary parts again.
+
+    The products alternate between the two halves of one array of the
+    data's size twice over.  On matr+ the data is already in wire order, so
+    the first product reads ``p.data`` itself: the same C-order operand as a
+    copy, so the same bits.  On cpm each wire's ket and bra axes are brought
+    together first, by a copy into the second half.  One allocation, not
+    two: with two, the C allocator gave the memory back to the system after
+    each warm verdict on 8 cpm qubit wires, and the next verdict faulted it
+    all in again (480 page faults each).
     """
     perm, dims, steps = plan[:3]
-    data = p.data.transpose(perm)
-    x = np.empty((2,) + data.shape, data.dtype)
-    np.copyto(x[:1], data)
-    x, y = x.reshape(2, -1).view(np.float64)
-    for q in steps:
+    cpm = p.backend == CPM
+    data = p.data.transpose(perm) if cpm else p.data
+    halves = np.empty((2,) + data.shape, data.dtype)
+    if cpm:
+        halves[1] = data
+    halves = halves.reshape(2, -1).view(np.float64)
+    x = halves[1] if cpm else data.reshape(-1)  # a C-order copy if data is not C-contiguous
+    for i, q in enumerate(steps):
         k = q.shape[0]
+        y = halves[i % 2]
         np.matmul(x.reshape(k, -1).T, q, out=y.reshape(-1, k))
-        x, y = y, x
-    if p.backend == CPM:  # x holds the real parts, then the imaginary ones
-        c = y.view(complex)
-        c.real, c.imag = x.reshape(2, -1)
+        x = y
+    if cpm:  # x holds the real parts, then the imaginary ones
+        c, n = halves[len(steps) % 2].view(complex), p.data.size
+        c.real, c.imag = x[:n], x[n:]
         x = c
     return x.reshape(dims)
 
@@ -556,26 +569,30 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
 def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> CheckReport:
     """:func:`check_projector` given the compiled type and the record of
     ``p``'s wire layout, which keeps :func:`_forbidden_terms` from the first
-    verdict on."""
+    verdict on.  The forbidden term and the total are named only when their
+    condition is the first to fail (:func:`backends._verdict`)."""
     positive = backends.is_positive(p, tol)  # before any array of p's size is made here
     if not math.isfinite(backends._scale(p)):  # no coefficient of a non-finite process means anything
         return positive
     plan = _projector_plan(p.backend, p.data.shape)
-    patterns = plan[5]
     if "forbidden" not in record:
-        record["forbidden"] = _forbidden_terms(compiled.normal, p.wires, patterns)
+        record["forbidden"] = _forbidden_terms(compiled.normal, p.wires, plan[5])
     forbidden, gamma, bits, root = record["forbidden"]
     c = _coefficients(p, plan)
-    total = complex(c[(0,) * c.ndim]) * root
-    residual, term = 0.0, ""  # a type may forbid no pattern
+    total = complex(c.item(0)) * root
+    residual, worst = 0.0, None  # a type may forbid no pattern
     if forbidden.size:
         maxima = _pattern_maxima(c, plan)[forbidden]
-        worst = int(maxima.argmax())
-        residual, pattern = float(maxima[worst]), int(patterns[forbidden[worst]])
-        term = ", ".join([label for label, bit in bits if pattern & bit])
+        worst = maxima.argmax()
+        residual = float(maxima[worst])
+
+    def term() -> str:
+        pattern = 0 if worst is None else int(plan[5][forbidden[worst]])
+        return f"the type forbids a term on {{{', '.join([label for label, bit in bits if pattern & bit])}}}"
+
     return _verdict(p, tol, [
-        (residual, f"the type forbids a term on {{{term}}}"),
-        (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
+        (residual, term),
+        (abs(total - gamma), lambda: f"total {total.real:.6g} is not {gamma:.6g}"),
         (positive.residual, positive.detail),
     ])
 
@@ -609,8 +626,8 @@ class _Compiled:
     ``"is_causal"``, ``"comb"`` or ``"nonsignalling"`` on ``events``;
     ``"cap"``, the conjunction of ``branches``; or ``"higher"``, the
     projector on matr+ and cpm and, on rel, ``check_soc`` on the parties in
-    ``events`` (None: no procedure).  ``layouts`` maps each wire layout
-    ``(out_wires, in_wires)`` that passed :func:`_check_wires` to its record.
+    ``events`` (None: no procedure).  ``layouts`` maps the key of each wire
+    layout that passed :func:`_check_wires`, ``p._layout``, to its record.
     """
 
     parsed: Type
@@ -620,17 +637,17 @@ class _Compiled:
     procedure: str
     events: tuple[Event, ...] | None = None
     branches: tuple["_Compiled", ...] = ()
-    layouts: dict[tuple[tuple[System, ...], tuple[System, ...]], dict] = field(default_factory=dict)
+    layouts: dict[core._Layout, dict] = field(default_factory=dict)
 
     def layout(self, p: Process) -> dict:
-        """The record of ``p``'s wire layout, from one lookup; on a miss the
-        layout is kept once it passes :func:`_check_wires`.  The projector
-        keeps :func:`_forbidden_terms` there, under ``"forbidden"``."""
-        key = p.out_wires, p.in_wires
-        record = self.layouts.get(key)
+        """The record of ``p``'s wire layout, from one lookup by its key; on
+        a miss the layout is kept once it passes :func:`_check_wires`.  The
+        projector keeps :func:`_forbidden_terms` there, under
+        ``"forbidden"``."""
+        record = self.layouts.get(p._layout)
         if record is None:
             _check_wires(p, self)
-            record = self.layouts[key] = {}
+            record = self.layouts[p._layout] = {}
         return record
 
 
@@ -763,8 +780,8 @@ def check_membership(
 
     The one-event, comb and tensor shapes keep their own procedures on
     matr+ and cpm because the projector, with the same verdicts, is slower:
-    about 2.3 times over the 34 matr+/cpm membership inputs of the
-    ``signalling`` benchmark workload, about 5 times on its 4-event cpm comb
+    about 2.2 times over the 34 matr+/cpm membership inputs of the
+    ``signalling`` benchmark workload, about 4.9 times on its 4-event cpm comb
     (sums of the best of 30 warm calls, seed 1, 2-core x86-64, one BLAS
     thread).  Every procedure asks for causality, and so for matr+
     non-negativity and cpm complete positivity (:func:`backends.is_causal`).
@@ -780,8 +797,7 @@ def _decide(p: Process, compiled: _Compiled, record: dict, tol: float, budget: i
     wire layout."""
     procedure, events = compiled.procedure, compiled.events
     if procedure == "cap":  # each branch has the cap's wire roles, so p's layout fits it
-        key = p.out_wires, p.in_wires
-        reports = [_decide(p, b, b.layouts.setdefault(key, {}), tol, budget) for b in compiled.branches]
+        reports = [_decide(p, b, b.layouts.setdefault(p._layout, {}), tol, budget) for b in compiled.branches]
         return _conjunction(((r.passed, r.residual, r.detail) for r in reports), tol)
     if procedure == "is_causal":
         return backends.is_causal(p, tol)

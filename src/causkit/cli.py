@@ -27,10 +27,12 @@ from .errors import CauskitError
 
 
 def _load_process(spec: str):
-    from . import core, gallery
-
     if spec.startswith("example:"):
+        from . import gallery
+
         return gallery.build(spec[len("example:") :]).process
+    from . import core
+
     return core.load_process(spec)
 
 

@@ -46,6 +46,7 @@ import gc
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -121,6 +122,22 @@ class System:
             raise ShapeMismatch(f"system {self.label!r} must have integer dimension >= 1, got {self.dim!r}")
 
 
+class _Layout:
+    """The wire layout ``(out_wires, in_wires)`` shared by processes, as a
+    key: one object per layout in the interpreter (``Process._layout``),
+    hashed and compared by identity in C, so a cache keyed by it hashes no
+    :class:`System`.  It means nothing in another interpreter."""
+
+    __slots__ = ("out_wires", "in_wires", "__weakref__")
+
+    def __init__(self, out_wires: tuple[System, ...], in_wires: tuple[System, ...]):
+        self.out_wires, self.in_wires = out_wires, in_wires
+
+
+#: The live layout keys by wires; a key goes once no process or cache holds it.
+_LAYOUTS = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True, eq=False)
 class Process:
     """A dense process tensor. See the module docstring for the data layout.
@@ -132,6 +149,10 @@ class Process:
     array.  Read-only is numpy's ``writeable`` flag, which the holder of an
     array that owns its memory can set again; the memo stays true of the
     process only as long as nobody does and writes into the data.
+
+    ``_layout``, the key of the wire layout, is made on first use and kept;
+    a pickle leaves it out and keeps the rest, the memo too, and a loaded
+    process's data is read-only again.
     """
 
     backend: str
@@ -157,6 +178,25 @@ class Process:
         if data.shape != expected:
             raise ShapeMismatch(f"data shape {data.shape} does not match wires, expected {expected}")
         object.__setattr__(self, "data", _read_only(data, self.data))
+
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        """The one :class:`_Layout` of ``(out_wires, in_wires)``, made when
+        none is alive."""
+        key = self.out_wires, self.in_wires
+        layout = _LAYOUTS.get(key)
+        if layout is None:
+            layout = _LAYOUTS[key] = _Layout(*key)
+        return layout
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_layout", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.data.flags.writeable = False
 
     # -- structural helpers -------------------------------------------------
 

@@ -141,20 +141,50 @@ def _name(f: FTensor | FPar) -> str:
     return vars(f)["name"]
 
 
-@dataclass(frozen=True)
+def _equal(f: FTensor | FPar, g: object) -> bool:
+    """Is ``g`` the same tree as ``f``?  Walked with a stack rather than by
+    recursion, so that chains of any length compare, left factors first; a
+    shared subformula is equal without a walk.  Names are not compared: two
+    different trees can render alike."""
+    if type(g) is not type(f):
+        return NotImplemented
+    todo = [(f, g)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (FTensor, FPar)):
+            todo += (a.right, b.right), (a.left, b.left)
+        elif a != b:
+            return False
+    return True
+
+
+def _hash(f: FTensor | FPar) -> int:
+    """The hash of ``f``'s name, which equal trees share."""
+    return hash(f.name)
+
+
+@dataclass(frozen=True, eq=False)
 class FTensor:
     left: "Formula"
     right: "Formula"
     net = functools.cached_property(_net)
     name = functools.cached_property(_name)
+    __eq__ = _equal
+    __hash__ = _hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FPar:
     left: "Formula"
     right: "Formula"
     net = functools.cached_property(_net)
     name = functools.cached_property(_name)
+    __eq__ = _equal
+    __hash__ = _hash
 
 
 Formula = Union[FAtom, FOne, FBot, FTensor, FPar]

@@ -21,6 +21,21 @@ TOL = 1e-9
 RECONSTRUCT_TOL = 1e-12
 
 
+def test_verdict_builds_only_the_first_failing_detail():
+    """A detail given as a callable is built only when its condition is the
+    first to fail; a passing verdict builds none."""
+    p = backends.discard(MATR, (System("A", 2),))
+    built = []
+
+    def detail(name):
+        return lambda: built.append(name) or name
+
+    report = backends._verdict(p, TOL, [(0.0, detail("a")), (1.0, detail("b")), (2.0, detail("c")), (3.0, "d")])
+    assert (report.passed, report.residual, report.detail, built) == (False, 3.0, "b", ["b"])
+    report = backends._verdict(p, TOL, [(0.0, detail("e")), (TOL / 2, detail("f"))])
+    assert (report.passed, report.detail, built) == (True, "", ["b"])
+
+
 def test_discard_and_uniform_are_dual():
     for backend, want in ((MATR, 1.0), (CPM, 1.0), (REL, True)):
         sys2 = (System("A", 2), System("B", 3))

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causkit
 from causkit import core, events, gallery
 from causkit.cli import main
 from causkit.core import CPM, MATR, REL, Process, System
@@ -19,6 +23,21 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return code, doc, captured.err
+
+
+def test_check_of_a_json_file_imports_no_gallery():
+    """``check`` of a JSON file loads the process without ``causkit.gallery``,
+    which only ``example:NAME`` needs; each subcommand imports what it uses."""
+    data = Path(__file__).parent / "data" / "qubit_transpose.json"
+    code = (
+        "import sys\n"
+        "from causkit.cli import main\n"
+        f"assert main(['check', {str(data)!r}, '--type', 'A[2] -o B[2]', '--expect', 'fail']) == 0\n"
+        "assert 'causkit.gallery' not in sys.modules, 'gallery was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(causkit.__file__))}
+    ran = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stderr
 
 
 def test_check_causal_default(capsys, tmp_path):

@@ -591,16 +591,37 @@ def test_two_sided_chain_is_dualled_with_a_stack():
     ``A0 (x) .. (x) A1999 |- A0 (+) .. (+) A1999``, whose left side is
     dualled on parsing, proves and ``verify_proof`` accepts its proof, and
     the dual of a chain of that length is the chain with tensors and pars
-    exchanged and every literal flipped (compared by their renderings, made
-    with a stack, as ``==`` on formulas recurses)."""
+    exchanged and every literal flipped."""
     side = " (x) ".join(f"A{k}" for k in range(2000))
     sequent = parse_sequent(f"{side} |- {side.replace('(x)', '(+)')}")
     one_sided = f"|- {side.replace(' (x)', '^* (+)')}^*, {side.replace('(x)', '(+)')}"
-    assert render_sequent(sequent) == render_sequent(parse_sequent(one_sided))
+    assert sequent == parse_sequent(one_sided)
     proof = prove(f"{side} |- {side.replace('(x)', '(+)')}")
     assert proof is not None and verify_proof(proof)
-    assert render_sequent(proof.sequent) == render_sequent(sequent)
-    assert dual(sequent[0]).name == parse_sequent(side)[0].name
+    assert proof.sequent == sequent
+    assert dual(sequent[0]) == parse_sequent(side)[0]
+
+
+def test_formulas_compare_and_hash_with_a_stack():
+    """``==`` and ``hash`` on tensors and pars work without recursion: two
+    equal 2,000-atom chains built apart compare equal and hash alike, and a
+    chain that differs in its last atom, or only in one connective, does
+    not compare equal.  Equality is structural: two trees that render alike
+    are not equal."""
+
+    def chain(last):
+        f = last
+        for k in range(1997, -1, -1):
+            f = FTensor(FAtom(f"A{k}"), f)
+        return f
+
+    a, b = (chain(FTensor(FAtom("A1998"), FAtom("A1999"))) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != chain(FTensor(FAtom("A1998"), FAtom("B")))
+    assert a != chain(FPar(FAtom("A1998"), FAtom("A1999")))
+    x = FTensor(FAtom("A (x) B"), FAtom("C"))
+    y = FTensor(FAtom("A"), FAtom("B (x) C"))
+    assert x.name == y.name and x != y
 
 
 def test_derivability_is_sound_but_not_complete(rng):
