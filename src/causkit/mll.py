@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -80,10 +81,52 @@ from . import typesys
 # -- formulas ------------------------------------------------------------------
 
 
-# Each formula keeps its ``name`` (the rendering without outer parentheses)
-# and its ``net`` (atom key -> positive minus negative occurrences), both
-# made on first use (a name also when a formula around it is named, a net
-# only when asked) and never written after: the search reads them often.
+# Formulas are interned: a weak table holds the live node for each class and
+# its fields, so building equal fields again gives back that node, and ``==``
+# and ``hash`` are identity.  Each node is made together with its dual (a
+# literal with its flip, ``1`` with ``bot``, a tensor with the par of its
+# factors' duals) and keeps it as ``dual``.  An atom key is an atom name of
+# the type grammar, so names render formulas one to one.  Each formula also
+# keeps its ``name`` (the rendering without outer parentheses) and its
+# ``net`` (atom key -> positive minus negative occurrences), both made on
+# first use (a name also when a formula around it is named, a net only when
+# asked) and never written after: the search reads them often.
+
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# ``Name`` or ``Name[dim]`` with ``dim >= 1`` as ``formula_of_type`` writes it, never ``I``
+_ATOM_KEY = re.compile(r"(?!I(?:\[|$))[A-Za-z_][A-Za-z0-9_']*(?:\[[1-9][0-9]*\])?")
+
+
+class _Node:
+    """An interned formula (see above).  ``_fields`` names a node's fields in
+    constructor order; ``_duals(*fields)`` gives its dual's class and fields,
+    and ``_ident(fields)`` the node's key in the table."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        node = _NODES.get(cls._ident(fields))
+        if node is None:
+            dual_cls, dual_fields = cls._duals(*fields)
+            node, dual = object.__new__(cls), object.__new__(dual_cls)
+            vars(node).update(zip(cls._fields, fields), dual=dual)
+            vars(dual).update(zip(cls._fields, dual_fields), dual=node)
+            _NODES[cls._ident(fields)], _NODES[dual_cls._ident(dual_fields)] = node, dual
+        return node
+
+    @classmethod
+    def _ident(cls, fields: tuple) -> tuple:
+        return (cls, *fields)
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self)[f] for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formulas are immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self.name}>"
 
 
 def _net(*formulas: Formula) -> dict[str, int]:
@@ -101,27 +144,34 @@ def _net(*formulas: Formula) -> dict[str, int]:
     return net
 
 
-@dataclass(frozen=True)
-class FAtom:
-    key: str
-    neg: bool = False
+class FAtom(_Node):
+    _fields = ("key", "neg")
     net = functools.cached_property(_net)
+
+    def __new__(cls, key: str, neg: bool = False):
+        return super().__new__(cls, key, neg)
+
+    @staticmethod
+    def _duals(key: str, neg: bool):
+        if _ATOM_KEY.fullmatch(key) is None:
+            raise TypeSyntaxError(f"atom key {key!r} is not an atom name")
+        return FAtom, (key, not neg)
 
     @functools.cached_property
     def name(self) -> str:
         return f"{self.key}^*" if self.neg else self.key
 
 
-@dataclass(frozen=True)
-class FOne:
+class FOne(_Node):
     name = "I"
     net = {}
+    _duals = staticmethod(lambda: (FBot, ()))
 
 
-@dataclass(frozen=True)
-class FBot:
+class FBot(_Node):
     name = "I^*"
     net = {}
+    _duals = staticmethod(lambda: (FOne, ()))
 
 
 def _name(f: FTensor | FPar) -> str:
@@ -141,81 +191,31 @@ def _name(f: FTensor | FPar) -> str:
     return vars(f)["name"]
 
 
-def _equal(f: FTensor | FPar, g: object) -> bool:
-    """Is ``g`` the same tree as ``f``?  Walked with a stack rather than by
-    recursion, so that chains of any length compare, left factors first; a
-    shared subformula is equal without a walk.  Names are not compared: two
-    different trees can render alike."""
-    if type(g) is not type(f):
-        return NotImplemented
-    todo = [(f, g)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (FTensor, FPar)):
-            todo += (a.right, b.right), (a.left, b.left)
-        elif a != b:
-            return False
-    return True
-
-
-def _hash(f: FTensor | FPar) -> int:
-    """The hash of ``f``'s name, which equal trees share."""
-    return hash(f.name)
-
-
-@dataclass(frozen=True, eq=False)
-class FTensor:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    _fields = ("left", "right")
     net = functools.cached_property(_net)
     name = functools.cached_property(_name)
-    __eq__ = _equal
-    __hash__ = _hash
+
+    def __new__(cls, left: Formula, right: Formula):
+        return super().__new__(cls, left, right)
+
+    @classmethod
+    def _ident(cls, fields: tuple) -> tuple:
+        # factors by id, so that the table keeps no formula alive and one
+        # collection frees the node-dual cycles of a dropped formula at once;
+        # a node keeps its factors, so the ids are theirs while it lives
+        return cls, id(fields[0]), id(fields[1])
 
 
-@dataclass(frozen=True, eq=False)
-class FPar:
-    left: "Formula"
-    right: "Formula"
-    net = functools.cached_property(_net)
-    name = functools.cached_property(_name)
-    __eq__ = _equal
-    __hash__ = _hash
+class FTensor(_Binary):
+    _duals = staticmethod(lambda left, right: (FPar, (left.dual, right.dual)))
+
+
+class FPar(_Binary):
+    _duals = staticmethod(lambda left, right: (FTensor, (left.dual, right.dual)))
 
 
 Formula = Union[FAtom, FOne, FBot, FTensor, FPar]
-
-
-def dual(f: Formula) -> Formula:
-    """The negation of ``f`` in negation normal form: each literal flipped,
-    the units swapped, tensors and pars exchanged.  Made with a stack rather
-    than by recursion, so that a chain of any length is dualled: the nodes
-    are listed parents first, then dualled children first.  A literal, most
-    of the prover's calls, is flipped without them."""
-    if isinstance(f, FAtom):
-        return FAtom(f.key, not f.neg)
-    nodes, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        nodes.append(g)
-        if isinstance(g, (FTensor, FPar)):
-            todo += g.left, g.right
-    duals: dict[int, Formula] = {}
-    for g in reversed(nodes):
-        if isinstance(g, FAtom):
-            d = FAtom(g.key, not g.neg)
-        elif isinstance(g, FOne):
-            d = FBot()
-        elif isinstance(g, FBot):
-            d = FOne()
-        else:
-            d = (FPar if isinstance(g, FTensor) else FTensor)(duals[id(g.left)], duals[id(g.right)])
-        duals[id(g)] = d
-    return duals[id(f)]
 
 
 def formula_of_type(t: typesys.Type) -> Formula:
@@ -227,9 +227,9 @@ def formula_of_type(t: typesys.Type) -> Formula:
     if isinstance(t, typesys.Unit):
         return FOne()
     if isinstance(t, typesys.Dual):
-        return dual(formula_of_type(t.body))
+        return formula_of_type(t.body).dual
     if isinstance(t, typesys.Lolli):
-        return FPar(dual(formula_of_type(t.left)), formula_of_type(t.right))
+        return FPar(formula_of_type(t.left).dual, formula_of_type(t.right))
     if isinstance(t, (typesys.Tensor, typesys.Par)):
         cls = FTensor if isinstance(t, typesys.Tensor) else FPar
         parts = [formula_of_type(p) for p in t.parts]
@@ -244,30 +244,29 @@ def parse_formula(text: str) -> Formula:
     return formula_of_type(typesys.parse_type(text))
 
 
+def _split_formulas(side: str) -> list[Formula]:
+    """The formulas of a comma-separated list; a comma inside open
+    parentheses, as in ``cap(..)``, ends no formula."""
+    side = side.strip()
+    if not side:
+        return []
+    parts: list[str] = []
+    for piece in side.split(","):
+        if parts and parts[-1].count("(") > parts[-1].count(")"):
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
+    return [parse_formula(s) for s in parts]
+
+
 def parse_sequent(text: str) -> tuple[Formula, ...]:
     """``A, B |- C`` becomes ``|- A^*, B^*, C``; a bare list is one-sided."""
-
-    def split_formulas(side: str) -> list[Formula]:
-        side = side.strip()
-        if not side:
-            return []
-        # a comma inside open parentheses, as in cap(..), ends no formula
-        parts: list[str] = []
-        for piece in side.split(","):
-            if parts and parts[-1].count("(") > parts[-1].count(")"):
-                parts[-1] += "," + piece
-            else:
-                parts.append(piece)
-        return [parse_formula(s) for s in parts]
-
     if "|-" in text:
         left, right = text.split("|-", 1)
         if "|-" in right:
             raise TypeSyntaxError(f"more than one |- in {text!r}")
-        return tuple(
-            [dual(f) for f in split_formulas(left)] + split_formulas(right)
-        )
-    return tuple(split_formulas(text))
+        return tuple([f.dual for f in _split_formulas(left)] + _split_formulas(right))
+    return tuple(_split_formulas(text))
 
 
 def render_formula(f: Formula, ctx: int = 2) -> str:
@@ -424,7 +423,7 @@ def verify_proof(proof: Proof) -> bool:
             if len(seq) != 2 or not (
                 isinstance(seq[0], FAtom)
                 and isinstance(seq[1], FAtom)
-                and seq[0] == dual(seq[1])
+                and seq[0] == seq[1].dual
             ):
                 fail(node, "ax needs exactly a literal and its dual")
         elif rule == "one":
@@ -561,7 +560,7 @@ class _Search:
         # any number of pairs is matched; the mix chain is built innermost first
         pairs = []
         while len(seq) > 2:
-            b = dual(seq[0])
+            b = seq[0].dual
             pairs.append((seq, Proof("ax", (seq[0], b))))
             seq = _remove_one(seq[1:], b)
         proof = Proof("ax" if seq else "mix0", seq)
@@ -613,7 +612,7 @@ def parse_proof(text: str) -> Proof:
         indent, rule, principal, body = m.groups()
         if len(indent) % 2:
             raise MalformedProof(f"odd indentation in {raw.strip()!r}")
-        formulas = tuple(parse_formula(s) for s in body.split(",")) if body.strip() else ()
+        formulas = tuple(_split_formulas(body))
         entries.append((len(indent) // 2, rule, None if principal is None else int(principal), formulas))
 
     pos = 0

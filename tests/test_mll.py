@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import itertools
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causkit import backends, checks
 from causkit.core import BACKENDS, REL, Process, System
-from causkit.errors import MalformedProof, UnsupportedConnective
+from causkit.errors import MalformedProof, TypeSyntaxError, UnsupportedConnective
 from causkit.mll import (
     FAtom,
     FBot,
@@ -19,11 +24,13 @@ from causkit.mll import (
     FPar,
     FTensor,
     Proof,
+    _ATOM_KEY,
+    _NODES,
     _key,
     _Search,
     _splits,
-    dual,
     formula_of_type,
+    parse_formula,
     parse_proof,
     parse_sequent,
     prove,
@@ -586,12 +593,12 @@ def test_net_is_counted_with_a_stack():
         assert verify_proof(prove(f"|- {side.replace(' (+)', '^* (+)')}^*, {side}"))
 
 
-def test_two_sided_chain_is_dualled_with_a_stack():
-    """``dual`` works without recursion: the two-sided sequent
-    ``A0 (x) .. (x) A1999 |- A0 (+) .. (+) A1999``, whose left side is
-    dualled on parsing, proves and ``verify_proof`` accepts its proof, and
-    the dual of a chain of that length is the chain with tensors and pars
-    exchanged and every literal flipped."""
+def test_two_sided_chain_is_dualled_by_field():
+    """The two-sided sequent ``A0 (x) .. (x) A1999 |- A0 (+) .. (+) A1999``,
+    whose left side is dualled on parsing by reading ``.dual``, proves and
+    ``verify_proof`` accepts its proof, and the dual of a chain of that
+    length is the chain with tensors and pars exchanged and every literal
+    flipped."""
     side = " (x) ".join(f"A{k}" for k in range(2000))
     sequent = parse_sequent(f"{side} |- {side.replace('(x)', '(+)')}")
     one_sided = f"|- {side.replace(' (x)', '^* (+)')}^*, {side.replace('(x)', '(+)')}"
@@ -599,29 +606,99 @@ def test_two_sided_chain_is_dualled_with_a_stack():
     proof = prove(f"{side} |- {side.replace('(x)', '(+)')}")
     assert proof is not None and verify_proof(proof)
     assert proof.sequent == sequent
-    assert dual(sequent[0]) == parse_sequent(side)[0]
+    assert sequent[0].dual is parse_sequent(side)[0]
 
 
-def test_formulas_compare_and_hash_with_a_stack():
-    """``==`` and ``hash`` on tensors and pars work without recursion: two
-    equal 2,000-atom chains built apart compare equal and hash alike, and a
-    chain that differs in its last atom, or only in one connective, does
-    not compare equal.  Equality is structural: two trees that render alike
-    are not equal."""
+def _chain(n: int, last):
+    f = last
+    for k in range(n - 1, -1, -1):
+        f = FTensor(FAtom(f"A{k}"), f)
+    return f
 
-    def chain(last):
-        f = last
-        for k in range(1997, -1, -1):
-            f = FTensor(FAtom(f"A{k}"), f)
-        return f
 
-    a, b = (chain(FTensor(FAtom("A1998"), FAtom("A1999"))) for _ in range(2))
-    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != chain(FTensor(FAtom("A1998"), FAtom("B")))
-    assert a != chain(FPar(FAtom("A1998"), FAtom("A1999")))
-    x = FTensor(FAtom("A (x) B"), FAtom("C"))
-    y = FTensor(FAtom("A"), FAtom("B (x) C"))
-    assert x.name == y.name and x != y
+def test_formulas_compare_and_hash_by_identity():
+    """Formulas are interned: two equal 2,000-atom chains built apart are
+    one object, and a chain that differs in its last atom, or only in one
+    connective, is another."""
+    a, b = (_chain(1998, FTensor(FAtom("A1998"), FAtom("A1999"))) for _ in range(2))
+    assert a is b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != _chain(1998, FTensor(FAtom("A1998"), FAtom("B")))
+    assert a != _chain(1998, FPar(FAtom("A1998"), FAtom("A1999")))
+
+
+def test_equal_formulas_are_one_node_that_keeps_its_dual():
+    """Equal fields give back the live node, also through a default, parsing,
+    ``pickle`` and ``copy``; each node is made with its dual, whose dual is
+    the node again, on a 10,000-atom chain too."""
+    assert FAtom("A") is FAtom("A", False) is parse_formula("A")
+    assert FAtom("A").dual is FAtom("A", True) and FOne().dual is FBot() and FBot().dual is FOne()
+    f = parse_formula("(A (x) I) (+) B^*")
+    assert f is FPar(FTensor(FAtom("A"), FOne()), FAtom("B", True))
+    assert f.dual is FTensor(FPar(FAtom("A", True), FBot()), FAtom("B"))
+    assert pickle.loads(pickle.dumps(f)) is f and copy.deepcopy(f) is f and copy.copy(f) is f
+    with pytest.raises(AttributeError):
+        f.left = FOne()
+    chain = _chain(9999, FAtom("A9999"))
+    assert chain.dual.dual is chain
+    g, d = chain, chain.dual
+    while isinstance(g, FTensor):
+        assert isinstance(d, FPar) and d.left is FAtom(g.left.key, True) and d.dual is g
+        g, d = g.right, d.right
+    assert d is FAtom("A9999", True)
+
+
+def test_one_collection_frees_a_dropped_formula():
+    """A node and its dual hold each other, so the cyclic collector frees
+    them; the table holds no formula, so one collection frees a dropped
+    2,000-atom chain with every subformula."""
+    gc.collect()
+    before = len(_NODES)
+    chain = parse_formula(" (x) ".join(f"Drop{k}" for k in range(2000)))
+    assert len(_NODES) == before + 2 * (2 * 2000 - 1)
+    del chain
+    gc.collect()
+    assert len(_NODES) == before
+
+
+def test_atom_keys_are_atom_names():
+    """An atom key is an atom name of the type grammar, so no atom renders
+    like a compound formula: a mix that would conclude ``|- a (x) b,
+    a^* (+) b^*`` from a proof of ``|- a (x) b, a^* (+) b^*`` and an empty
+    one, with the first formula an atom keyed ``"a (x) b"``, cannot be built."""
+    proof = prove("|- a (x) b, a^* (+) b^*")
+    assert proof is not None and verify_proof(proof)
+    with pytest.raises(TypeSyntaxError):
+        FAtom("a (x) b")
+    for key in ("A", "b'", "x_1", "_", "A[2]", "A[10]", "cap", "I'", "Ix[3]"):
+        assert FAtom(key).name == key and parse_formula(key) is FAtom(key)
+    for key in ("", "I", "I[2]", "A[0]", "A[01]", "A[]", "1A", "A B", "A^*", "A(x)B", "(A)", "A[2][3]", "A[٣]"):
+        with pytest.raises(TypeSyntaxError):
+            FAtom(key, True)
+
+
+_FORMULAS = st.recursive(
+    st.builds(FAtom, st.from_regex(_ATOM_KEY, fullmatch=True), st.booleans()) | st.builds(FOne) | st.builds(FBot),
+    lambda sub: st.builds(FTensor, sub, sub) | st.builds(FPar, sub, sub),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_FORMULAS)
+def test_names_parse_back_to_their_formula(f):
+    """Rendering is one to one: a formula's name, with units and atoms of
+    any key that ``FAtom`` admits anywhere, parses back to that formula, and
+    its dual's to its dual."""
+    assert parse_formula(f.name) is f
+    assert parse_formula(f.dual.name) is f.dual
+
+
+def test_parse_proof_splits_formulas_as_parse_sequent_does():
+    """A comma inside ``cap(..)`` ends no formula in a proof line either, so
+    ``cap`` is refused by name there, as ``prove`` refuses it."""
+    for read in (prove, lambda text: parse_proof(f"ax: {text}")):
+        with pytest.raises(UnsupportedConnective, match="Cap"):
+            read("|- cap(A, B), A")
 
 
 def test_derivability_is_sound_but_not_complete(rng):
