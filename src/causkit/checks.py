@@ -36,10 +36,9 @@ anything: it compiles the type to the set of terms, patterns of wires off
 the identity, that its members may contain, and checks that the process
 contains no other term, has the type's total and is positive.  Per verdict
 that is one matrix product per group of neighbouring wires for the
-coefficients, then one gather and one ``maximum.reduceat`` for each
-pattern's largest one and one index of those the type forbids, from a plan
-built once per backend and data shape and positions kept once per type and
-wire layout.
+coefficients, from a plan built once per backend and data shape, then one
+gather of the coefficients the type forbids and their largest ``|c|``, at
+indices kept once per type, wire layout and backend.
 
 ``check_membership`` maps a causal type to whichever of these applies: one
 event (its dualled atoms are inputs, its plain atoms outputs) to causality,
@@ -49,7 +48,7 @@ Each type is compiled once (``_compile``): its normal form, wire roles,
 procedure and events are kept for every later call with that type, and one
 record per type and wire layout, found by one lookup of the process's
 layout key (``core.Process._layout``), keeps its wire check and the
-projector's forbidden patterns (a layout that fails is not kept); the
+projector's terms and indices (a layout that fails is not kept); the
 signalling conditions are compiled per poset and layout key too.
 Scale and validity are decided once per ``Process`` (see ``backends``), so
 a warm verdict does only the work on ``p.data``.  A cold call, such as every
@@ -447,7 +446,8 @@ _STEP_ROWS = 16
 @functools.lru_cache(maxsize=64)
 def _projector_plan(backend: str, shape: tuple[int, ...]):
     """What the projector needs of data of this shape, built once per backend
-    and shape, its arrays read-only, in a cache of at most 64 plans:
+    and shape, its arrays read-only and none of the coefficients' size, in a
+    cache of at most 64 plans:
 
     * ``perm``, the transpose that puts each wire's axes together, and
       ``dims``, each wire's dimension in the coefficients (``dim**2`` on
@@ -464,52 +464,35 @@ def _projector_plan(backend: str, shape: tuple[int, ...]):
       on the processes the projector decides (the switches and process
       matrices hold up to 16,384 coefficients); past 16 the arithmetic
       does.  On 8 cpm qubit wires (65,536 coefficients) the two about
-      balance;
-    * the coefficients grouped by pattern: ``order``, the flat indices of an
-      array of shape ``dims`` sorted by pattern in the C order of
-      :func:`_allowed_terms`' array (within a pattern, in flat order), the
-      start of each non-empty group in ``order``, and the flat pattern of
-      each such group, in increasing order.  A pattern with bit 1 on a wire
-      of dimension 1 is empty.  ``order`` keeps one ``intp`` per coefficient
-      (512 KB for the 65,536 coefficients of a cpm process on 8 qubit wires).
+      balance.
     """
     a = core._spec(backend).axes_per_wire
     n = len(shape) // a
     perm = tuple(i + k * n for i in range(n) for k in range(a))
-    dims = tuple(d**a for d in shape[:n])
     steps = []
     for d in shape[:n]:
         q = _basis(backend, d)
         if steps and steps[-1].shape[0] * q.shape[0] <= _STEP_ROWS:
             steps[-1] = np.kron(steps[-1], q)
+            steps[-1].flags.writeable = False
         else:
             steps.append(q)
-    pattern = np.zeros(dims, dtype=np.intp)
-    for i, d in enumerate(dims):
-        bit = np.minimum(np.arange(d, dtype=np.intp), 1)  # 0 at the identity, 1 off it
-        pattern += (bit << (n - 1 - i)).reshape((d,) + (1,) * (n - 1 - i))
-    order = np.argsort(pattern, axis=None, kind="stable")
-    counts = np.bincount(pattern.ravel(), minlength=2**n)
-    patterns = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[patterns]
-    for x in (*steps, order, starts, patterns):
-        x.flags.writeable = False
-    return perm, dims, tuple(steps), order, starts, patterns
+    return perm, tuple(d**a for d in shape[:n]), tuple(steps)
 
 
 def _coefficients(p: Process, plan) -> np.ndarray:
     """``p``'s data with one axis per wire (a cpm wire's ket and bra axes
     merged), changed on each wire to the orthonormal basis of
     :func:`_basis`, whose element 0 is the identity direction; ``plan`` is
-    :func:`_projector_plan` of ``p``'s data.
+    :func:`_projector_plan` of ``p``'s data.  Real, of shape ``dims``, and
+    on cpm ``(2, *dims)``: the real parts, then the imaginary ones.
 
     One matrix product per step of the plan, a group of neighbouring wires.
     With the group's axes leading, the data is a matrix whose rows they
     index; its transpose times the group's basis contracts them and moves
     them last, so after the last step the axes are back in order.  The
     bases are real, so cpm data runs as its float64 view, each re/im pair on
-    a trailing axis; the products carry that axis to the front, and two
-    strided copies interleave the real and imaginary parts again.
+    a trailing axis, which the products carry to the front.
 
     The products alternate between the two halves of one array of the
     data's size twice over.  On matr+ the data is already in wire order, so
@@ -520,7 +503,7 @@ def _coefficients(p: Process, plan) -> np.ndarray:
     each warm verdict on 8 cpm qubit wires, and the next verdict faulted it
     all in again (480 page faults each).
     """
-    perm, dims, steps = plan[:3]
+    perm, dims, steps = plan
     cpm = p.backend == CPM
     data = p.data.transpose(perm) if cpm else p.data
     halves = np.empty((2,) + data.shape, data.dtype)
@@ -533,20 +516,7 @@ def _coefficients(p: Process, plan) -> np.ndarray:
         y = halves[i % 2]
         np.matmul(x.reshape(k, -1).T, q, out=y.reshape(-1, k))
         x = y
-    if cpm:  # x holds the real parts, then the imaginary ones
-        c, n = halves[len(steps) % 2].view(complex), p.data.size
-        c.real, c.imag = x[:n], x[n:]
-        x = c
-    return x.reshape(dims)
-
-
-def _pattern_maxima(c: np.ndarray, plan) -> np.ndarray:
-    """The largest ``|coefficient|`` of each non-empty pattern of the plan,
-    in its order: one gather of ``|c|`` in the plan's grouping and one
-    ``maximum.reduceat`` over it.  Overwrites ``c`` with its absolute
-    values."""
-    order, starts = plan[3:5]
-    return np.maximum.reduceat(np.absolute(c, out=c).real.reshape(-1)[order], starts)
+    return x.reshape((2,) + dims if cpm else dims)
 
 
 def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -568,27 +538,37 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
 
 def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> CheckReport:
     """:func:`check_projector` given the compiled type and the record of
-    ``p``'s wire layout, which keeps :func:`_forbidden_terms` from the first
-    verdict on.  The forbidden term and the total are named only when their
-    condition is the first to fail (:func:`backends._verdict`)."""
+    ``p``'s wire layout, which keeps :func:`_forbidden_terms` and, per
+    backend, :func:`_forbidden_coefficients` from their first verdict on:
+    at most one ``intp`` per forbidden coefficient per backend.  A verdict
+    gathers those coefficients alone (on cpm, both halves into one complex
+    buffer) for their largest ``|c|``; coefficient 0 gives the total.  The
+    forbidden term, read from its flat index, and the total are named only
+    when their condition is the first to fail (:func:`backends._verdict`)."""
     positive = backends.is_positive(p, tol)  # before any array of p's size is made here
     if not math.isfinite(backends._scale(p)):  # no coefficient of a non-finite process means anything
         return positive
     plan = _projector_plan(p.backend, p.data.shape)
-    if "forbidden" not in record:
-        record["forbidden"] = _forbidden_terms(compiled.normal, p.wires, plan[5])
-    forbidden, gamma, bits, root = record["forbidden"]
+    if p.backend not in record:
+        if "terms" not in record:
+            record["terms"] = _forbidden_terms(compiled.normal, p.wires)
+        record[p.backend] = _forbidden_coefficients(record["terms"][0], plan[1])
+    (_, gamma, labels, root), forbidden = record["terms"], record[p.backend]
     c = _coefficients(p, plan)
-    total = complex(c.item(0)) * root
-    residual, worst = 0.0, None  # a type may forbid no pattern
-    if forbidden.size:
-        maxima = _pattern_maxima(c, plan)[forbidden]
-        worst = maxima.argmax()
-        residual = float(maxima[worst])
+    if p.backend == CPM:  # the real parts, then the imaginary ones
+        halves = c.reshape(2, -1)
+        total = complex(*halves[:, 0]) * root
+        gathered = np.empty(forbidden.size, complex)
+        gathered.real, gathered.imag = halves.take(forbidden, axis=1)
+    else:
+        total = complex(c.item(0)) * root
+        gathered = c.take(forbidden)
+    size = np.absolute(gathered)
+    residual = float(np.maximum.reduce(size, initial=0.0))  # a type may forbid no pattern
 
     def term() -> str:
-        pattern = 0 if worst is None else int(plan[5][forbidden[worst]])
-        return f"the type forbids a term on {{{', '.join([label for label, bit in bits if pattern & bit])}}}"
+        on = np.unravel_index(forbidden[size.argmax()], plan[1]) if forbidden.size else ()
+        return f"the type forbids a term on {{{', '.join([label for label, i in zip(labels, on) if i])}}}"
 
     return _verdict(p, tol, [
         (residual, term),
@@ -597,20 +577,27 @@ def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> Che
     ])
 
 
-def _forbidden_terms(n: Type, wires: Sequence[System], patterns: np.ndarray):
+def _forbidden_terms(n: Type, wires: Sequence[System]):
     """What the projector keeps of the normalized type ``n`` on a wire
-    layout, all of pattern size or less: the positions among ``patterns``,
-    the layout's non-empty patterns (:func:`_projector_plan`), of those that
-    ``n`` forbids (:func:`_allowed_terms`), read-only; the total ``gamma``;
-    each wire's label with its bit in a flat pattern, the first wire's
-    highest; and ``sqrt(prod dims)``, which turns coefficient 0 into the
-    total.  The non-empty patterns, those with no bit on a dimension-1 wire,
-    are the same on matr+ and cpm, so one record serves both."""
+    layout, on matr+ and cpm alike: the read-only mask of the patterns ``n``
+    allows (:func:`_allowed_terms`), the total ``gamma``, the wires' labels
+    and ``sqrt(prod dims)``, which turns coefficient 0 into the total."""
     allowed, gamma = _allowed_terms(n, wires)
-    forbidden = np.flatnonzero(~allowed.reshape(-1)[patterns])
+    return allowed, gamma, tuple(w.label for w in wires), math.sqrt(math.prod(w.dim for w in wires))
+
+
+def _forbidden_coefficients(allowed: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The flat indices, read-only ``intp``, of the coefficients of shape
+    ``dims`` on the patterns that ``allowed`` forbids (bit 1 where an index
+    is not 0), grouped by pattern in increasing order and in flat order
+    within one: the first largest coefficient gathered in this order lies
+    on the lowest pattern that holds one, the pattern the detail names.
+    Kept per backend, as the coefficients' shapes differ on matr+ and cpm."""
+    pattern = np.ravel(np.ravel_multi_index(np.ix_(*(np.minimum(np.arange(d), 1) for d in dims)), allowed.shape))
+    forbidden = np.flatnonzero(~allowed.reshape(-1)[pattern])
+    forbidden = forbidden[np.argsort(pattern[forbidden], kind="stable")]
     forbidden.flags.writeable = False
-    bits = tuple((w.label, 1 << (len(wires) - 1 - i)) for i, w in enumerate(wires))
-    return forbidden, gamma, bits, math.sqrt(math.prod(w.dim for w in wires))
+    return forbidden
 
 
 # -- membership in a causal type ---------------------------------------------------
@@ -642,8 +629,8 @@ class _Compiled:
     def layout(self, p: Process) -> dict:
         """The record of ``p``'s wire layout, from one lookup by its key; on
         a miss the layout is kept once it passes :func:`_check_wires`.  The
-        projector keeps :func:`_forbidden_terms` there, under
-        ``"forbidden"``."""
+        projector keeps :func:`_forbidden_terms` there, under ``"terms"``,
+        and :func:`_forbidden_coefficients` under each backend's name."""
         record = self.layouts.get(p._layout)
         if record is None:
             _check_wires(p, self)

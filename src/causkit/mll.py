@@ -94,8 +94,8 @@ from . import typesys
 
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-# ``Name`` or ``Name[dim]`` with ``dim >= 1`` as ``formula_of_type`` writes it, never ``I``
-_ATOM_KEY = re.compile(r"(?!I(?:\[|$))[A-Za-z_][A-Za-z0-9_']*(?:\[[1-9][0-9]*\])?")
+# an atom's label, alone or as ``label[dim]`` with ``dim >= 1``, as ``formula_of_type`` writes it
+_ATOM_KEY = re.compile(rf"{typesys._LABEL}(?:\[[1-9][0-9]*\])?")
 
 
 class _Node:

@@ -40,12 +40,26 @@ from .errors import (
 # -- abstract syntax -----------------------------------------------------------
 
 
+# a name of the grammar, and an atom's label: a name other than ``I``, also in ``mll``'s atom keys
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_LABEL = rf"(?!I(?![A-Za-z0-9_'])){_NAME}"
+_IS_LABEL = re.compile(_LABEL)
+
+
 @dataclass(frozen=True)
 class Atom:
-    """A first-order system type; the label doubles as a wire name."""
+    """A first-order system type; the label doubles as a wire name.  It is
+    a name other than ``I`` and the dimension None or an ``int`` >= 1, so
+    that :func:`render_type` writes what :func:`parse_type` reads back."""
 
     label: str
     dim: int | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.label, str) and _IS_LABEL.fullmatch(self.label)):
+            raise TypeSyntaxError(f"atom label {self.label!r} is not a name of the grammar, or is I")
+        if self.dim is not None and not (type(self.dim) is int and self.dim >= 1):
+            raise TypeSyntaxError(f"atom dimension must be an int >= 1, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,7 @@ Type = Union[Atom, Unit, Dual, Tensor, Par, Lolli, Cap]
 # -- parsing -------------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<tensor>\(x\))
       | (?P<par>\(\+\))
       | (?P<lolli>-o)
@@ -105,8 +119,8 @@ _TOKEN = re.compile(
       | (?P<lbrk>\[)
       | (?P<rbrk>\])
       | (?P<comma>,)
-      | (?P<num>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<num>[0-9]+)
+      | (?P<name>{_NAME})
     )""",
     re.VERBOSE,
 )
@@ -206,8 +220,6 @@ class _Parser:
                 self.take("lbrk")
                 dim = int(self.take("num")[1])
                 self.take("rbrk")
-                if dim < 1:
-                    raise TypeSyntaxError(f"atom dimension must be >= 1, got {dim}")
             return Atom(value, dim)
         raise TypeSyntaxError(f"unexpected {value!r} in {self.text!r}")
 

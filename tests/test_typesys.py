@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from causkit import mll
 from causkit.errors import (
     DuplicateLabel,
     EmbedMismatch,
@@ -59,6 +60,26 @@ def test_parse_cap():
 def test_syntax_errors(bad):
     with pytest.raises(TypeSyntaxError):
         parse_type(bad)
+
+
+def test_dimensions_are_ascii_digits():
+    """A dimension is read in ASCII digits only: an Arabic-Indic three is
+    no dimension, where ``\\d`` would have read it as 3."""
+    with pytest.raises(TypeSyntaxError):
+        parse_type("A[\u0663]")
+    assert parse_type("A[03]") == Atom("A", 3)
+
+
+@pytest.mark.parametrize(
+    "label, dim",
+    [("A B", 0), ("A B", None), ("I", 2), ("I", None), ("A", -1), ("A", 0), ("A", True), ("A", 2.0),
+     ("", None), ("3A", None), ("A\u0663", None), ("A[2]", None), ("cap(", None), (None, None)],
+)
+def test_atom_refuses_what_does_not_render(label, dim):
+    """An atom is a label the grammar reads as a name, other than the unit
+    ``I``, with no dimension or an ``int`` of at least 1."""
+    with pytest.raises(TypeSyntaxError):
+        Atom(label, dim)
 
 
 def test_render_parse_roundtrip_examples():
@@ -156,6 +177,50 @@ _types = st.recursive(
 @given(t=_types)
 def test_render_parse_roundtrip_property(t):
     assert parse_type(render_type(t)) == t
+
+
+_labels = st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}", fullmatch=True).filter(lambda l: l != "I")
+_dims = st.none() | st.integers(1, 1000)
+_any_types = st.recursive(
+    st.builds(Atom, _labels, _dims) | st.just(Unit()),
+    lambda sub: st.one_of(
+        sub.map(Dual),
+        st.lists(sub, min_size=2, max_size=3).map(Tensor),
+        st.lists(sub, min_size=2, max_size=3).map(Par),
+        st.tuples(sub, sub).map(lambda ab: Lolli(ab[0], ab[1])),
+        st.lists(sub, min_size=2, max_size=3).map(Cap),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_any_types)
+def test_render_parse_roundtrip_on_any_labels_and_dims_property(t):
+    """Random types over random labels (``cap`` among the names they may
+    take) and dimensions, with n-ary tensors, pars and caps, render to text
+    that parses back to them."""
+    assert parse_type(render_type(t)) == t
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.text(alphabet="AIa_'0[]3 \u0663\u2168", max_size=4) | st.text(max_size=3), dim=st.none() | st.integers(-2, 12))
+@example(label="A[3]", dim=None)
+@example(label="I", dim=2)
+@example(label="I'", dim=2)
+@example(label="A\u0663", dim=None)
+def test_atom_is_built_only_if_it_round_trips_property(label, dim):
+    """Any label and dimension: the atom is built, and round-trips through
+    ``render_type`` and through an ``mll`` atom key, exactly when the key
+    rule takes the label as a whole key and the dimension is at least 1;
+    otherwise it is refused."""
+    if mll._ATOM_KEY.fullmatch(label) is None or "[" in label or not (dim is None or dim >= 1):
+        with pytest.raises(TypeSyntaxError):
+            Atom(label, dim)
+        return
+    atom = Atom(label, dim)
+    assert parse_type(render_type(atom)) == atom
+    assert mll.formula_of_type(atom).key == render_type(atom)
 
 
 @settings(max_examples=150, deadline=None)
