@@ -153,12 +153,17 @@ def discard(backend: str, systems: Sequence[System]) -> Process:
 
 @functools.lru_cache(maxsize=1024)
 def _discard(backend: str, systems: tuple[System, ...]) -> Process:
-    dims = tuple(s.dim for s in systems)
+    return Process(backend, (), systems, _discard_data(backend, tuple(s.dim for s in systems)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _discard_data(backend: str, dims: tuple[int, ...]) -> np.ndarray:
+    """The data of the discarding effect on wires of dimensions ``dims``,
+    read-only and shared by every caller.  Keyed by the dimensions, so a
+    lookup hashes no :class:`System`."""
     if backend == CPM:
-        data = np.eye(math.prod(dims), dtype=complex).reshape(dims + dims)
-    else:
-        data = np.ones(dims, dtype=core._spec(backend).dtype)
-    return Process(backend, (), systems, core._own(data))  # shared by every caller
+        return core._own(np.eye(math.prod(dims), dtype=complex).reshape(dims + dims))
+    return core._own(np.ones(dims, dtype=core._spec(backend).dtype))
 
 
 def uniform_state(backend: str, systems: Sequence[System]) -> Process:
@@ -223,7 +228,8 @@ def _causality(backend: str, outs: tuple[System, ...], ins: tuple[System, ...], 
     n = len(outs) + len(ins)
     batch = data.ndim - core._spec(backend).axes_per_wire * n
     marg = core._marginal(backend, data, n, range(len(outs)))
-    return core._maxdiff(marg, discard(backend, ins).data, batch)
+    # the marginal's first axes after the batch are the inputs' (kets on cpm)
+    return core._maxdiff(marg, _discard_data(backend, marg.shape[batch : batch + len(ins)]), batch)
 
 
 def _negativity(data: np.ndarray, batch: int):

@@ -34,11 +34,16 @@ Apart from these, ``check_projector`` decides any type built with tensor,
 par and duality on the affine backends (matr+, cpm) without enumerating
 anything: it compiles the type to the set of terms, patterns of wires off
 the identity, that its members may contain, and checks that the process
-contains no other term, has the type's total and is positive.  Per verdict
-that is one matrix product per group of neighbouring wires for the
-coefficients, from a plan built once per backend and data shape, then one
-gather of the coefficients the type forbids and their largest ``|c|``, at
-indices kept once per type, wire layout and backend.
+contains no other term, has the type's total and is positive.  A wire is
+free when the type allows every term that has it off the identity, as the
+switches' final output: only its identity coefficients can meet a forbidden
+term, so it is contracted with its identity direction before the change of
+basis (on cpm, traced in the copy that brings each wire's ket and bra axes
+together).  Per verdict that is one matrix product per group of
+neighbouring kept wires for the coefficients, from a plan built once per
+backend, data shape and free wires, then one gather of the coefficients
+the type forbids and their largest ``|c|``, at indices kept once per type,
+wire layout and backend.
 
 ``check_membership`` maps a causal type to whichever of these applies: one
 event (its dualled atoms are inputs, its plain atoms outputs) to causality,
@@ -58,6 +63,7 @@ CLI call, does the parsing and dispatch work that every call did before.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -327,9 +333,13 @@ def check_soc(
     — this decides the quantification over all causal channels.
 
     A family is built once per backend and party shape and then shared,
-    read-only.  Each party's family is plugged into the remainders left by
-    the parties before it in one batched contraction (:func:`core.plug_family`), which
-    adds a batch axis indexed by the party's channel.  The remainders of all
+    read-only.  The number of tuples, and, once it is within ``budget``,
+    each party's family and the plan of plugging it in, are kept per wire
+    layout and parties (:func:`_soc_tuples`, :func:`_soc_steps`), so a
+    warm verdict hashes no wire.  Each party's family is plugged into the
+    remainders left by the parties before it in one batched contraction
+    (:func:`core.plug_family`), which adds a batch axis indexed by the
+    party's channel.  The remainders of all
     tuples, one per index of the batch axes, are then judged at once, each
     against its own scale: normalization (:func:`backends._causality`) and,
     on matr+, non-negativity.  The residual is the worst over all tuples,
@@ -346,20 +356,13 @@ def check_soc(
     is the largest, and the peak is at most twice that plus the host (the
     remainder before a party and the one after it, beside ``p``).
     """
-    families, tuples = [], 1
-    for e in parties:
-        outs = tuple(p.wire(l) for l in e.ins)
-        ins = tuple(p.wire(l) for l in e.outs)
-        tuples *= backends.channel_family_size(p.backend, outs, ins)
-        if tuples > budget:
-            raise CombinatorialBlowup(
-                f"spanning the parties needs more than {budget} channel tuples"
-            )
-        families.append(backends._channel_family(p.backend, outs, ins))
-    data, outs, ins = p.data, p.out_wires, p.in_wires
-    for e, family in zip(parties, families):
-        wiring = [(l, l) for l in e.outs + e.ins]
-        data, outs, ins = core.plug_family(p.backend, data, outs, ins, family, wiring)
+    parties = tuple(parties)
+    if _soc_tuples(p.backend, p._layout, parties) > budget:
+        raise CombinatorialBlowup(f"spanning the parties needs more than {budget} channel tuples")
+    steps, outs, ins = _soc_steps(p.backend, p._layout, parties)
+    data = p.data
+    for planned, family in steps:
+        data = core.plug_family(planned, data, family)
     residual = backends._causality(p.backend, outs, ins, data)
     if p.backend == MATR:
         residual = np.maximum(residual, backends._negativity(data, len(parties)))  # propagates NaN
@@ -375,6 +378,38 @@ def check_soc(
         positive = backends.is_positive(p, tol)
         conditions.append((positive.passed, positive.residual, positive.detail))
     return _conjunction(conditions, tol)
+
+
+def _party_wires(layout: core._Layout, e: Event) -> tuple[tuple[System, ...], tuple[System, ...]]:
+    """The wires of a party's channel on this layout: the host outputs that
+    feed the party, then the host inputs that it feeds.  A label the layout
+    lacks raises :class:`NoSuchWire`."""
+    wires = layout.out_wires + layout.in_wires
+    pos = {w.label: i for i, w in enumerate(wires)}
+    return tuple(wires[core._position(pos, l)] for l in e.ins), tuple(wires[core._position(pos, l)] for l in e.outs)
+
+
+@functools.lru_cache(maxsize=1024)
+def _soc_tuples(backend: str, layout: core._Layout, parties: tuple[Event, ...]) -> int:
+    """How many channel tuples :func:`check_soc` plugs into a process with
+    this wire layout: the product of the parties' family sizes, found
+    without building a family."""
+    return math.prod(backends.channel_family_size(backend, *_party_wires(layout, e)) for e in parties)
+
+
+@functools.lru_cache(maxsize=256)
+def _soc_steps(backend: str, layout: core._Layout, parties: tuple[Event, ...]):
+    """The plugging of :func:`check_soc` on a process with this wire layout:
+    per party, the :func:`core._plan` of plugging its family into the
+    remainders so far, and the family; then the last remainders' wires."""
+    steps, outs, ins = [], layout.out_wires, layout.in_wires
+    for e in parties:
+        family = backends._channel_family(backend, *_party_wires(layout, e))
+        g = family[0]
+        planned = core._plan(backend, outs, ins, g.out_wires, g.in_wires, tuple((l, l) for l in e.outs + e.ins))
+        steps.append((planned, family))
+        outs, ins = planned[3], planned[4]
+    return tuple(steps), outs, ins
 
 
 # -- affine types: the allowed-terms projector -------------------------------------
@@ -431,7 +466,7 @@ def _basis(backend: str, dim: int) -> np.ndarray:
     ``I - 2 v v^T / (v.v)`` with ``v = u - e_0``, which swaps ``u`` and
     ``e_0``; on a dimension-1 wire ``u`` is ``e_0`` and the identity is the
     whole wire.  Built once per backend and dimension; read-only."""
-    u = backends.discard(backend, (System("u", dim),)).data.real.ravel() / math.sqrt(dim)
+    u = backends._discard_data(backend, (dim,)).real.ravel() / math.sqrt(dim)
     q = np.eye(u.size)
     if dim > 1:
         v = u - q[0]
@@ -444,14 +479,16 @@ _STEP_ROWS = 16
 
 
 @functools.lru_cache(maxsize=64)
-def _projector_plan(backend: str, shape: tuple[int, ...]):
-    """What the projector needs of data of this shape, built once per backend
-    and shape, its arrays read-only and none of the coefficients' size, in a
-    cache of at most 64 plans:
+def _projector_plan(backend: str, shape: tuple[int, ...], free: tuple[int, ...] = ()):
+    """What the projector needs of data of this shape whose wires at the
+    positions ``free`` are free (:func:`_forbidden_terms`), built once per
+    backend, shape and free wires, its arrays read-only and none of the
+    coefficients' size, in a cache of at most 64 plans:
 
-    * ``perm``, the transpose that puts each wire's axes together, and
-      ``dims``, each wire's dimension in the coefficients (``dim**2`` on
-      cpm);
+    * ``perm``, the transpose that puts each wire's axes together, a cpm
+      free wire's ket and bra axes first;
+    * ``dims``, each kept wire's dimension in the coefficients (``dim**2``
+      on cpm), a free wire having none;
     * ``steps``, the bases that :func:`_coefficients` multiplies by, one per
       group of neighbouring wires: the Kronecker product of their
       :func:`_basis` matrices, in wire order.  A wire joins the group before
@@ -464,57 +501,89 @@ def _projector_plan(backend: str, shape: tuple[int, ...]):
       on the processes the projector decides (the switches and process
       matrices hold up to 16,384 coefficients); past 16 the arithmetic
       does.  On 8 cpm qubit wires (65,536 coefficients) the two about
-      balance.
+      balance.  A free wire keeps only its basis's column 0, the identity
+      direction, on matr+, and on cpm has no step: the trace takes its
+      place, and the first step is scaled by ``1 / sqrt(d)`` for it;
+    * ``diagonals``, on cpm with free wires, the index of each term of their
+      trace in the transposed data: ket = bra on each, in C order;
+    * ``shape``, that of the data the steps start from, kept wires only;
+    * ``ends``, on matr+ with free wires, how many entries each step writes;
+      empty where every step writes as many as it reads.
     """
     a = core._spec(backend).axes_per_wire
     n = len(shape) // a
-    perm = tuple(i + k * n for i in range(n) for k in range(a))
+    traced = free if backend == CPM else ()
+    kept = tuple(i for i in range(n) if i not in traced)
+    perm = tuple(i + k * n for i in traced + kept for k in range(a))
+    terms = itertools.product(*(range(shape[i]) for i in traced)) if traced else ()
+    diagonals = tuple(tuple(j for j in term for _ in range(a)) for term in terms)
     steps = []
-    for d in shape[:n]:
-        q = _basis(backend, d)
+    for i in kept:
+        q = _basis(backend, shape[i])
+        if i in free:
+            q = q[:, :1]
         if steps and steps[-1].shape[0] * q.shape[0] <= _STEP_ROWS:
             steps[-1] = np.kron(steps[-1], q)
-            steps[-1].flags.writeable = False
         else:
             steps.append(q)
-    return perm, tuple(d**a for d in shape[:n]), tuple(steps)
+    if traced:
+        scale = 1.0 / math.sqrt(math.prod(shape[i] for i in traced))
+        steps[:1] = [steps[0] * scale if steps else np.full((1, 1), scale)]
+    for q in steps:
+        q.flags.writeable = False
+    ends, size = [], math.prod(shape)
+    if any(q.shape[0] != q.shape[1] for q in steps):  # only matr+'s free wires shrink a step
+        for q in steps:
+            size = size // q.shape[0] * q.shape[1]
+            ends.append(size)
+    dims = tuple(shape[i] ** a for i in kept if i not in free)
+    return perm, dims, tuple(steps), diagonals, tuple(shape[k] for k in perm[a * len(traced) :]), tuple(ends)
 
 
 def _coefficients(p: Process, plan) -> np.ndarray:
-    """``p``'s data with one axis per wire (a cpm wire's ket and bra axes
-    merged), changed on each wire to the orthonormal basis of
-    :func:`_basis`, whose element 0 is the identity direction; ``plan`` is
-    :func:`_projector_plan` of ``p``'s data.  Real, of shape ``dims``, and
-    on cpm ``(2, *dims)``: the real parts, then the imaginary ones.
+    """``p``'s data with one axis per kept wire (a cpm wire's ket and bra
+    axes merged), changed on each wire to the orthonormal basis of
+    :func:`_basis`, whose element 0 is the identity direction, and taken at
+    element 0 on each free wire; ``plan`` is :func:`_projector_plan` of
+    ``p``'s data.  Real, of shape ``dims``, and on cpm ``(2, *dims)``: the
+    real parts, then the imaginary ones.
 
     One matrix product per step of the plan, a group of neighbouring wires.
     With the group's axes leading, the data is a matrix whose rows they
     index; its transpose times the group's basis contracts them and moves
-    them last, so after the last step the axes are back in order.  The
-    bases are real, so cpm data runs as its float64 view, each re/im pair on
-    a trailing axis, which the products carry to the front.
+    them last, so after the last step the axes are back in order.  A free
+    wire's column 0 alone contracts its axis with ``u``, so that step writes
+    ``d`` times fewer entries.  The bases are real, so cpm data runs as its
+    float64 view, each re/im pair on a trailing axis, which the products
+    carry to the front.
 
-    The products alternate between the two halves of one array of the
-    data's size twice over.  On matr+ the data is already in wire order, so
+    The products alternate between the two halves of one array, each the
+    size of the data the steps start from.  On matr+ the data is already in wire order, so
     the first product reads ``p.data`` itself: the same C-order operand as a
     copy, so the same bits.  On cpm each wire's ket and bra axes are brought
-    together first, by a copy into the second half.  One allocation, not
+    together first, by a copy into the second half; with free wires the
+    copy is their trace, the sum of their ket = bra entries, which writes
+    ``d**2`` times fewer entries per free wire.  One allocation, not
     two: with two, the C allocator gave the memory back to the system after
     each warm verdict on 8 cpm qubit wires, and the next verdict faulted it
     all in again (480 page faults each).
     """
-    perm, dims, steps = plan
+    perm, dims, steps, diagonals, shape, ends = plan
     cpm = p.backend == CPM
     data = p.data.transpose(perm) if cpm else p.data
-    halves = np.empty((2,) + data.shape, data.dtype)
-    if cpm:
+    halves = np.empty((2,) + shape, data.dtype)
+    if diagonals:
+        trace = halves[1, ...]  # an array even with no wire kept
+        np.add(data[diagonals[0]], data[diagonals[1]], out=trace)
+        for term in diagonals[2:]:
+            np.add(trace, data[term], out=trace)
+    elif cpm:
         halves[1] = data
     halves = halves.reshape(2, -1).view(np.float64)
     x = halves[1] if cpm else data.reshape(-1)  # a C-order copy if data is not C-contiguous
     for i, q in enumerate(steps):
-        k = q.shape[0]
-        y = halves[i % 2]
-        np.matmul(x.reshape(k, -1).T, q, out=y.reshape(-1, k))
+        y = halves[i % 2, : ends[i]] if ends else halves[i % 2]
+        np.matmul(x.reshape(q.shape[0], -1).T, q, out=y.reshape(-1, q.shape[1]))
         x = y
     return x.reshape((2,) + dims if cpm else dims)
 
@@ -538,22 +607,27 @@ def check_projector(p: Process, t: Type | str, tol: float = DEFAULT_TOL) -> Chec
 
 def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> CheckReport:
     """:func:`check_projector` given the compiled type and the record of
-    ``p``'s wire layout, which keeps :func:`_forbidden_terms` and, per
-    backend, :func:`_forbidden_coefficients` from their first verdict on:
-    at most one ``intp`` per forbidden coefficient per backend.  A verdict
-    gathers those coefficients alone (on cpm, both halves into one complex
-    buffer) for their largest ``|c|``; coefficient 0 gives the total.  The
-    forbidden term, read from its flat index, and the total are named only
+    ``p``'s wire layout, which keeps :func:`_forbidden_terms`, the type's
+    free wires among them, and, per backend, the :func:`_projector_plan` of
+    its data and :func:`_forbidden_coefficients` from their first verdict
+    on: at most one ``intp`` per forbidden coefficient per backend, and no
+    plan lookup by shape on a warm verdict.  A verdict computes the
+    coefficients with each free wire at its identity direction only
+    (:func:`_coefficients`), as only those can hold a forbidden term, and
+    gathers the forbidden ones alone (on cpm, both halves into one complex
+    buffer) for their largest ``|c|``; coefficient 0 gives the total.  The forbidden term, decoded
+    from its flat index over the kept wires, and the total are named only
     when their condition is the first to fail (:func:`backends._verdict`)."""
     positive = backends.is_positive(p, tol)  # before any array of p's size is made here
     if not math.isfinite(backends._scale(p)):  # no coefficient of a non-finite process means anything
         return positive
-    plan = _projector_plan(p.backend, p.data.shape)
     if p.backend not in record:
         if "terms" not in record:
             record["terms"] = _forbidden_terms(compiled.normal, p.wires)
-        record[p.backend] = _forbidden_coefficients(record["terms"][0], plan[1])
-    (_, gamma, labels, root), forbidden = record["terms"], record[p.backend]
+        allowed, *_, free = record["terms"]
+        plan = _projector_plan(p.backend, p.data.shape, free)
+        record[p.backend] = plan, _forbidden_coefficients(allowed, plan[1])
+    (_, gamma, labels, root, _), (plan, forbidden) = record["terms"], record[p.backend]
     c = _coefficients(p, plan)
     if p.backend == CPM:  # the real parts, then the imaginary ones
         halves = c.reshape(2, -1)
@@ -567,8 +641,12 @@ def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> Che
     residual = float(np.maximum.reduce(size, initial=0.0))  # a type may forbid no pattern
 
     def term() -> str:
-        on = np.unravel_index(forbidden[size.argmax()], plan[1]) if forbidden.size else ()
-        return f"the type forbids a term on {{{', '.join([label for label, i in zip(labels, on) if i])}}}"
+        k, on = int(forbidden[size.argmax()]) if forbidden.size else 0, ""
+        for label, d in zip(labels[::-1], plan[1][::-1]):  # the last wire's index varies fastest
+            if k % d:
+                on = f"{label}, {on}" if on else label
+            k //= d
+        return f"the type forbids a term on {{{on}}}"
 
     return _verdict(p, tol, [
         (residual, term),
@@ -580,10 +658,22 @@ def _projector(p: Process, compiled: _Compiled, record: dict, tol: float) -> Che
 def _forbidden_terms(n: Type, wires: Sequence[System]):
     """What the projector keeps of the normalized type ``n`` on a wire
     layout, on matr+ and cpm alike: the read-only mask of the patterns ``n``
-    allows (:func:`_allowed_terms`), the total ``gamma``, the wires' labels
-    and ``sqrt(prod dims)``, which turns coefficient 0 into the total."""
+    allows (:func:`_allowed_terms`) on the kept wires, the total ``gamma``,
+    the kept wires' labels, ``sqrt(prod dims)``, which turns coefficient 0
+    into the total, and the positions of the free wires.
+
+    A wire above dimension 1 is free when ``n`` allows every pattern that
+    has it off the identity.  So every forbidden term has each free wire at
+    the identity, and only the coefficients with element 0 on every free
+    wire can hold one: the mask keeps the patterns with those wires at bit
+    0, on the other wires' axes.  On the switch types the final output is
+    free, and the projector reads a quarter of a qubit switch's
+    coefficients."""
     allowed, gamma = _allowed_terms(n, wires)
-    return allowed, gamma, tuple(w.label for w in wires), math.sqrt(math.prod(w.dim for w in wires))
+    free = tuple(i for i, w in enumerate(wires) if w.dim > 1 and allowed.take(1, axis=i).all())
+    kept = allowed[tuple(0 if i in free else slice(None) for i in range(len(wires))) + (...,)]  # a read-only view
+    labels = tuple(w.label for i, w in enumerate(wires) if i not in free)
+    return kept, gamma, labels, math.sqrt(math.prod(w.dim for w in wires)), free
 
 
 def _forbidden_coefficients(allowed: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -630,7 +720,8 @@ class _Compiled:
         """The record of ``p``'s wire layout, from one lookup by its key; on
         a miss the layout is kept once it passes :func:`_check_wires`.  The
         projector keeps :func:`_forbidden_terms` there, under ``"terms"``,
-        and :func:`_forbidden_coefficients` under each backend's name."""
+        and its plan and :func:`_forbidden_coefficients` under each
+        backend's name."""
         record = self.layouts.get(p._layout)
         if record is None:
             _check_wires(p, self)

@@ -477,32 +477,25 @@ def _contract(f: Process, g: Process, wiring: tuple[tuple[str, str], ...]) -> Pr
     return Process(f.backend, outs, ins, _own(_einsum(plan, f.data, g.data)))
 
 
-def plug_family(
-    backend: str,
-    data: np.ndarray,
-    outs: tuple[System, ...],
-    ins: tuple[System, ...],
-    family: Sequence[Process],
-    wiring: Sequence[tuple[str, str]],
-) -> tuple[np.ndarray, tuple[System, ...], tuple[System, ...]]:
+def plug_family(planned, data: np.ndarray, family: Sequence[Process]) -> np.ndarray:
     """:func:`plug` every member of ``family`` into every process of a batch.
 
-    The processes share the wires ``outs``/``ins``, and ``data`` holds their
-    arrays behind any number of leading batch axes; the members share their
-    wires too.  The result is ``(data, outs, ins)`` of the plugged processes,
-    with one more batch axis, after the others, indexed by the member:
-    plugging families one after another stacks the batch axes in
-    ``itertools.product`` order.
+    The processes share one wire layout, and ``data`` holds their arrays
+    behind any number of leading batch axes; the members share one wire
+    layout too, and ``planned`` is the :func:`_plan` of plugging theirs into
+    the processes', whose fourth and fifth entries are the plugged
+    processes' output and input wires.  The result is the plugged
+    processes' data, with one more batch axis, after the others, indexed
+    by the member: plugging families one after another stacks the batch
+    axes in ``itertools.product`` order.
 
-    Each member is one einsum over the whole batch, planned once by
-    :func:`_plan`.  Each process's entries come out bit for bit as
-    :func:`plug` gives them: an einsum with both operands batched can sum
-    a contraction down to a scalar in another order.
+    Each member is one einsum over the whole batch.  Each process's entries
+    come out bit for bit as :func:`plug` gives them: an einsum with both
+    operands batched can sum a contraction down to a scalar in another
+    order.
     """
+    f_sub, g_sub, out_sub, *_ = planned
     g = family[0]
-    if any(h.backend != backend or h.out_wires != g.out_wires or h.in_wires != g.in_wires for h in family):
-        raise ShapeMismatch("the members of a family must share one backend and one wire layout")
-    f_sub, g_sub, out_sub, outs, ins, _ = _plan(backend, outs, ins, g.out_wires, g.in_wires, tuple(wiring))
     top = len(f_sub) + len(g_sub)  # _plan numbers the wire axes below this
     batch = tuple(range(top, top + data.ndim - len(f_sub)))
     plan = _squeeze((data.shape, g.data.shape), (batch + f_sub, g_sub), batch + out_sub)
@@ -515,7 +508,7 @@ def plug_family(
     result = np.stack([plugged(g)] * len(family), axis=len(batch))
     for i, h in enumerate(family[1:], 1):
         result[(slice(None),) * len(batch) + (i,)] = plugged(h)
-    return result, outs, ins
+    return result
 
 
 #: ``np.einsum`` names array axes by the integers below this.

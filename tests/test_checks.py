@@ -1033,10 +1033,11 @@ def _coefficients_oracle(p):
     return c
 
 
-def _complex_coefficients(p):
+def _complex_coefficients(p, free=()):
     """``checks._coefficients`` of ``p`` as one array with one axis per
-    wire: on cpm, its real and imaginary halves put back together."""
-    c = checks._coefficients(p, checks._projector_plan(p.backend, p.data.shape))
+    kept wire, the wires at the positions ``free`` taken at their identity
+    direction: on cpm, its real and imaginary halves put back together."""
+    c = checks._coefficients(p, checks._projector_plan(p.backend, p.data.shape, free))
     if p.backend == MATR:
         return c
     z = np.empty(c.shape[1:], complex)
@@ -1190,26 +1191,44 @@ def test_forbidden_coefficients_match_oracle_property(dims, complex_, bad, ties,
 
 
 def test_projector_plan_is_shared_read_only_and_bounded():
-    """One plan per backend and data shape, built once and shared in a cache
-    with a bound: the transpose, the coefficients' shape and the wires'
-    bases fused into Kronecker products in wire order, read-only.  It holds
-    no array of the coefficients' size: on 8 cpm qubit wires (65,536
-    coefficients) its only arrays are four bases of 16 rows."""
+    """One plan per backend, data shape and free wires, built once and
+    shared in a cache with a bound: the transpose, the coefficients' shape,
+    the wires' bases fused into Kronecker products in wire order,
+    read-only, the trace's diagonal terms and the shape the steps start
+    from.  A free wire keeps its basis's column 0 on matr+; on cpm it has
+    no step but ``d`` diagonal terms, and the first step is scaled by
+    ``1 / sqrt(d)``.  The plan holds no array of the coefficients' size: on
+    8 cpm qubit wires (65,536 coefficients) its only arrays are four bases
+    of 16 rows."""
     assert 0 < checks._projector_plan.cache_info().maxsize <= 64
     plan = checks._projector_plan(MATR, (3, 1, 2))
     assert checks._projector_plan(MATR, (3, 1, 2)) is plan
-    perm, dims, steps = plan
-    assert perm == (0, 1, 2) and dims == (3, 1, 2)
+    perm, dims, steps, diagonals, shape, ends = plan
+    assert perm == (0, 1, 2) and dims == (3, 1, 2) and diagonals == ends == () and shape == (3, 1, 2)
     (step,) = steps  # 3 x 1 x 2 = 6 rows
     want = functools.reduce(np.kron, (checks._basis(MATR, d) for d in (3, 1, 2)))
     assert np.array_equal(step, want) and not step.flags.writeable
     with pytest.raises(ValueError):
         step[0, 0] = 0.0
+    perm, dims, steps, diagonals, shape, ends = checks._projector_plan(MATR, (3, 1, 2), (2,))
+    assert dims == (3, 1) and diagonals == () and shape == (3, 1, 2) and ends == (3,)
+    (step,) = steps  # 6 rows, 3 columns
+    assert np.array_equal(step, np.kron(checks._basis(MATR, 3), checks._basis(MATR, 2)[:, :1]))
+    assert step.shape == (6, 3) and not step.flags.writeable
     plan = checks._projector_plan(CPM, (2, 3, 2, 3))
     assert checks._projector_plan(CPM, (2, 3, 2, 3)) is plan
-    assert plan[:2] == ((0, 2, 1, 3), (4, 9))
+    assert plan[:2] == ((0, 2, 1, 3), (4, 9)) and plan[3:] == ((), (2, 2, 3, 3), ())
     assert plan[2][0] is checks._basis(CPM, 2) and plan[2][1] is checks._basis(CPM, 3)  # 4 x 9 rows: no group
-    perm, dims, steps = checks._projector_plan(CPM, (2,) * 16)
+    perm, dims, steps, diagonals, shape, ends = checks._projector_plan(CPM, (2, 3, 2, 3), (0,))
+    assert perm == (0, 2, 1, 3) and dims == (9,) and diagonals == ((0, 0), (1, 1)) and shape == (3, 3)
+    assert ends == ()  # a cpm step writes as many entries as it reads
+    (step,) = steps
+    assert np.array_equal(step, checks._basis(CPM, 3) * (1 / math.sqrt(2))) and not step.flags.writeable
+    perm, dims, steps, diagonals, shape, ends = checks._projector_plan(CPM, (2, 3, 2, 3), (0, 1))
+    assert perm == (0, 2, 1, 3) and dims == () and shape == () and ends == ()
+    assert diagonals == tuple((i, i, j, j) for i in range(2) for j in range(3))
+    assert [q.tolist() for q in steps] == [[[1 / math.sqrt(6)]]]
+    perm, dims, steps, *_ = checks._projector_plan(CPM, (2,) * 16)
     assert math.prod(dims) == 65536 and [q.shape for q in steps] == [(16, 16)] * 4
     assert not any(isinstance(x, np.ndarray) for x in (*perm, *dims))
 
@@ -1268,18 +1287,33 @@ def test_grouped_coefficients_match_definition_property(backend, dims, n_out, se
     np.testing.assert_allclose(_complex_coefficients(p), _coefficients_oracle(p), rtol=0, atol=1e-12)
 
 
-def _projector_reference(p, ty, tol):
+def _free_oracle(allowed, wires):
+    """The positions of the free wires: above dimension 1, with every
+    pattern that has the wire at bit 1 allowed, pattern by pattern."""
+    patterns = list(itertools.product((0, 1), repeat=len(wires)))
+    return tuple(
+        i for i, w in enumerate(wires) if w.dim > 1 and all(allowed[bits] for bits in patterns if bits[i])
+    )
+
+
+def _projector_reference(p, ty, tol, full=False):
     """``check_projector`` with the oracle's pattern maxima, the lowest
     pattern that holds their largest named: the reference for the gather
-    of forbidden coefficients and the pattern read from its flat index."""
+    of forbidden coefficients and the pattern read from its flat index.
+    It reads the coefficients the verdict reads, each free wire at its
+    identity direction (:func:`_free_oracle`), or, with ``full``, all of
+    them: the verdict of the full change of basis."""
     compiled = checks._compile(ty)
     positive = backends.is_positive(p, tol)
     allowed, gamma = checks._allowed_terms(compiled.normal, p.wires)
-    c = _complex_coefficients(p)
+    free = () if full else _free_oracle(allowed, p.wires)
+    allowed = allowed[tuple(0 if i in free else slice(None) for i in range(p.n_wires)) + (...,)]
+    kept = [w for i, w in enumerate(p.wires) if i not in free]
+    c = _complex_coefficients(p, free)
     total = complex(c[(0,) * c.ndim]) * math.sqrt(math.prod(w.dim for w in p.wires))
     forbidden = np.where(allowed, 0.0, _pattern_maxima_oracle(c))
     worst = np.unravel_index(np.argmax(forbidden), forbidden.shape)
-    term = ", ".join(w.label for w, bit in zip(p.wires, worst) if bit)
+    term = ", ".join(w.label for w, bit in zip(kept, worst) if bit)
     return backends._verdict(p, tol, [
         (float(forbidden[worst]), f"the type forbids a term on {{{term}}}"),
         (abs(total - gamma), f"total {total.real:.6g} is not {gamma:.6g}"),
@@ -1321,6 +1355,100 @@ def test_projector_matches_reference_maxima(backend, rng):
                 assert (got.passed, repr(got.residual), got.detail) == (want.passed, repr(want.residual), want.detail)
                 seen[got.passed, got.detail.split(" ")[0]] += 1
     assert seen[True, ""] and seen[False, "the"] and seen[False, "total"], seen
+
+
+FREE_WIRE_LAYOUTS = PROJECTOR_LAYOUTS + [
+    ("A -o B", ("B",), ("A",)),
+    ("(X (x) C) -o (((A -o A') (x) (B -o B')) -o C')", ("A", "B", "C'"), ("X", "C", "A'", "B'")),
+]
+
+
+def _free_wire_cases(backend, rng, count):
+    """``count`` seeded ``(type, process)`` pairs on the layouts of
+    :data:`FREE_WIRE_LAYOUTS` in turn: wires of dimension 1-3 (on cpm, 1-2
+    on the switch), shuffled; members of the type, near misses that a
+    forbidden term fails, scaled members that fail the total, and random
+    data."""
+    for k in range(count):
+        ty, out_labels, in_labels = FREE_WIRE_LAYOUTS[k % len(FREE_WIRE_LAYOUTS)]
+        top = 3 if backend == CPM and len(out_labels + in_labels) > 4 else 4
+        dim = {l: int(rng.integers(1, top)) for l in out_labels + in_labels}
+        ty = re.sub(r"[A-Z]'?", lambda m: f"{m.group()}[{dim[m.group()]}]", ty)
+        outs = [System(l, dim[l]) for l in out_labels]
+        ins = [System(l, dim[l]) for l in in_labels]
+        rng.shuffle(outs)
+        rng.shuffle(ins)
+        kind = k // len(FREE_WIRE_LAYOUTS) % 4
+        if kind < 3:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = _near_uniform(backend, ty, tuple(outs), tuple(ins), rng, kind != 1)
+            if np.isfinite(p.data).all():  # else dimension-1 wires left no term to add
+                yield ty, Process(backend, p.out_wires, p.in_wires, 1.2 * p.data) if kind == 2 else p
+                continue
+        yield ty, rand_process(backend, tuple(outs), tuple(ins), rng)
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_reduced_coefficients_match_definition(backend, rng):
+    """On seeded layouts with no, one and several free wires, the free wires
+    found per layout are the oracle's, and the coefficients the verdict
+    reads are the definition's with each free wire at row 0, its identity
+    direction."""
+    seen = collections.Counter()
+    for ty, p in _free_wire_cases(backend, rng, 48):
+        *_, free = checks._forbidden_terms(checks._compile(ty).normal, p.wires)
+        allowed, _ = checks._allowed_terms(checks._compile(ty).normal, p.wires)
+        assert free == _free_oracle(allowed, p.wires)
+        want = _coefficients_oracle(p)[tuple(0 if i in free else slice(None) for i in range(p.n_wires))]
+        np.testing.assert_allclose(_complex_coefficients(p, free), want, rtol=0, atol=1e-12)
+        seen[min(len(free), 2)] += 1
+    assert set(seen) == {0, 1, 2}, seen
+
+
+@pytest.mark.parametrize("backend", [MATR, CPM])
+def test_reduced_verdict_matches_full_change_of_basis(backend, rng):
+    """On the same seeded layouts the verdict and its detail are those of
+    the full change of basis, the verdict before free wires were traced
+    out, and the residual is within ``1e-12`` times the process's scale;
+    bit for bit on a layout with no free wire, whose path is unchanged."""
+    seen = collections.Counter()
+    for ty, p in _free_wire_cases(backend, rng, 48):
+        got, want = checks.check_projector(p, ty, tol=TOL), _projector_reference(p, ty, TOL, full=True)
+        assert (got.passed, got.detail) == (want.passed, want.detail)
+        assert abs(got.residual - want.residual) <= 1e-12 * backends._scale(p)
+        if not checks._compile(ty).layouts[p._layout]["terms"][4]:
+            assert repr(got.residual) == repr(want.residual)
+        seen[got.passed, got.detail.split(" ")[0]] += 1
+    assert seen[True, ""] and seen[False, "the"] and seen[False, "total"], seen
+
+
+def test_free_wires_are_pinned(rng):
+    """The switch's free wire is its final output ``C'``, a channel's is its
+    output, and no wire of a 4-party chain's type is free; a dimension-1
+    wire, which holds no off-identity coefficient, is never free and
+    changes neither the other wires' freedom nor the verdict."""
+
+    def free(ty, wires):
+        *_, at = checks._forbidden_terms(checks._compile(ty).normal, wires)
+        return [wires[i].label for i in at]
+
+    inst = gallery.quantum_z_switch()
+    assert free(inst.expectations[0][0], inst.process.wires) == ["C'"]
+    assert free("A[2] -o B[3]", [System("B", 3), System("A", 2)]) == ["B"]
+    assert free("A[2] -o B[1]", [System("B", 1), System("A", 2)]) == []
+    host, parties = _soc_host(CPM, 4, rng)
+    assert host.data.size == 65536 and free(_soc_type(parties), host.wires) == []
+    for backend in (MATR, CPM):
+        p = backends.random_causal(backend, (System("B", 2),), (System("A", 2),), rng)
+        for bad in (0.0, 0.25):  # a member, then a forbidden term on {A}
+            data = p.data + bad * _terms(rand_data(backend, p.data.shape, rng), backend, p.wires, lambda s: s == (0, 1))
+            q = Process(backend, p.out_wires, p.in_wires, data)
+            shape = Process.expected_shape(backend, (System("B", 2), System("C", 1)), (System("A", 2),))
+            r = Process(backend, (System("B", 2), System("C", 1)), (System("A", 2),), data.reshape(shape))
+            assert free("A[2] -o B[2]", q.wires) == free("A[2] -o (B[2] (x) C[1])", r.wires) == ["B"]
+            got, want = checks.check_projector(r, "A[2] -o (B[2] (x) C[1])", tol=TOL), checks.check_projector(q, "A[2] -o B[2]", tol=TOL)
+            assert (got.passed, repr(got.residual), got.detail) == (want.passed, repr(want.residual), want.detail)
+            assert got.passed == (bad == 0.0)
 
 
 # -- the paper's definition of X -o Y, as an oracle for higher-order types ---------
@@ -1639,19 +1767,21 @@ def test_projector_record_is_shared_and_read_only(monkeypatch, rng):
     assert set(compiled.layouts) == {p._layout, q._layout}
     record = compiled.layouts[p._layout]
     assert list(record) == ["terms", MATR, CPM]
-    allowed, gamma, labels, root = record["terms"]
+    allowed, gamma, labels, root, free = record["terms"]
     want_allowed, want_gamma = checks._allowed_terms(compiled.normal, p.wires)
-    assert allowed.shape == (2,) * 4 and np.array_equal(allowed, want_allowed) and not allowed.flags.writeable
-    assert (gamma, labels, root) == (want_gamma, ("B", "D", "A", "C"), math.sqrt(8))
+    assert free == (1,) == _free_oracle(want_allowed, p.wires)  # D; B is of dimension 1
+    assert allowed.shape == (2,) * 3 and np.array_equal(allowed, want_allowed[:, 0]) and not allowed.flags.writeable
+    assert (gamma, labels, root) == (want_gamma, ("B", "A", "C"), math.sqrt(8))
     for backend, proc in ((MATR, p), (CPM, r)):
-        dims = checks._projector_plan(backend, proc.data.shape)[1]
-        index = record[backend]
+        plan, index = record[backend]
+        assert plan is checks._projector_plan(backend, proc.data.shape, free)
+        dims = plan[1]
         assert index.dtype == np.intp and index.size <= math.prod(dims)
         assert index.tolist() == _forbidden_oracle(allowed, dims)
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[0] = 0
-    assert record[MATR].size < record[CPM].size
+    assert record[MATR][1].size < record[CPM][1].size
     kept = dict(record)
     for proc in (p, r):
         checks.check_projector(proc, ty, tol=TOL)
@@ -1906,9 +2036,9 @@ def test_wires_are_checked_once_per_type_and_layout(monkeypatch, rng):
     assert branch.procedure == "higher"
     for proc in (p, q):
         record = branch.layouts[proc._layout]
-        terms, forbidden = record["terms"], record[MATR]
+        terms, (plan, forbidden) = record["terms"], record[MATR]
         checks.check_membership(proc, cap, tol=TOL)
-        assert record["terms"] is terms and record[MATR] is forbidden
+        assert record["terms"] is terms and record[MATR][0] is plan and record[MATR][1] is forbidden
         assert not forbidden.flags.writeable
 
 
@@ -1928,6 +2058,40 @@ def test_warm_projector_verdict_hashes_no_system(monkeypatch):
             calls.clear()
             assert checks.check_membership(inst.process, t, tol=TOL)
             assert calls == []
+
+
+def test_warm_causality_and_soc_verdicts_hash_no_system(monkeypatch, rng):
+    """Warm ``is_causal`` verdicts on every backend, and warm rel
+    ``check_soc`` verdicts on hosts and on party loops, each also through
+    ``check_membership``, find the discarding effect by the inputs'
+    dimensions and the channel families and their plugging by the layout
+    key: ``System.__hash__`` does not run."""
+    calls = []
+    system_hash = System.__hash__
+    monkeypatch.setattr(System, "__hash__", lambda w: calls.append(w) or system_hash(w))
+    cases = []
+    for backend in BACKENDS:
+        p = backends.random_causal(backend, (System("B", 2), System("C", 3)), (System("A", 2), System("D", 3)), rng)
+        cases += [
+            lambda p=p: backends.is_causal(p, tol=TOL),
+            lambda p=p: checks.check_membership(p, "(A[2] (x) D[3]) -o (B[2] (x) C[3])", tol=TOL),
+        ]
+    for n in (2, 3):
+        host, parties = _soc_host(REL, n, rng)
+        for q in (host, _party_loop(host, parties[int(rng.integers(n))], rng)):
+            cases += [
+                lambda q=q, e=parties: checks.check_soc(q, e, tol=TOL),
+                lambda q=q, e=parties: checks.check_membership(q, _soc_type(e), tol=TOL),
+            ]
+    verdicts = []
+    for case in cases:
+        first = case()
+        assert case() == first
+        calls.clear()
+        assert case() == first
+        assert calls == []
+        verdicts.append(first.passed)
+    assert verdicts == [True] * 6 + [True, True, False, False] * 2
 
 
 def test_layout_key_is_made_once_and_shared_by_equal_layouts(rng):
@@ -1980,7 +2144,10 @@ def test_warm_projector_verdict_makes_few_python_calls(rng):
     masked and reshaped on every verdict made 79 a verdict here; hashing
     every wire to find the layout's record and building every detail, 52.8;
     the maximum of every pattern, by a gather of all coefficients and a
-    ``reduceat``, then an index of the forbidden ones, 38.7."""
+    ``reduceat``, then an index of the forbidden ones, 38.7; naming a
+    failing verdict's term by ``unravel_index`` and a list, 37.0.  The
+    free-wire trace adds no counted call: ``np.add`` and ``np.matmul`` are
+    ufuncs, which cProfile does not count."""
     cases = [
         (inst.process, inst.expectations[0][0])
         for inst in (
